@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph_core import DynamicGraph, UpdateOp
 from .nonzero_sampler import NonZeroSampler
-from .oracles import fast_component_sizes
+from .oracles import fast_component_sizes, fast_ncc
 
 MODE_THR = "thr"        # additive error eps' * Thr(G), Thr supplied per update
 MODE_ABSOLUTE = "absolute"  # additive error eps' * n, no Thr needed
@@ -76,27 +76,6 @@ def static_estimate_nis(
     return nis * total / cfg.samples
 
 
-def _exact_ncc_nis(graph: DynamicGraph) -> tuple[int, int]:
-    """Full traversal of the graph: (component count, non-isolated count)."""
-    n = graph.n
-    adj = graph.adj
-    seen = bytearray(n)
-    ncc = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        ncc += 1
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-    return ncc, graph.nis
-
-
 class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
@@ -131,9 +110,9 @@ class PhasedCcEstimator:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.use_fast_sizes = use_fast_sizes
 
-        ncc, nis = _exact_ncc_nis(graph)
+        nis = graph.nis
         self.gamma = nis
-        self.c_bar = float(ncc)
+        self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
         if mode == MODE_THR:
             if thr0 is None:
                 raise ValueError("thr0 is required in thr mode")

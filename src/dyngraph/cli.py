@@ -122,26 +122,28 @@ class _Replay:
             work = self.struct.bfs_calls_last if applied else 0
         elif algo == "cc-random":
             thr = self.graph.nis  # Thr = nis of the graph before the update
-            if op.kind == "i":
-                self.graph.insert_edge(op.u, op.v)
-            else:
-                self.graph.delete_edge(op.u, op.v)
-            self.struct.on_update(op, thr)
-            work = 1
-        elif algo == "msf-det":
-            if op.kind == "i":
-                self.struct.insert(op.u, op.v, op.w)
-            else:
-                self.struct.delete(op.u, op.v)
-            work = sum(level.bfs_calls_last for level in self.struct.levels)
-        else:  # msf-rand
+            applied = (self.graph.insert_edge(op.u, op.v) if op.kind == "i"
+                       else self.graph.delete_edge(op.u, op.v))
+            if applied:  # a duplicate insert or absent delete is a no-op
+                self.struct.on_update(op, thr)
+            work = int(applied)
+        else:  # msf-det, msf-rand
             if op.kind == "i":
                 self.struct.insert(op.u, op.v, op.w)
             else:
                 self.struct.delete(op.u, op.v)
-            work = 1
+            work = (sum(level.bfs_calls_last for level in self.struct.levels)
+                    if algo == "msf-det" else 1)
         self._shadow_apply(op)
         return work
+
+    def _violation(self, context: str) -> None:
+        """Count a soft (randomized) miss, or record a hard guarantee violation."""
+        if self.algo in ("cc-random", "msf-rand"):
+            self.soft_violations += 1
+        else:
+            self.hard_violation = True
+            self.context = context
 
     def checkpoint(self, step: int, op_kind: str, work: int, nanos: int) -> dict:
         self.checkpoints += 1
@@ -155,37 +157,27 @@ class _Replay:
             estimate, exact = float(ok), 1.0
             allowed = 0.0
             if not ok:
-                self.hard_violation = True
                 bad = np.nonzero(colors[eu] == colors[ev])[0]
-                self.context = f"monochromatic edges at indices {bad[:5].tolist()}"
+                self._violation(f"monochromatic edges at indices {bad[:5].tolist()}")
         elif algo == "cc-exact":
             estimate = float(self.struct.estimate())
             exact = float(oracles.fast_nscc(eu, ev, self.n, self.struct.k))
             allowed = 0.0
             if estimate != exact:
-                self.hard_violation = True
-                self.context = f"small-component count {estimate} != oracle {exact}"
+                self._violation(f"small-component count {estimate} != oracle {exact}")
         elif algo == "cc-random":
             estimate = float(self.struct.estimate())
             exact = float(oracles.fast_ncc(eu, ev, self.n))
             allowed = self.eps * self.struct.psi
             if abs(estimate - exact) > allowed:
-                self.soft_violations += 1
-        elif algo == "msf-det":
+                self._violation(f"estimate {estimate} outside +-{allowed} of {exact}")
+        else:  # msf-det, msf-rand
             estimate = self.struct.estimate()
             w = np.array([self.weights[k] for k in zip(eu.tolist(), ev.tolist())])
             exact = oracles.fast_msf_weight(eu, ev, w, self.n)
             allowed = self.eps * exact
             if abs(estimate - exact) > allowed:
-                self.hard_violation = True
-                self.context = f"estimate {estimate} outside (1+-eps) of {exact}"
-        else:  # msf-rand
-            estimate = self.struct.estimate()
-            w = np.array([self.weights[k] for k in zip(eu.tolist(), ev.tolist())])
-            exact = oracles.fast_msf_weight(eu, ev, w, self.n)
-            allowed = self.eps * exact
-            if abs(estimate - exact) > allowed:
-                self.soft_violations += 1
+                self._violation(f"estimate {estimate} outside (1+-eps) of {exact}")
         return {
             "step": step, "op": op_kind,
             "estimate": f"{estimate:.6f}", "exact": f"{exact:.6f}",
@@ -206,7 +198,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             continue
         step += 1
         t0 = time.perf_counter_ns()
-        work = replay.apply(op)
+        try:
+            work = replay.apply(op)
+        except ValueError as exc:
+            raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
         nanos = time.perf_counter_ns() - t0
         if args.check_every and step % args.check_every == 0:
             rows.append(replay.checkpoint(step, op.kind, work, nanos))

@@ -49,7 +49,8 @@ class Coloring:
     the H side is only materialized once a vertex's degree first reaches
     ceil(delta/2), keeping initialization O(n); the eager mode exists for
     differential testing.  ``strict`` enables the sample-set size check on
-    every color draw.
+    every color draw.  ``colors`` is a numpy snapshot of the current colors,
+    built on each access; ``color_of`` reads one vertex without a copy.
     """
 
     def __init__(
@@ -59,7 +60,6 @@ class Coloring:
         seed: int | None = None,
         lazy_init: bool = True,
         strict: bool = True,
-        compact_every: int = 0,
         rng: np.random.Generator | None = None,
     ):
         if n < 1 or n >= 2**32:
@@ -71,15 +71,13 @@ class Coloring:
         self.palette = delta + 1
         self.lazy_init = lazy_init
         self.strict = strict
-        self.compact_every = compact_every
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
         r64 = self.rng.integers(0, 2**64, size=n, dtype=np.uint64)
         self.rank: list[int] = [(int(r64[v]) << 32) | v for v in range(n)]
-        self.colors = self.rng.integers(1, self.palette + 1, size=n, dtype=np.int64)
-        self._chi: list[int] = self.colors.tolist()
-        self.tau: list[int] = [0] * n
-        self._clock = 0
+        self._chi: list[int] = self.rng.integers(
+            1, self.palette + 1, size=n, dtype=np.int64).tolist()
+        self.tau: list[int] = [0] * n  # update count at each vertex's last recolor
 
         self.L: list[list[int]] = [[] for _ in range(n)]
         self.H: list[list[int]] = [[] for _ in range(n)]
@@ -110,6 +108,10 @@ class Coloring:
     def color_of(self, v: int) -> int:
         return self._chi[v]
 
+    @property
+    def colors(self) -> np.ndarray:
+        return np.array(self._chi, dtype=np.int64)
+
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._posL[v] or u in self._posH[v]
 
@@ -135,7 +137,6 @@ class Coloring:
             raise DeltaBoundError(f"degree of {u} would exceed delta={self.delta}")
         if len(self.L[v]) + len(self.H[v]) >= self.delta:
             raise DeltaBoundError(f"degree of {v} would exceed delta={self.delta}")
-        self._clock += 1
         self.updates += 1
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
         lst = self.L[hi]
@@ -147,28 +148,20 @@ class Coloring:
         self._book_add(lo, self._chi[hi])
         self._maybe_materialize(u)
         self._maybe_materialize(v)
-        if self._chi[u] == self._chi[v]:
-            if (self.tau[u], u) > (self.tau[v], v):
-                stats = self._recolor(u)
-            else:
-                stats = self._recolor(v)
-        else:
-            stats = RecolorStats()
-        self._maybe_compact()
-        return stats
+        if self._chi[u] != self._chi[v]:
+            return RecolorStats()
+        return self._recolor(u if (self.tau[u], u) > (self.tau[v], v) else v)
 
     def delete(self, u: int, v: int) -> None:
         """Delete edge (u, v); never recolors. Absent edge is a no-op."""
         self._check_pair(u, v)
         if not self.has_edge(u, v):
             return
-        self._clock += 1
         self.updates += 1
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
         self._list_remove(self.L[hi], self._posL[hi], lo)
         self._list_remove(self.H[lo], self._posH[lo], hi)
         self._book_remove(lo, self._chi[hi])
-        self._maybe_compact()
 
     def rebuild(self, new_delta: int) -> "Coloring":
         """Fresh structure over the current edge set with palette [1, new_delta+1]."""
@@ -182,17 +175,10 @@ class Coloring:
             seed=child_seed,
             lazy_init=self.lazy_init,
             strict=self.strict,
-            compact_every=self.compact_every,
         )
         for a, b in edges:
             fresh.insert(a, b)
         return fresh
-
-    def compact_timestamps(self) -> None:
-        """Renumber timestamps to dense ranks, preserving their relative order."""
-        order = {t: i + 1 for i, t in enumerate(sorted(set(self.tau)))}
-        self.tau = [order[t] for t in self.tau]
-        self._clock = self.n + 1
 
     # -- internals ----------------------------------------------------------
 
@@ -201,10 +187,6 @@ class Coloring:
             raise ValueError(f"self-loop ({u}, {u}) rejected")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range: ({u}, {v})")
-
-    def _maybe_compact(self) -> None:
-        if self.compact_every and self.updates % self.compact_every == 0:
-            self.compact_timestamps()
 
     @staticmethod
     def _list_remove(lst: list[int], pos: dict[int, int], x: int) -> None:
@@ -259,8 +241,7 @@ class Coloring:
                 stats.bad_steps += 1
             old = chi[v]
             chi[v] = new_color
-            self.colors[v] = new_color
-            self.tau[v] = self._clock
+            self.tau[v] = self.updates
             if new_color != old:
                 for w in self.L[v]:
                     self._book_remove(w, old)

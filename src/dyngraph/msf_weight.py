@@ -65,33 +65,52 @@ def combine(config: MsfConfig, counts, n: int) -> float:
     return float(total)
 
 
-class _LevelMixin:
-    """Shared weight bookkeeping and level routing."""
+class _MsfEstimatorBase:
+    """Config, edge weights and threshold graphs shared by both estimators.
 
-    config: MsfConfig
-    n: int
+    Graph i holds the edges of weight <= l_i, seeded from ``initial_edges``;
+    subclasses build one component-count estimator per graph in ``levels``.
+    """
 
-    def _init_weights(self) -> None:
+    def __init__(self, n: int, eps: float, W: float,
+                 initial_edges: list[WeightedEdge] | None):
+        self.config = MsfConfig.from_params(eps, W)
+        self.n = n
         self._weights: dict[tuple[int, int], float] = {}
+        self._graphs = [DynamicGraph(n) for _ in self.config.thresholds]
+        for u, v, w in initial_edges or ():
+            key = self._register(u, v, w)
+            for g, hit in zip(self._graphs, self._hits(w)):
+                if hit:
+                    g.insert_edge(*key)
+
+    def _hits(self, w: float) -> list[bool]:
+        """Per level, whether its threshold admits an edge of weight w."""
+        return [w <= thr for thr in self.config.thresholds]
+
+    def _key(self, u: int, v: int) -> tuple[int, int]:
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
+        return (u, v) if u < v else (v, u)
 
     def _register(self, u: int, v: int, w: float) -> tuple[int, int]:
+        key = self._key(u, v)
         if not 1.0 <= w <= self.config.W:
             raise ValueError(f"weight {w} outside [1, {self.config.W}]")
-        key = (u, v) if u < v else (v, u)
         if key in self._weights:
             raise ValueError(f"edge {key} already present")
         self._weights[key] = w
         return key
 
     def _unregister(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
+        key = self._key(u, v)
         w = self._weights.pop(key, None)
         if w is None:
             raise ValueError(f"edge {key} not present")
         return w
 
 
-class DeterministicMsfEstimator(_LevelMixin):
+class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     Per level the exact small-component counter runs with error parameter
@@ -101,37 +120,26 @@ class DeterministicMsfEstimator(_LevelMixin):
 
     def __init__(self, n: int, eps: float, W: float,
                  initial_edges: list[WeightedEdge] | None = None):
-        self.config = MsfConfig.from_params(eps, W)
-        self.n = n
-        self._init_weights()
-        eps_level = eps / (4.0 * W)
-        graphs = [DynamicGraph(n) for _ in range(self.config.r + 1)]
-        if initial_edges:
-            for u, v, w in initial_edges:
-                key = self._register(u, v, w)
-                for i, thr in enumerate(self.config.thresholds):
-                    if w <= thr:
-                        graphs[i].insert_edge(*key)
-        self.levels = [SmallCcCounter(g, eps_level) for g in graphs]
+        super().__init__(n, eps, W, initial_edges)
+        self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in self._graphs]
 
     def insert(self, u: int, v: int, w: float) -> None:
         self._register(u, v, w)
-        for thr, level in zip(self.config.thresholds, self.levels):
-            if w <= thr:
+        for level, hit in zip(self.levels, self._hits(w)):
+            if hit:
                 level.on_insert(u, v)
 
     def delete(self, u: int, v: int) -> None:
         w = self._unregister(u, v)
-        for thr, level in zip(self.config.thresholds, self.levels):
-            if w <= thr:
+        for level, hit in zip(self.levels, self._hits(w)):
+            if hit:
                 level.on_delete(u, v)
 
     def estimate(self) -> float:
-        counts = [level.estimate() for level in self.levels]
-        return combine(self.config, counts, self.n)
+        return combine(self.config, [level.estimate() for level in self.levels], self.n)
 
 
-class RandomizedMsfEstimator(_LevelMixin):
+class RandomizedMsfEstimator(_MsfEstimatorBase):
     """Sampling-based (1+eps)-approximation, valid against adaptive adversaries.
 
     Each level runs the phased estimator with error eps/(4W) and failure
@@ -143,57 +151,39 @@ class RandomizedMsfEstimator(_LevelMixin):
                  seed: int | None = None,
                  initial_edges: list[WeightedEdge] | None = None,
                  use_fast_sizes: bool = False):
-        self.config = MsfConfig.from_params(eps, W)
-        self.n = n
-        self._init_weights()
-        r = self.config.r
-        graphs = [DynamicGraph(n) for _ in range(r + 1)]
-        if initial_edges:
-            for u, v, w in initial_edges:
-                key = self._register(u, v, w)
-                for i, thr in enumerate(self.config.thresholds):
-                    if w <= thr:
-                        graphs[i].insert_edge(*key)
+        super().__init__(n, eps, W, initial_edges)
         rng = np.random.default_rng(seed)
-        eps_level = eps / (4.0 * W)
-        p_level = p_prime / (r + 1)
-        self._full = graphs[r]  # the top threshold admits every weight
+        self._full = self._graphs[-1]  # the top threshold admits every weight
         # every level sees the same Thr stream: nis of the full graph
-        thr0 = self._full.nis
         self.levels = [
-            PhasedCcEstimator(g, eps_level, p_level, thr0=thr0, mode=MODE_THR,
-                              rng=rng, use_fast_sizes=use_fast_sizes)
-            for g in graphs
+            PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs),
+                              thr0=self._full.nis, mode=MODE_THR, rng=rng,
+                              use_fast_sizes=use_fast_sizes)
+            for g in self._graphs
         ]
 
     def insert(self, u: int, v: int, w: float) -> None:
         self._register(u, v, w)
-        thr = self._full.nis
-        op = UpdateOp("i", u, v, w)
-        hit = [w <= thr_i for thr_i in self.config.thresholds]
-        for level, h in zip(self.levels, hit):
-            if h:
-                level.graph.insert_edge(u, v)
-        for level, h in zip(self.levels, hit):
-            if h:
-                level.on_update(op, thr)
-            else:
-                level.tick(thr, count=2)
+        self._route(UpdateOp("i", u, v, w))
 
     def delete(self, u: int, v: int) -> None:
-        w = self._unregister(u, v)
+        self._route(UpdateOp("d", u, v, self._unregister(u, v)))
+
+    def _route(self, op: UpdateOp) -> None:
+        """Apply op to every admitting level's graph, then advance every level."""
         thr = self._full.nis
-        op = UpdateOp("d", u, v, w)
-        hit = [w <= thr_i for thr_i in self.config.thresholds]
-        for level, h in zip(self.levels, hit):
-            if h:
-                level.graph.delete_edge(u, v)
-        for level, h in zip(self.levels, hit):
-            if h:
+        hits = self._hits(op.w)
+        for level, hit in zip(self.levels, hits):
+            if hit:
+                if op.kind == "i":
+                    level.graph.insert_edge(op.u, op.v)
+                else:
+                    level.graph.delete_edge(op.u, op.v)
+        for level, hit in zip(self.levels, hits):
+            if hit:
                 level.on_update(op, thr)
             else:
                 level.tick(thr, count=2)
 
     def estimate(self) -> float:
-        counts = [level.estimate() for level in self.levels]
-        return combine(self.config, counts, self.n)
+        return combine(self.config, [level.estimate() for level in self.levels], self.n)

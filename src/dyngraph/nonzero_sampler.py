@@ -1,7 +1,7 @@
 """Dense-array structure for uniform sampling among elements with non-zero value.
 
 Holds n slots with an integer value each (degrees, in the graph use case).
-A compact prefix of array ``A`` stores the non-zero elements and a position
+A dense prefix of array ``A`` stores the non-zero elements and a position
 index ``P`` maps each element to its slot, so value updates and uniform
 samples over the non-zero support are a constant number of array touches.
 This trades O(n) space for constant time, unlike polylog-space sketches.
@@ -22,10 +22,6 @@ class NonZeroSampler:
         self._pos = np.full(n, -1, dtype=np.int64)  # P
         self.nis = 0
         self.last_touches = 0  # array reads+writes of the last operation
-
-    def value(self, u: int) -> int:
-        i = self._pos[u]
-        return int(self._vals[i]) if i >= 0 else 0
 
     def update(self, u: int, delta: int) -> None:
         """Add ``delta`` to the value of ``u``; the result must stay >= 0."""

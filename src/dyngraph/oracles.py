@@ -9,23 +9,12 @@ verification loops; they are asserted against the pure routes in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 Edge = tuple[int, int]
 WeightedEdge = tuple[int, int, float]
-
-
-@dataclass
-class OracleReport:
-    ncc: int
-    nis: int
-    nscc_k: int
-    msf_weight: float
-    coloring_ok: bool
 
 
 class _UnionFind:

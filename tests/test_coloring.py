@@ -17,7 +17,6 @@ def force_ranks(c: Coloring, order):
 
 def force_colors(c: Coloring, cols):
     c._chi = list(cols)
-    c.colors[:] = cols
 
 
 def audit(c: Coloring):
@@ -33,7 +32,6 @@ def audit(c: Coloring):
             assert set(c.cl[v]) | set(c.mu[v]) == palette
             assert not set(c.cl[v]) & set(c.mu[v])
         assert 1 <= c._chi[v] <= c.palette
-        assert c._chi[v] == int(c.colors[v])
     assert not any(c._vis)
     assert is_proper_coloring(c.edges(), c._chi, c.delta)
 
@@ -287,7 +285,8 @@ def test_mixed_fuzz_books_match_recount():
     for trial in range(6):
         n = int(rng.integers(5, 16))
         delta = int(rng.integers(2, 8))
-        c = Coloring(n, delta, seed=trial, compact_every=int(rng.choice([0, 13])))
+        rng.choice([0, 13])  # spare draw: keeps this seed's later trial inputs fixed
+        c = Coloring(n, delta, seed=trial)
         edges = set()
         for _ in range(500):
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -339,56 +338,6 @@ def test_recolor_work_accounting():
     assert stats.path_length == 1
     assert stats.total_work == 1 + len(c.L[1])
     assert stats.good_steps + stats.bad_steps + stats.low_degree_terminations == 1
-
-
-# -- timestamps ---------------------------------------------------------------
-
-
-def test_compact_timestamps_dense_ranking():
-    c = Coloring(3, 2, seed=0)
-    c.tau = [900, 3, 77]
-    c.compact_timestamps()
-    assert c.tau == [3, 1, 2]
-    assert c._clock == 4
-
-
-def test_compact_timestamps_idempotent_on_order():
-    c = Coloring(4, 2, seed=0)
-    c.tau = [1, 2, 3, 4]
-    c.compact_timestamps()
-    assert c.tau == [1, 2, 3, 4]
-
-
-def test_compact_timestamps_preserves_all_pairwise_comparisons():
-    rng = np.random.default_rng(17)
-    c = Coloring(50, 3, seed=0)
-    taus = rng.integers(0, 40, size=50).tolist()  # duplicates likely
-    c.tau = list(taus)
-    c.compact_timestamps()
-    for i in range(50):
-        for j in range(50):
-            before = (taus[i] > taus[j]) - (taus[i] < taus[j])
-            after = (c.tau[i] > c.tau[j]) - (c.tau[i] < c.tau[j])
-            assert before == after
-
-
-def test_periodic_compaction_keeps_structure_consistent():
-    c = Coloring(12, 4, seed=3, compact_every=5)
-    rng = np.random.default_rng(3)
-    edges = set()
-    for _ in range(300):
-        u, v = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            c.delete(u, v)
-            edges.discard(key)
-        elif c.degree(u) < 4 and c.degree(v) < 4:
-            c.insert(u, v)
-            edges.add(key)
-    assert max(c.tau) <= c._clock
-    audit(c)
 
 
 # -- rebuild -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,24 @@ def test_randomized_levels_share_thr_stream():
     assert len({level.i for level in est.levels}) <= 2  # ticks add 2, updates 1
     for level in est.levels:
         assert level._prev_thr == 4  # nis of the full graph before the delete
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DeterministicMsfEstimator(5, 0.25, 4.0),
+    lambda: RandomizedMsfEstimator(5, 0.5, 4.0, 0.1, seed=0),
+], ids=["deterministic", "randomized"])
+def test_invalid_vertices_rejected_before_any_state_change(make):
+    est = make()
+    empty = est.estimate()
+    for u, v in ((-1, 2), (2, -1), (5, 2), (2, 5), (2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
+            est.insert(u, v, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
+            est.delete(u, v)
+    assert all(level.graph.m == 0 and level.graph.nis == 0 for level in est.levels)
+    assert est.estimate() == empty
+    est.insert(1, 2, 1.0)
+    assert all(level.graph.has_edge(1, 2) for level in est.levels)
+    assert 0.5 <= est.estimate() <= 1.5  # MSF weight 1 within the (1 +- eps) envelope
+    est.delete(2, 1)
+    assert all(level.graph.m == 0 for level in est.levels)

@@ -144,15 +144,3 @@ def test_fast_paths_agree_with_pure_routes():
                         stack.append(y)
             assert sizes[s] == len(comp)
 
-
-def test_oracle_report_aggregates():
-    wedges = [(0, 1, 1.0), (2, 3, 2.0)]
-    edges = [(0, 1), (2, 3)]
-    rep = oracles.OracleReport(
-        ncc=oracles.exact_ncc(edges, 5),
-        nis=oracles.exact_nis(edges, 5),
-        nscc_k=oracles.exact_nscc(edges, 5, 2),
-        msf_weight=oracles.exact_msf_weight(wedges, 5),
-        coloring_ok=oracles.is_proper_coloring(edges, [1, 2, 1, 2, 1], 2),
-    )
-    assert rep == oracles.OracleReport(ncc=3, nis=4, nscc_k=3, msf_weight=3.0, coloring_ok=True)

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+
 import pytest
 
 from dyngraph import cli, oracles, streams
@@ -178,3 +181,38 @@ def test_replay_coloring_reports_zero_recolorings_on_conflict_free_stream():
     replay = Coloring(20, 6, seed=21)
     total = sum(replay.insert(op.u, op.v).path_length for op in ops)
     assert total == 0
+
+
+def test_generators_pinned_digests():
+    # both generators co-simulate Coloring / PhasedCcEstimator, so any change to
+    # those structures' rng draws changes these streams
+    def digest(stream):
+        return hashlib.sha256(streams.render_stream(stream).encode()).hexdigest()
+
+    assert digest(streams.gen_conflict_heavy(60, 400, 100, 6, seed=3, struct_seed=5)) == \
+        "4985d2e2742ea0c5dc5e71a3584d6b9298e97ae7630e5bb91d55884084efeeff"
+    assert digest(streams.gen_adaptive_script(40, 200, 30, 0.4, 0.2, seed=3,
+                                              struct_seed=5)) == \
+        "facd299c554c445f4ce36d396d350eba5c218dacbdc75d7132fb35838608a1d5"
+
+
+def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\n"
+                           "i 0 1\ni 1 2\ni 0 1\nd 0 1\nd 1 2\nd 1 2\n")
+    out_path = tmp_path / "out.csv"
+    rc = _run_cli(["run", "--algo", "cc-random", "--stream", str(stream_path),
+                   "--check-every", "1", "--out", str(out_path)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out_path)))
+    assert [row["work"] for row in rows] == ["1", "1", "0", "1", "1", "0"]
+
+
+def test_cli_run_error_names_the_step(tmp_path, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=0 W=2.0 mode=msf\n"
+                           "i 0 1 1.0\ni 1 2 2.0\ni 1 0 1.5\n")
+    rc = _run_cli(["run", "--algo", "msf-det", "--stream", str(stream_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "step 3 (i 1 0): " in err and "already present" in err
