@@ -2,7 +2,6 @@
 
 from .cc_exact import SmallCcCounter
 from .cc_random import (
-    MODE_ABSOLUTE,
     MODE_THR,
     PhasedCcEstimator,
     StaticEstimateConfig,
@@ -24,7 +23,6 @@ __all__ = [
     "DeterministicMsfEstimator",
     "DynamicGraph",
     "InvariantError",
-    "MODE_ABSOLUTE",
     "MODE_THR",
     "MsfConfig",
     "NonZeroSampler",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .graph_core import DynamicGraph
+from .oracles import fast_nscc
 
 
 class SmallCcCounter:
@@ -27,45 +28,8 @@ class SmallCcCounter:
         self.graph = graph
         self.eps = eps
         self.k = math.ceil(1 / eps)
-        self.c_bar = self._static_count()
+        self.c_bar = fast_nscc(*graph.edge_view(), graph.n, self.k)
         self.bfs_calls_last = 0
-
-    def _static_count(self) -> int:
-        """Static sweep: one capped BFS per still-unvisited vertex, O(n*k) total.
-
-        A BFS aborts as soon as it would discover a (k+1)-th vertex or it
-        touches a vertex visited by an earlier sweep (either way the
-        component is known to be larger than k).
-        """
-        g = self.graph
-        n = g.n
-        k = self.k
-        adj = g.adj
-        mark = [0] * n  # 0 = unvisited, else 1 + round id
-        count = 0
-        for s in range(n):
-            if mark[s]:
-                continue
-            rid = s + 1
-            mark[s] = rid
-            queue = [s]
-            qi = 0
-            small = True
-            while qi < len(queue) and small:
-                x = queue[qi]
-                qi += 1
-                for w in adj[x]:
-                    mw = mark[w]
-                    if mw == rid:
-                        continue
-                    if mw or len(queue) == k:
-                        small = False
-                        break
-                    mark[w] = rid
-                    queue.append(w)
-            if small:
-                count += 1
-        return count
 
     def estimate(self) -> int:
         return self.c_bar
@@ -76,6 +40,7 @@ class SmallCcCounter:
         No-op (returns False) if the edge is already present.
         """
         g = self.graph
+        g.check_pair(u, v)
         if g.has_edge(u, v):
             self.bfs_calls_last = 0
             return False
@@ -103,6 +68,7 @@ class SmallCcCounter:
     def on_delete(self, u: int, v: int) -> bool:
         """Delete (u, v) from the graph and update the count; mirror of insert."""
         g = self.graph
+        g.check_pair(u, v)
         if not g.has_edge(u, v):
             self.bfs_calls_last = 0
             return False

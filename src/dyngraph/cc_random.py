@@ -20,8 +20,7 @@ from .graph_core import DynamicGraph, UpdateOp
 from .nonzero_sampler import NonZeroSampler
 from .oracles import fast_component_sizes, fast_ncc
 
-MODE_THR = "thr"        # additive error eps' * Thr(G), Thr supplied per update
-MODE_ABSOLUTE = "absolute"  # additive error eps' * n, no Thr needed
+MODE_THR = "thr"  # additive error eps' * Thr(G), Thr supplied per update
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,13 @@ def static_estimate_nis(
 class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
-    In "thr" mode every update supplies Thr, an upper bound on the number of
-    non-isolated vertices just before the update that moves by at most 2 per
-    update; the estimate stays within eps' * Thr of the truth with
-    probability 1 - p per phase.  In "absolute" mode the bound is eps' * n.
-    The estimate is frozen between boundaries, so queries leak no randomness
-    mid-phase and an adaptive adversary gains nothing.
+    Every update supplies Thr, an upper bound on the number of non-isolated
+    vertices just before the update that moves by at most 2 per update; the
+    estimate stays within eps' * Thr of the truth with probability 1 - p per
+    phase.  Thr = n throughout gives the absolute bound eps' * n.  The
+    estimate is frozen between boundaries, so queries leak no randomness
+    mid-phase and an adaptive adversary gains nothing.  ``mode`` accepts only
+    MODE_THR.
     """
 
     def __init__(
@@ -98,12 +98,11 @@ class PhasedCcEstimator:
         seed: int | None = None,
         use_fast_sizes: bool = False,
     ):
-        if mode not in (MODE_THR, MODE_ABSOLUTE):
+        if mode != MODE_THR:
             raise ValueError(f"unknown mode {mode!r}")
         if not 0 < eps_prime <= 1:
             raise ValueError("eps_prime must be in (0, 1]")
         self.graph = graph
-        self.mode = mode
         self.eps_prime = eps_prime
         self.p = p
         self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p)
@@ -113,16 +112,12 @@ class PhasedCcEstimator:
         nis = graph.nis
         self.gamma = nis
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
-        if mode == MODE_THR:
-            if thr0 is None:
-                raise ValueError("thr0 is required in thr mode")
-            if thr0 < nis:
-                raise ValueError(f"thr0={thr0} below nis={nis}")
-            self.psi = thr0
-            self._prev_thr = thr0
-        else:
-            self.psi = graph.n
-            self._prev_thr = None
+        if thr0 is None:
+            raise ValueError("thr0 is required")
+        if thr0 < nis:
+            raise ValueError(f"thr0={thr0} below nis={nis}")
+        self.psi = thr0
+        self._prev_thr = thr0
         self.i = 0
         self.phase_len = max(1, math.ceil(eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len
@@ -136,41 +131,41 @@ class PhasedCcEstimator:
     def estimate(self) -> float:
         return self.c_bar
 
-    def on_update(self, op: UpdateOp, thr: int | None = None) -> None:
+    def on_update(self, op: UpdateOp, thr: int) -> None:
         """Account for one update already applied to the graph.
 
-        ``thr`` is the Thr value for this update (thr mode only), i.e. an
-        upper bound on nis of the graph *before* the update.
+        ``thr`` is the Thr value for this update, i.e. an upper bound on nis
+        of the graph *before* the update.  An op the graph does not reflect
+        (say, a duplicate insert the graph ignored) raises ValueError here.
         """
         if op.kind not in ("i", "d"):
             raise ValueError("queries are not updates")
         self._validate_thr(thr, op)
         delta = 1 if op.kind == "i" else -1
-        self.sampler.update(op.u, delta)
-        self.sampler.update(op.v, delta)
-        if self.sampler.nis != self.graph.nis:
-            raise ValueError("update op does not match the graph state")
-        if self.mode == MODE_THR:
-            self._prev_thr = thr
+        sampler, g = self.sampler, self.graph
+        try:
+            synced = (sampler.update(op.u, delta) == g.degree(op.u)
+                      and sampler.update(op.v, delta) == g.degree(op.v))
+        except ValueError:  # a degree count would turn negative
+            synced = False
+        if not synced:
+            raise ValueError(f"update {op.kind} ({op.u}, {op.v}) does not match the graph state")
+        self._prev_thr = thr
         self._advance(thr)
 
-    def tick(self, thr: int | None = None, count: int = 2) -> None:
-        """Advance the update counter without a graph change.
+    def tick(self, thr: int) -> None:
+        """Advance the update counter by two without a graph change.
 
-        Used to keep estimators on threshold subgraphs in lockstep with the
-        full update sequence; boundaries fire exactly as for real updates.
+        Keeps estimators on threshold subgraphs in lockstep with the full
+        update sequence, standing in for a same-vertex insert/delete pair;
+        boundaries fire exactly as for real updates.
         """
         self._validate_thr(thr, None)
-        if self.mode == MODE_THR:
-            self._prev_thr = thr
-        for _ in range(count):
-            self._advance(thr)
+        self._prev_thr = thr
+        self._advance(thr)
+        self._advance(thr)
 
-    def _validate_thr(self, thr: int | None, op: UpdateOp | None) -> None:
-        if self.mode != MODE_THR:
-            return
-        if thr is None:
-            raise ValueError("thr is required in thr mode")
+    def _validate_thr(self, thr: int, op: UpdateOp | None) -> None:
         if abs(thr - self._prev_thr) > 2:
             raise ValueError(f"thr moved by more than 2: {self._prev_thr} -> {thr}")
         nis_before = self.graph.nis
@@ -184,7 +179,7 @@ class PhasedCcEstimator:
         if thr < nis_before:
             raise ValueError(f"thr={thr} below nis={nis_before}")
 
-    def _advance(self, thr: int | None) -> None:
+    def _advance(self, thr: int) -> None:
         self.gamma = self.graph.nis
         self.i += 1
         self._until_boundary -= 1
@@ -196,6 +191,6 @@ class PhasedCcEstimator:
             sizes = fast_component_sizes(eu, ev, self.graph.n)
         b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng, sizes)
         self.c_bar = b + self.graph.n - self.gamma
-        self.psi = thr if self.mode == MODE_THR else self.graph.n
+        self.psi = thr
         self.phase_len = max(1, math.ceil(self.eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .cc_exact import SmallCcCounter
-from .cc_random import MODE_THR, PhasedCcEstimator
+from .cc_random import PhasedCcEstimator
 from .coloring import Coloring, InvariantError
 from .graph_core import DynamicGraph
 from .msf_weight import DeterministicMsfEstimator, RandomizedMsfEstimator
@@ -25,10 +25,10 @@ ALGOS = ("coloring", "cc-exact", "cc-random", "msf-det", "msf-rand")
 CSV_COLUMNS = ["step", "op", "estimate", "exact", "abs_err", "allowed_err", "work", "nanos"]
 
 
-def _write_rows(path: str | None, rows: list[dict]) -> None:
+def _write_rows(path: str | None, rows: list[dict], fieldnames: list[str]) -> None:
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -87,7 +87,7 @@ class _Replay:
         elif algo == "cc-random":
             self.graph = DynamicGraph(h.n)
             self.struct = PhasedCcEstimator(
-                self.graph, eps, p, thr0=0, mode=MODE_THR, seed=seed,
+                self.graph, eps, p, thr0=0, seed=seed,
                 use_fast_sizes=True)
         elif algo == "msf-det":
             self.struct = DeterministicMsfEstimator(h.n, eps, h.W)
@@ -136,6 +136,15 @@ class _Replay:
                     if algo == "msf-det" else 1)
         self._shadow_apply(op)
         return work
+
+    def timed_apply(self, step: int, op) -> tuple[int, int]:
+        """``apply`` timed alone; returns (work, nanos).  Errors name the step."""
+        t0 = time.perf_counter_ns()
+        try:
+            work = self.apply(op)
+        except ValueError as exc:
+            raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
+        return work, time.perf_counter_ns() - t0
 
     def _violation(self, context: str) -> None:
         """Count a soft (randomized) miss, or record a hard guarantee violation."""
@@ -197,17 +206,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             rows.append(replay.checkpoint(step, "q", 0, 0))
             continue
         step += 1
-        t0 = time.perf_counter_ns()
-        try:
-            work = replay.apply(op)
-        except ValueError as exc:
-            raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
-        nanos = time.perf_counter_ns() - t0
+        work, nanos = replay.timed_apply(step, op)
         if args.check_every and step % args.check_every == 0:
             rows.append(replay.checkpoint(step, op.kind, work, nanos))
             if replay.hard_violation:
                 break
-    _write_rows(args.out, rows)
+    _write_rows(args.out, rows, CSV_COLUMNS)
     if replay.hard_violation:
         print(f"guarantee violation at step {step}: {replay.context}", file=sys.stderr)
         return 1
@@ -232,9 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 if op.kind == "q":
                     continue
                 updates += 1
-                t0 = time.perf_counter_ns()
-                work_total += replay.apply(op)
-                nanos_all.append(time.perf_counter_ns() - t0)
+                work, nanos = replay.timed_apply(updates, op)
+                work_total += work
+                nanos_all.append(nanos)
             arr = np.array(nanos_all, dtype=np.int64)
             rows.append({
                 "stream": path, "delta": h.delta, "W": h.W, "eps": args.eps,
@@ -244,14 +248,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "p99_ns": int(np.percentile(arr, 99)),
                 "mean_work": f"{work_total / max(1, updates):.4f}",
             })
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_rows(args.out, rows, list(rows[0]))
     return 0
 
 

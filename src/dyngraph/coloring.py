@@ -45,10 +45,9 @@ class Coloring:
 
     The structure owns its adjacency (as the L/H lists), so it is driven
     directly with ``insert``/``delete`` and not attached to a DynamicGraph.
-    With ``lazy_init`` (the default) the per-vertex list of colors unused on
-    the H side is only materialized once a vertex's degree first reaches
-    ceil(delta/2), keeping initialization O(n); the eager mode exists for
-    differential testing.  ``strict`` enables the sample-set size check on
+    The per-vertex list of colors unused on the H side is only materialized
+    once a vertex's degree first reaches ceil(delta/2), keeping
+    initialization O(n).  ``strict`` enables the sample-set size check on
     every color draw.  ``colors`` is a numpy snapshot of the current colors,
     built on each access; ``color_of`` reads one vertex without a copy.
     """
@@ -58,9 +57,7 @@ class Coloring:
         n: int,
         delta: int,
         seed: int | None = None,
-        lazy_init: bool = True,
         strict: bool = True,
-        rng: np.random.Generator | None = None,
     ):
         if n < 1 or n >= 2**32:
             raise ValueError("need 1 <= n < 2**32")
@@ -69,9 +66,8 @@ class Coloring:
         self.n = n
         self.delta = delta
         self.palette = delta + 1
-        self.lazy_init = lazy_init
         self.strict = strict
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
 
         r64 = self.rng.integers(0, 2**64, size=n, dtype=np.uint64)
         self.rank: list[int] = [(int(r64[v]) << 32) | v for v in range(n)]
@@ -87,10 +83,7 @@ class Coloring:
         # cl[v]: ordered set of the remaining palette colors (C_L), or None
         # while not yet materialized.
         self.mu: list[dict[int, int]] = [{} for _ in range(n)]
-        if lazy_init:
-            self.cl: list[dict[int, None] | None] = [None] * n
-        else:
-            self.cl = [dict.fromkeys(range(1, self.palette + 1)) for _ in range(n)]
+        self.cl: list[dict[int, None] | None] = [None] * n
 
         self._vis = bytearray(n)
         self._cnt = [0] * (self.palette + 1)  # scratch: color -> count in L_v
@@ -169,13 +162,7 @@ class Coloring:
         if self.max_degree() > new_delta:
             raise DeltaBoundError("current max degree exceeds new_delta")
         child_seed = int(self.rng.integers(0, 2**63))
-        fresh = Coloring(
-            self.n,
-            new_delta,
-            seed=child_seed,
-            lazy_init=self.lazy_init,
-            strict=self.strict,
-        )
+        fresh = Coloring(self.n, new_delta, seed=child_seed, strict=self.strict)
         for a, b in edges:
             fresh.insert(a, b)
         return fresh

@@ -70,10 +70,16 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
+    def check_pair(self, u: int, v: int) -> None:
+        """Raise ValueError unless both endpoints lie in {0, ..., n-1}."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex out of range: ({u}, {v}) for n={self.n}")
+
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert (u, v); returns False if the edge was already present."""
         if u == v:
             raise SelfLoopError(f"self-loop ({u}, {u}) rejected")
+        self.check_pair(u, v)
         au = self.adj[u]
         if v in au:
             return False
@@ -98,6 +104,7 @@ class DynamicGraph:
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete (u, v); returns False if the edge was absent."""
+        self.check_pair(u, v)
         au = self.adj[u]
         if v not in au:
             return False

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cc_exact import SmallCcCounter
-from .cc_random import MODE_THR, PhasedCcEstimator
+from .cc_random import PhasedCcEstimator
 from .graph_core import DynamicGraph, UpdateOp
 
 WeightedEdge = tuple[int, int, float]
@@ -157,7 +157,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         # every level sees the same Thr stream: nis of the full graph
         self.levels = [
             PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs),
-                              thr0=self._full.nis, mode=MODE_THR, rng=rng,
+                              thr0=self._full.nis, rng=rng,
                               use_fast_sizes=use_fast_sizes)
             for g in self._graphs
         ]
@@ -183,7 +183,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
             if hit:
                 level.on_update(op, thr)
             else:
-                level.tick(thr, count=2)
+                level.tick(thr)
 
     def estimate(self) -> float:
         return combine(self.config, [level.estimate() for level in self.levels], self.n)

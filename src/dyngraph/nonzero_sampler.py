@@ -23,8 +23,8 @@ class NonZeroSampler:
         self.nis = 0
         self.last_touches = 0  # array reads+writes of the last operation
 
-    def update(self, u: int, delta: int) -> None:
-        """Add ``delta`` to the value of ``u``; the result must stay >= 0."""
+    def update(self, u: int, delta: int) -> int:
+        """Add ``delta`` to the value of ``u`` and return the new value (must stay >= 0)."""
         pos = self._pos
         i = int(pos[u])  # touch 1
         if i >= 0:
@@ -35,7 +35,7 @@ class NonZeroSampler:
             if new != 0:
                 vals[i] = new  # touch 3
                 self.last_touches = 3
-                return
+                return new
             # became zero: swap the last live entry into slot i
             elems = self._elems
             last = self.nis - 1
@@ -47,10 +47,10 @@ class NonZeroSampler:
             pos[u] = -1                   # touch 8
             self.nis = last
             self.last_touches = 8 if i != last else 4
-            return
+            return 0
         if delta == 0:
             self.last_touches = 1
-            return
+            return 0
         if delta < 0:
             raise ValueError(f"value of element {u} would become {delta}")
         j = self.nis
@@ -59,6 +59,7 @@ class NonZeroSampler:
         pos[u] = j           # touch 4
         self.nis = j + 1
         self.last_touches = 4
+        return delta
 
     def sample(self, rng: np.random.Generator) -> int | None:
         """Uniform draw among the non-zero elements; None if there are none."""

@@ -16,6 +16,7 @@ adversarial interaction byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,11 +131,12 @@ def read_stream(path: str) -> Stream:
 
 
 class _EdgePool:
-    """Current edge set with O(1) random choice and deletion."""
+    """Current edge set with per-vertex degrees, O(1) random choice and deletion."""
 
     def __init__(self) -> None:
         self.edges: list[tuple[int, int]] = []
         self.pos: dict[tuple[int, int], int] = {}
+        self.degree: Counter[int] = Counter()
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -146,6 +148,8 @@ class _EdgePool:
         key = (u, v) if u < v else (v, u)
         self.pos[key] = len(self.edges)
         self.edges.append(key)
+        self.degree[u] += 1
+        self.degree[v] += 1
 
     def remove(self, key: tuple[int, int]) -> None:
         i = self.pos.pop(key)
@@ -153,6 +157,8 @@ class _EdgePool:
         if i < len(self.edges):
             self.edges[i] = last
             self.pos[last] = i
+        self.degree[key[0]] -= 1
+        self.degree[key[1]] -= 1
 
     def choice(self, rng: np.random.Generator) -> tuple[int, int]:
         return self.edges[int(rng.integers(0, len(self.edges)))]
@@ -174,14 +180,14 @@ def _draw_weight(rng: np.random.Generator, W: float, integer_weights: bool) -> f
     return 1.0 + float(rng.random()) * (W - 1.0)
 
 
-def _sample_insert(rng, n, pool, degrees, delta, tries=64):
+def _sample_insert(rng, n, pool, delta, tries=64):
     """A uniform non-edge respecting the degree bound, or None."""
     for _ in range(tries):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u == v:
             continue
-        if delta and (degrees[u] >= delta or degrees[v] >= delta):
+        if delta and (pool.degree[u] >= delta or pool.degree[v] >= delta):
             continue
         key = (u, v) if u < v else (v, u)
         if key in pool:
@@ -207,7 +213,6 @@ def gen_random_churn(
     _check_density(n, target_m, bound)
     rng = np.random.default_rng(seed)
     pool = _EdgePool()
-    degrees = [0] * n
     ops: list[UpdateOp] = []
     warmed = False
     for _ in range(num_ops):
@@ -217,20 +222,16 @@ def gen_random_churn(
         else:
             do_insert = len(pool) < target_m and rng.random() < 0.5
         if do_insert:
-            key = _sample_insert(rng, n, pool, degrees, bound)
+            key = _sample_insert(rng, n, pool, bound)
             if key is None:
                 do_insert = False
         if do_insert:
             u, v = key
             pool.add(u, v)
-            degrees[u] += 1
-            degrees[v] += 1
             ops.append(UpdateOp("i", u, v, _draw_weight(rng, W, integer_weights)))
         elif len(pool) > 0:
             u, v = pool.choice(rng)
             pool.remove((u, v))
-            degrees[u] -= 1
-            degrees[v] -= 1
             ops.append(UpdateOp("d", u, v))
         else:
             ops.append(UpdateOp("q"))
@@ -254,27 +255,22 @@ def gen_sliding_window(
     _check_density(n, window + 1, bound)
     rng = np.random.default_rng(seed)
     pool = _EdgePool()
-    degrees = [0] * n
     fifo: list[tuple[int, int]] = []
     ops: list[UpdateOp] = []
     while len(ops) < num_ops:
         if len(fifo) >= window:
             u, v = fifo.pop(0)
             pool.remove((u, v))
-            degrees[u] -= 1
-            degrees[v] -= 1
             ops.append(UpdateOp("d", u, v))
             if len(ops) == num_ops:
                 break
-        key = _sample_insert(rng, n, pool, degrees, bound)
+        key = _sample_insert(rng, n, pool, bound)
         if key is None:
             ops.append(UpdateOp("q"))
             continue
         u, v = key
         pool.add(u, v)
         fifo.append(key)
-        degrees[u] += 1
-        degrees[v] += 1
         ops.append(UpdateOp("i", u, v, _draw_weight(rng, W, integer_weights)))
     return Stream(StreamHeader(n=n, delta=delta, W=W, mode=mode), ops)
 
@@ -297,13 +293,12 @@ def gen_conflict_heavy(
     rng = np.random.default_rng(seed)
     struct = Coloring(n, delta, seed=struct_seed)
     pool = _EdgePool()
-    degrees = [0] * n
     ops: list[UpdateOp] = []
     for _ in range(num_ops):
         if len(pool) < target_m:
             best = None
             for _ in range(candidates):
-                key = _sample_insert(rng, n, pool, degrees, delta, tries=16)
+                key = _sample_insert(rng, n, pool, delta, tries=16)
                 if key is None:
                     continue
                 if best is None:
@@ -314,16 +309,12 @@ def gen_conflict_heavy(
             if best is not None:
                 u, v = best
                 pool.add(u, v)
-                degrees[u] += 1
-                degrees[v] += 1
                 struct.insert(u, v)
                 ops.append(UpdateOp("i", u, v))
                 continue
         if len(pool) > 0:
             u, v = pool.choice(rng)
             pool.remove((u, v))
-            degrees[u] -= 1
-            degrees[v] -= 1
             struct.delete(u, v)
             ops.append(UpdateOp("d", u, v))
         else:
@@ -389,15 +380,15 @@ def gen_adaptive_script(
     The replay must run the estimator with ``struct_seed`` to reproduce the
     interaction the adversary saw.
     """
-    from .cc_random import MODE_THR, PhasedCcEstimator  # cycle guard
+    from .cc_random import PhasedCcEstimator  # cycle guard
 
     rng = np.random.default_rng(seed)
     graph = DynamicGraph(n)
     pool = _EdgePool()
     ops: list[UpdateOp] = []
     # the estimator runs from the empty graph, exactly as a replay will
-    est = PhasedCcEstimator(graph, eps_prime, p, thr0=0, mode=MODE_THR,
-                            seed=struct_seed, use_fast_sizes=True)
+    est = PhasedCcEstimator(graph, eps_prime, p, thr0=0, seed=struct_seed,
+                            use_fast_sizes=True)
     warm = gen_random_churn(n, target_m, target_m, mode="cc", seed=seed)
     for op in warm.ops:
         if op.kind == "i":

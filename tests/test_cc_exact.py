@@ -72,6 +72,17 @@ def test_duplicate_insert_and_absent_delete_are_noops():
     assert counter.estimate() == before
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_out_of_range_vertex_leaves_count_unchanged(bad):
+    g = build(5, [(2, 4)])
+    counter = SmallCcCounter(g, eps=0.5)
+    before = (counter.estimate(), g.m, g.nis, g.edges())
+    for op in (counter.on_insert, counter.on_delete):
+        with pytest.raises(ValueError):
+            op(bad, 2)
+        assert (counter.estimate(), g.m, g.nis, g.edges()) == before
+
+
 def test_delete_bridge_of_two_path():
     g = build(2, [(0, 1)])
     counter = SmallCcCounter(g, eps=0.5)  # k = 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dyngraph.cc_random import (
-    MODE_ABSOLUTE,
     MODE_THR,
     PhasedCcEstimator,
     StaticEstimateConfig,
@@ -97,8 +96,9 @@ def test_preprocess_exact_at_step_zero():
 
 
 def test_absolute_mode_uses_n_for_phase_budget():
+    # the absolute bound eps' * n is Thr mode with Thr = n throughout
     g = DynamicGraph(30)
-    est = PhasedCcEstimator(g, 0.5, 0.1, mode=MODE_ABSOLUTE, seed=0)
+    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=30, seed=0)
     assert est.psi == 30
     assert est.phase_len == math.ceil(0.5 * 30 / 4)
 
@@ -158,13 +158,8 @@ def test_tick_advances_counter_and_fires_boundaries():
     est = PhasedCcEstimator(g, 1.0, 0.2, thr0=4, seed=5)
     assert est.phase_len == 1
     before = est.i
-    est.tick(4, count=2)
+    est.tick(4)
     assert est.i == before + 2
-    # two specimen ticks equal one tick(count=2) in counter effect
-    est2 = PhasedCcEstimator(g, 1.0, 0.2, thr0=4, seed=5)
-    est2.tick(4, count=1)
-    est2.tick(4, count=1)
-    assert est2.i == est.i
 
 
 def test_thr_contract_violations_raise():
@@ -189,7 +184,26 @@ def test_sampler_desync_detected():
         est.on_update(UpdateOp("i", 0, 1), thr=0)
 
 
-def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, mode=MODE_THR,
+def test_unapplied_op_raises_at_that_op():
+    g = DynamicGraph(4)
+    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=8)
+    for u, v in [(0, 1), (1, 2)]:
+        thr = g.nis
+        assert g.insert_edge(u, v)
+        est.on_update(UpdateOp("i", u, v), thr)
+    thr = g.nis
+    assert not g.insert_edge(0, 1)  # the graph ignores the duplicate
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        est.on_update(UpdateOp("i", 0, 1), thr)
+    # an absent delete would drive the sampler's degree counts negative
+    g2 = DynamicGraph(4)
+    est2 = PhasedCcEstimator(g2, 0.5, 0.1, thr0=0, seed=8)
+    assert not g2.delete_edge(2, 3)
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        est2.on_update(UpdateOp("d", 2, 3), 2)
+
+
+def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
           use_ticks=False):
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
@@ -198,13 +212,13 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, mode=MODE_THR,
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v and g.insert_edge(u, v):
             edges.append((min(u, v), max(u, v)))
-    thr0 = g.nis if mode == MODE_THR else None
-    est = PhasedCcEstimator(g, eps_p, p, thr0=thr0, mode=mode, seed=seed + 100)
+    thr0 = g.nis if fixed_thr is None else fixed_thr
+    est = PhasedCcEstimator(g, eps_p, p, thr0=thr0, seed=seed + 100)
     viol = checks = 0
     for step in range(steps):
-        thr = g.nis
+        thr = g.nis if fixed_thr is None else fixed_thr
         if use_ticks and step % 7 == 0:
-            est.tick(thr if mode == MODE_THR else None, count=2)
+            est.tick(thr)
         elif rng.random() < 0.5 and edges:
             i = int(rng.integers(0, len(edges)))
             u, v = edges[i]
@@ -221,7 +235,7 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, mode=MODE_THR,
             est.on_update(UpdateOp("i", u, v), thr)
         assert est.gamma == g.nis
         truth = fast_ncc(*g.edge_view(), n)
-        allowed = eps_p * (thr if mode == MODE_THR else n)
+        allowed = eps_p * thr
         checks += 1
         if abs(est.estimate() - truth) > allowed:
             viol += 1
@@ -243,5 +257,5 @@ def test_churn_with_interleaved_ticks():
 
 
 def test_absolute_mode_envelope():
-    viol, checks = churn(13, mode=MODE_ABSOLUTE)
+    viol, checks = churn(13, fixed_thr=150)  # Thr = n
     assert viol <= 0.1 * checks

@@ -46,14 +46,9 @@ def test_new_single_vertex():
 
 
 def test_lazy_init_defers_color_lists():
-    c = Coloring(100, 5, seed=1, lazy_init=True)
+    c = Coloring(100, 5, seed=1)
     assert all(book is None for book in c.cl)
     assert all(not m for m in c.mu)
-
-
-def test_eager_init_builds_full_lists():
-    c = Coloring(10, 4, seed=2, lazy_init=False)
-    assert all(set(book) == {1, 2, 3, 4, 5} for book in c.cl)
 
 
 def test_equal_seed_gives_identical_ranks_and_colors():
@@ -127,14 +122,16 @@ def test_self_loop_rejected():
 
 
 def test_insert_then_delete_restores_books():
-    c = Coloring(6, 4, seed=5, lazy_init=False)
+    # delta=2 materializes C_L at degree 1, so vertices 2..5 carry both books
+    c = Coloring(6, 2, seed=5)
     c.insert(2, 3)
-    mu_before = [dict(m) for m in c.mu]
-    cl_before = [set(b) for b in c.cl]
     c.insert(4, 5)
-    c.delete(4, 5)
+    mu_before = [dict(m) for m in c.mu]
+    cl_before = [None if b is None else set(b) for b in c.cl]
+    assert c.insert(3, 4).path_length == 0
+    c.delete(3, 4)
     assert [dict(m) for m in c.mu] == mu_before
-    assert [set(b) for b in c.cl] == cl_before
+    assert [None if b is None else set(b) for b in c.cl] == cl_before
 
 
 def test_multiplicity_decrement_keeps_color_in_book():

@@ -216,3 +216,13 @@ def test_cli_run_error_names_the_step(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "step 3 (i 1 0): " in err and "already present" in err
+
+
+def test_cli_bench_error_names_the_step(tmp_path, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=0 W=2.0 mode=msf\n"
+                           "i 0 1 1.0\ni 1 2 1.5\ni 0 1 2.0\n")
+    rc = _run_cli(["bench", "--algo", "msf-det", "--stream", str(stream_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "step 3 (i 0 1): " in err and "already present" in err
