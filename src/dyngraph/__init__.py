@@ -1,12 +1,7 @@
 """Dynamic-graph library: (delta+1)-coloring, component-count estimators, MSF weight."""
 
 from .cc_exact import SmallCcCounter
-from .cc_random import (
-    MODE_THR,
-    PhasedCcEstimator,
-    StaticEstimateConfig,
-    static_estimate_nis,
-)
+from .cc_random import PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
 from .coloring import Coloring, DeltaBoundError, InvariantError, RecolorStats
 from .graph_core import DynamicGraph, SelfLoopError, UpdateOp
 from .msf_weight import (
@@ -23,7 +18,6 @@ __all__ = [
     "DeterministicMsfEstimator",
     "DynamicGraph",
     "InvariantError",
-    "MODE_THR",
     "MsfConfig",
     "NonZeroSampler",
     "PhasedCcEstimator",

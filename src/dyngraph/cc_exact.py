@@ -19,7 +19,8 @@ class SmallCcCounter:
 
     The counter owns the update path: ``on_insert``/``on_delete`` run the
     before-BFS calls, apply the edge to the graph, then run the after-BFS
-    calls, so callers must not mutate the graph separately.
+    calls, so callers must not mutate the graph separately.  ``bfs_calls``
+    counts every capped BFS run since construction.
     """
 
     def __init__(self, graph: DynamicGraph, eps: float):
@@ -29,7 +30,7 @@ class SmallCcCounter:
         self.eps = eps
         self.k = math.ceil(1 / eps)
         self.c_bar = fast_nscc(*graph.edge_view(), graph.n, self.k)
-        self.bfs_calls_last = 0
+        self.bfs_calls = 0
 
     def estimate(self) -> int:
         return self.c_bar
@@ -40,9 +41,7 @@ class SmallCcCounter:
         No-op (returns False) if the edge is already present.
         """
         g = self.graph
-        g.check_pair(u, v)
         if g.has_edge(u, v):
-            self.bfs_calls_last = 0
             return False
         k = self.k
         cap = k + 1
@@ -62,15 +61,13 @@ class SmallCcCounter:
             # s_u1 == s_u0: endpoints were already in the same component
         elif u_small != v_small:
             self.c_bar -= 1  # a small component was absorbed by a large one
-        self.bfs_calls_last = calls
+        self.bfs_calls += calls
         return True
 
     def on_delete(self, u: int, v: int) -> bool:
         """Delete (u, v) from the graph and update the count; mirror of insert."""
         g = self.graph
-        g.check_pair(u, v)
         if not g.has_edge(u, v):
-            self.bfs_calls_last = 0
             return False
         k = self.k
         cap = k + 1
@@ -88,5 +85,5 @@ class SmallCcCounter:
             # s_u0 == s_u1: the edge was not a bridge
         elif u_small != v_small:
             self.c_bar += 1
-        self.bfs_calls_last = 3
+        self.bfs_calls += 3
         return True

@@ -20,8 +20,6 @@ from .graph_core import DynamicGraph, UpdateOp
 from .nonzero_sampler import NonZeroSampler
 from .oracles import fast_component_sizes, fast_ncc
 
-MODE_THR = "thr"  # additive error eps' * Thr(G), Thr supplied per update
-
 
 @dataclass(frozen=True)
 class StaticEstimateConfig:
@@ -78,13 +76,16 @@ def static_estimate_nis(
 class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
-    Every update supplies Thr, an upper bound on the number of non-isolated
-    vertices just before the update that moves by at most 2 per update; the
+    The estimator owns its graph: ``on_update`` applies each insert or delete
+    itself, so callers must not mutate the graph separately.  Every update
+    has a Thr, an upper bound on the number of non-isolated vertices just
+    before the update that moves by at most 2 per update; it defaults to the
+    graph's nis before the update (``thr0``: at construction), and callers
+    estimating a subgraph pass the enclosing graph's nis instead.  The
     estimate stays within eps' * Thr of the truth with probability 1 - p per
-    phase.  Thr = n throughout gives the absolute bound eps' * n.  The
+    phase; Thr = n throughout gives the absolute bound eps' * n.  The
     estimate is frozen between boundaries, so queries leak no randomness
-    mid-phase and an adaptive adversary gains nothing.  ``mode`` accepts only
-    MODE_THR.
+    mid-phase and an adaptive adversary gains nothing.
     """
 
     def __init__(
@@ -93,27 +94,23 @@ class PhasedCcEstimator:
         eps_prime: float,
         p: float,
         thr0: int | None = None,
-        mode: str = MODE_THR,
-        rng: np.random.Generator | None = None,
-        seed: int | None = None,
+        seed: int | np.random.Generator | None = None,
         use_fast_sizes: bool = False,
     ):
-        if mode != MODE_THR:
-            raise ValueError(f"unknown mode {mode!r}")
         if not 0 < eps_prime <= 1:
             raise ValueError("eps_prime must be in (0, 1]")
         self.graph = graph
         self.eps_prime = eps_prime
         self.p = p
         self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)  # a Generator passes through as is
         self.use_fast_sizes = use_fast_sizes
 
         nis = graph.nis
         self.gamma = nis
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
         if thr0 is None:
-            raise ValueError("thr0 is required")
+            thr0 = nis
         if thr0 < nis:
             raise ValueError(f"thr0={thr0} below nis={nis}")
         self.psi = thr0
@@ -123,35 +120,34 @@ class PhasedCcEstimator:
         self._until_boundary = self.phase_len
 
         self.sampler = NonZeroSampler(graph.n)
-        for v in range(graph.n):
-            d = graph.degree(v)
-            if d:
-                self.sampler.update(v, d)
+        for v, nbrs in enumerate(graph.adj):
+            if nbrs:
+                self.sampler.update(v, len(nbrs))
 
     def estimate(self) -> float:
         return self.c_bar
 
-    def on_update(self, op: UpdateOp, thr: int) -> None:
-        """Account for one update already applied to the graph.
+    def on_update(self, op: UpdateOp, thr: int | None = None) -> bool:
+        """Apply one insert or delete to the graph and advance the phase.
 
-        ``thr`` is the Thr value for this update, i.e. an upper bound on nis
-        of the graph *before* the update.  An op the graph does not reflect
-        (say, a duplicate insert the graph ignored) raises ValueError here.
+        ``thr`` bounds nis of the graph before the update (default: that
+        nis).  A duplicate insert or an absent delete is a no-op: it returns
+        False and changes nothing.
         """
         if op.kind not in ("i", "d"):
             raise ValueError("queries are not updates")
-        self._validate_thr(thr, op)
-        delta = 1 if op.kind == "i" else -1
-        sampler, g = self.sampler, self.graph
-        try:
-            synced = (sampler.update(op.u, delta) == g.degree(op.u)
-                      and sampler.update(op.v, delta) == g.degree(op.v))
-        except ValueError:  # a degree count would turn negative
-            synced = False
-        if not synced:
-            raise ValueError(f"update {op.kind} ({op.u}, {op.v}) does not match the graph state")
+        g = self.graph
+        thr = g.nis if thr is None else thr
+        self._validate_thr(thr)
+        insert = op.kind == "i"
+        if not (g.insert_edge(op.u, op.v) if insert else g.delete_edge(op.u, op.v)):
+            return False
+        delta = 1 if insert else -1
+        self.sampler.update(op.u, delta)
+        self.sampler.update(op.v, delta)
         self._prev_thr = thr
         self._advance(thr)
+        return True
 
     def tick(self, thr: int) -> None:
         """Advance the update counter by two without a graph change.
@@ -160,24 +156,17 @@ class PhasedCcEstimator:
         update sequence, standing in for a same-vertex insert/delete pair;
         boundaries fire exactly as for real updates.
         """
-        self._validate_thr(thr, None)
+        self._validate_thr(thr)
         self._prev_thr = thr
         self._advance(thr)
         self._advance(thr)
 
-    def _validate_thr(self, thr: int, op: UpdateOp | None) -> None:
+    def _validate_thr(self, thr: int) -> None:
+        """Thr moves by at most 2 per update and bounds nis before the update."""
         if abs(thr - self._prev_thr) > 2:
             raise ValueError(f"thr moved by more than 2: {self._prev_thr} -> {thr}")
-        nis_before = self.graph.nis
-        if op is not None:
-            # reconstruct nis of the graph as it was before this update
-            endpoints = (op.u, op.v)
-            if op.kind == "i":
-                nis_before -= sum(1 for x in endpoints if self.graph.degree(x) == 1)
-            else:
-                nis_before += sum(1 for x in endpoints if self.graph.degree(x) == 0)
-        if thr < nis_before:
-            raise ValueError(f"thr={thr} below nis={nis_before}")
+        if thr < self.graph.nis:
+            raise ValueError(f"thr={thr} below nis={self.graph.nis}")
 
     def _advance(self, thr: int) -> None:
         self.gamma = self.graph.nis

@@ -82,13 +82,10 @@ class _Replay:
                 raise ValueError("coloring run needs a coloring-mode stream with delta>=1")
             self.struct = Coloring(h.n, h.delta, seed=seed, strict=True)
         elif algo == "cc-exact":
-            self.graph = DynamicGraph(h.n)
-            self.struct = SmallCcCounter(self.graph, eps)
+            self.struct = SmallCcCounter(DynamicGraph(h.n), eps)
         elif algo == "cc-random":
-            self.graph = DynamicGraph(h.n)
-            self.struct = PhasedCcEstimator(
-                self.graph, eps, p, thr0=0, seed=seed,
-                use_fast_sizes=True)
+            self.struct = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed,
+                                            use_fast_sizes=True)
         elif algo == "msf-det":
             self.struct = DeterministicMsfEstimator(h.n, eps, h.W)
         elif algo == "msf-rand":
@@ -117,23 +114,23 @@ class _Replay:
                 self.struct.delete(op.u, op.v)
                 work = 0
         elif algo == "cc-exact":
-            applied = (self.struct.on_insert(op.u, op.v) if op.kind == "i"
-                       else self.struct.on_delete(op.u, op.v))
-            work = self.struct.bfs_calls_last if applied else 0
+            before = self.struct.bfs_calls
+            if op.kind == "i":
+                self.struct.on_insert(op.u, op.v)
+            else:
+                self.struct.on_delete(op.u, op.v)
+            work = self.struct.bfs_calls - before
         elif algo == "cc-random":
-            thr = self.graph.nis  # Thr = nis of the graph before the update
-            applied = (self.graph.insert_edge(op.u, op.v) if op.kind == "i"
-                       else self.graph.delete_edge(op.u, op.v))
-            if applied:  # a duplicate insert or absent delete is a no-op
-                self.struct.on_update(op, thr)
-            work = int(applied)
-        else:  # msf-det, msf-rand
+            # a duplicate insert or absent delete is a no-op with work 0
+            work = int(self.struct.on_update(op))
+        else:  # msf-det, msf-rand; work is msf-det's BFS runs at every level
+            levels = self.struct.levels if algo == "msf-det" else ()
+            before = sum(level.bfs_calls for level in levels)
             if op.kind == "i":
                 self.struct.insert(op.u, op.v, op.w)
             else:
                 self.struct.delete(op.u, op.v)
-            work = (sum(level.bfs_calls_last for level in self.struct.levels)
-                    if algo == "msf-det" else 1)
+            work = sum(level.bfs_calls for level in levels) - before if levels else 1
         self._shadow_apply(op)
         return work
 
@@ -223,10 +220,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
     for path in args.stream:
         stream = streams.read_stream(path)
         h = stream.header
+        if all(op.kind == "q" for op in stream.ops):
+            raise ValueError(f"{path}: stream has no updates to time")
         for rep in range(args.repeats):
             replay = _Replay(args.algo, stream, args.eps, args.p, args.seed)
             nanos_all = []

@@ -65,9 +65,12 @@ class DynamicGraph:
         self.bfs_marks_last = 0
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex out of range: {v} for n={self.n}")
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        self.check_pair(u, v)
         return v in self.adj[u]
 
     def check_pair(self, u: int, v: int) -> None:

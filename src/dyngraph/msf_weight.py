@@ -3,9 +3,9 @@
 The MSF weight of a graph with weights in [1, W] is sandwiched by a weighted
 sum of component counts of threshold subgraphs (edges of weight <= l_i for
 geometrically spaced l_i).  Each threshold subgraph carries its own dynamic
-component-count estimator: the deterministic variant uses the exact
-small-component counter, the randomized variant the phased sampling
-estimator.  Estimators of subgraphs untouched by an update advance their
+component-count estimator, which applies every update to that subgraph: the
+deterministic variant uses the exact small-component counter, the randomized
+variant the phased sampling estimator.  Estimators of subgraphs untouched by an update advance their
 update counters by two anyway, standing in for a same-vertex insert/delete
 pair, so all phase schedules stay aligned with the full update sequence.
 """
@@ -143,7 +143,8 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
     """Sampling-based (1+eps)-approximation, valid against adaptive adversaries.
 
     Each level runs the phased estimator with error eps/(4W) and failure
-    probability p_prime/(r+1); the Thr parameter shared by all levels is the
+    probability p_prime/(r+1) on its own threshold graph, all drawing from
+    one generator; the Thr parameter shared by all levels is the
     non-isolated-vertex count of the full graph just before each update.
     """
 
@@ -157,7 +158,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         # every level sees the same Thr stream: nis of the full graph
         self.levels = [
             PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs),
-                              thr0=self._full.nis, rng=rng,
+                              thr0=self._full.nis, seed=rng,
                               use_fast_sizes=use_fast_sizes)
             for g in self._graphs
         ]
@@ -170,16 +171,9 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         self._route(UpdateOp("d", u, v, self._unregister(u, v)))
 
     def _route(self, op: UpdateOp) -> None:
-        """Apply op to every admitting level's graph, then advance every level."""
+        """Apply op at every admitting level; tick every other level."""
         thr = self._full.nis
-        hits = self._hits(op.w)
-        for level, hit in zip(self.levels, hits):
-            if hit:
-                if op.kind == "i":
-                    level.graph.insert_edge(op.u, op.v)
-                else:
-                    level.graph.delete_edge(op.u, op.v)
-        for level, hit in zip(self.levels, hits):
+        for level, hit in zip(self.levels, self._hits(op.w)):
             if hit:
                 level.on_update(op, thr)
             else:

@@ -16,7 +16,6 @@ adversarial interaction byte for byte.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,40 +129,6 @@ def read_stream(path: str) -> Stream:
 # Generators
 
 
-class _EdgePool:
-    """Current edge set with per-vertex degrees, O(1) random choice and deletion."""
-
-    def __init__(self) -> None:
-        self.edges: list[tuple[int, int]] = []
-        self.pos: dict[tuple[int, int], int] = {}
-        self.degree: Counter[int] = Counter()
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.pos
-
-    def add(self, u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        self.pos[key] = len(self.edges)
-        self.edges.append(key)
-        self.degree[u] += 1
-        self.degree[v] += 1
-
-    def remove(self, key: tuple[int, int]) -> None:
-        i = self.pos.pop(key)
-        last = self.edges.pop()
-        if i < len(self.edges):
-            self.edges[i] = last
-            self.pos[last] = i
-        self.degree[key[0]] -= 1
-        self.degree[key[1]] -= 1
-
-    def choice(self, rng: np.random.Generator) -> tuple[int, int]:
-        return self.edges[int(rng.integers(0, len(self.edges)))]
-
-
 def _check_density(n: int, target_m: int, delta: int | None) -> None:
     limit = n * (n - 1) // 2
     if delta is not None:
@@ -180,20 +145,26 @@ def _draw_weight(rng: np.random.Generator, W: float, integer_weights: bool) -> f
     return 1.0 + float(rng.random()) * (W - 1.0)
 
 
-def _sample_insert(rng, n, pool, delta, tries=64):
+def _sample_insert(rng, n, graph, delta, tries=64):
     """A uniform non-edge respecting the degree bound, or None."""
     for _ in range(tries):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u == v:
             continue
-        if delta and (pool.degree[u] >= delta or pool.degree[v] >= delta):
+        if delta and (graph.degree(u) >= delta or graph.degree(v) >= delta):
             continue
-        key = (u, v) if u < v else (v, u)
-        if key in pool:
+        if graph.has_edge(u, v):
             continue
-        return key
+        return (u, v) if u < v else (v, u)
     return None
+
+
+def _random_edge(graph: DynamicGraph, rng: np.random.Generator) -> tuple[int, int]:
+    """A uniform edge of a non-empty graph, drawn by position in its edge list."""
+    eu, ev = graph.edge_view()
+    i = int(rng.integers(0, graph.m))
+    return int(eu[i]), int(ev[i])
 
 
 def gen_random_churn(
@@ -212,26 +183,26 @@ def gen_random_churn(
     bound = delta if mode == "coloring" else None
     _check_density(n, target_m, bound)
     rng = np.random.default_rng(seed)
-    pool = _EdgePool()
+    graph = DynamicGraph(n)
     ops: list[UpdateOp] = []
     warmed = False
     for _ in range(num_ops):
-        warmed = warmed or len(pool) >= target_m
+        warmed = warmed or graph.m >= target_m
         if not warmed:
             do_insert = True  # build up to the target density first
         else:
-            do_insert = len(pool) < target_m and rng.random() < 0.5
+            do_insert = graph.m < target_m and rng.random() < 0.5
         if do_insert:
-            key = _sample_insert(rng, n, pool, bound)
+            key = _sample_insert(rng, n, graph, bound)
             if key is None:
                 do_insert = False
         if do_insert:
             u, v = key
-            pool.add(u, v)
+            graph.insert_edge(u, v)
             ops.append(UpdateOp("i", u, v, _draw_weight(rng, W, integer_weights)))
-        elif len(pool) > 0:
-            u, v = pool.choice(rng)
-            pool.remove((u, v))
+        elif graph.m:
+            u, v = _random_edge(graph, rng)
+            graph.delete_edge(u, v)
             ops.append(UpdateOp("d", u, v))
         else:
             ops.append(UpdateOp("q"))
@@ -254,22 +225,22 @@ def gen_sliding_window(
     bound = delta if mode == "coloring" else None
     _check_density(n, window + 1, bound)
     rng = np.random.default_rng(seed)
-    pool = _EdgePool()
+    graph = DynamicGraph(n)
     fifo: list[tuple[int, int]] = []
     ops: list[UpdateOp] = []
     while len(ops) < num_ops:
         if len(fifo) >= window:
             u, v = fifo.pop(0)
-            pool.remove((u, v))
+            graph.delete_edge(u, v)
             ops.append(UpdateOp("d", u, v))
             if len(ops) == num_ops:
                 break
-        key = _sample_insert(rng, n, pool, bound)
+        key = _sample_insert(rng, n, graph, bound)
         if key is None:
             ops.append(UpdateOp("q"))
             continue
         u, v = key
-        pool.add(u, v)
+        graph.insert_edge(u, v)
         fifo.append(key)
         ops.append(UpdateOp("i", u, v, _draw_weight(rng, W, integer_weights)))
     return Stream(StreamHeader(n=n, delta=delta, W=W, mode=mode), ops)
@@ -292,13 +263,13 @@ def gen_conflict_heavy(
     _check_density(n, target_m, delta)
     rng = np.random.default_rng(seed)
     struct = Coloring(n, delta, seed=struct_seed)
-    pool = _EdgePool()
+    graph = DynamicGraph(n)
     ops: list[UpdateOp] = []
     for _ in range(num_ops):
-        if len(pool) < target_m:
+        if graph.m < target_m:
             best = None
             for _ in range(candidates):
-                key = _sample_insert(rng, n, pool, delta, tries=16)
+                key = _sample_insert(rng, n, graph, delta, tries=16)
                 if key is None:
                     continue
                 if best is None:
@@ -308,13 +279,13 @@ def gen_conflict_heavy(
                     break
             if best is not None:
                 u, v = best
-                pool.add(u, v)
+                graph.insert_edge(u, v)
                 struct.insert(u, v)
                 ops.append(UpdateOp("i", u, v))
                 continue
-        if len(pool) > 0:
-            u, v = pool.choice(rng)
-            pool.remove((u, v))
+        if graph.m:
+            u, v = _random_edge(graph, rng)
+            graph.delete_edge(u, v)
             struct.delete(u, v)
             ops.append(UpdateOp("d", u, v))
         else:
@@ -326,7 +297,6 @@ def adaptive_adversary_step(
     graph: DynamicGraph,
     estimate: float,
     rng: np.random.Generator,
-    pool: _EdgePool,
     candidates: int = 8,
 ) -> UpdateOp | None:
     """One move of the scripted adaptive adversary against a CC estimator.
@@ -348,9 +318,9 @@ def adaptive_adversary_step(
             if u != v and labels[u] != labels[v]:
                 return UpdateOp("i", u, v)
         return None
-    if len(pool) == 0:
+    if graph.m == 0:
         return None
-    picked = [pool.choice(rng) for _ in range(min(candidates, len(pool)))]
+    picked = [_random_edge(graph, rng) for _ in range(min(candidates, graph.m))]
     for key in picked:
         # a leaf edge is always a bridge: removal gains the maximum +1
         if graph.degree(key[0]) == 1 or graph.degree(key[1]) == 1:
@@ -383,32 +353,19 @@ def gen_adaptive_script(
     from .cc_random import PhasedCcEstimator  # cycle guard
 
     rng = np.random.default_rng(seed)
-    graph = DynamicGraph(n)
-    pool = _EdgePool()
-    ops: list[UpdateOp] = []
     # the estimator runs from the empty graph, exactly as a replay will
-    est = PhasedCcEstimator(graph, eps_prime, p, thr0=0, seed=struct_seed,
+    est = PhasedCcEstimator(DynamicGraph(n), eps_prime, p, seed=struct_seed,
                             use_fast_sizes=True)
+    ops: list[UpdateOp] = []
     warm = gen_random_churn(n, target_m, target_m, mode="cc", seed=seed)
     for op in warm.ops:
-        if op.kind == "i":
-            thr = graph.nis
-            if graph.insert_edge(op.u, op.v):
-                pool.add(op.u, op.v)
-                ops.append(op)
-                est.on_update(op, thr)
+        if op.kind == "i" and est.on_update(op):
+            ops.append(op)
     while len(ops) < num_ops:
-        thr = graph.nis
-        op = adaptive_adversary_step(graph, est.estimate(), rng, pool)
+        op = adaptive_adversary_step(est.graph, est.estimate(), rng)
         if op is None:
             ops.append(UpdateOp("q"))
             continue
-        if op.kind == "i":
-            graph.insert_edge(op.u, op.v)
-            pool.add(op.u, op.v)
-        else:
-            graph.delete_edge(op.u, op.v)
-            pool.remove((op.u, op.v) if op.u < op.v else (op.v, op.u))
-        est.on_update(op, thr)
+        est.on_update(op)
         ops.append(op)
     return Stream(StreamHeader(n=n, delta=0, W=1.0, mode="cc"), ops)

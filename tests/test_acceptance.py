@@ -13,13 +13,13 @@ import pytest
 from scipy.stats import chi2
 
 from dyngraph.cc_exact import SmallCcCounter
-from dyngraph.cc_random import MODE_THR, PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
+from dyngraph.cc_random import PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
 from dyngraph.coloring import Coloring
 from dyngraph.graph_core import DynamicGraph, UpdateOp
 from dyngraph.msf_weight import DeterministicMsfEstimator, MsfConfig, RandomizedMsfEstimator, combine
 from dyngraph.nonzero_sampler import NonZeroSampler
 from dyngraph import oracles
-from dyngraph.streams import _EdgePool, adaptive_adversary_step
+from dyngraph.streams import adaptive_adversary_step
 
 
 def report(criterion: int, ok: bool, detail: str, started: float) -> None:
@@ -322,36 +322,30 @@ def _phased_run(seed: int, adaptive: bool, n=2000, m0=1500, steps=2000,
                 eps_p=0.2, p=0.05, check_every=4):
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
-    pool = _EdgePool()
     while g.m < m0:
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if u != v and g.insert_edge(u, v):
-            pool.add(u, v)
-    est = PhasedCcEstimator(g, eps_p, p, thr0=g.nis, mode=MODE_THR,
+        if u != v:
+            g.insert_edge(u, v)
+    est = PhasedCcEstimator(g, eps_p, p, thr0=g.nis,
                             seed=seed + 5000, use_fast_sizes=True)
     viol = checks = 0
     for step in range(steps):
         thr = g.nis
         if adaptive:
-            op = adaptive_adversary_step(g, est.estimate(), rng, pool)
+            op = adaptive_adversary_step(g, est.estimate(), rng)
             if op is None:
                 continue
-        elif rng.random() < 0.5 and len(pool):
-            u, v = pool.choice(rng)
-            op = UpdateOp("d", u, v)
+        elif rng.random() < 0.5 and g.m:
+            eu, ev = g.edge_view()
+            i = int(rng.integers(0, g.m))
+            op = UpdateOp("d", int(eu[i]), int(ev[i]))
         else:
             while True:
                 u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
                 if u != v and not g.has_edge(u, v):
                     break
             op = UpdateOp("i", u, v)
-        if op.kind == "i":
-            g.insert_edge(op.u, op.v)
-            pool.add(op.u, op.v)
-        else:
-            g.delete_edge(op.u, op.v)
-            pool.remove((min(op.u, op.v), max(op.u, op.v)))
-        est.on_update(op, thr)
+        est.on_update(op)
         if (step + 1) % check_every == 0:
             truth = oracles.fast_ncc(*g.edge_view(), n)
             checks += 1

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyngraph.cc_random import (
-    MODE_THR,
-    PhasedCcEstimator,
-    StaticEstimateConfig,
-    static_estimate_nis,
-)
+from dyngraph.cc_random import PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
 from dyngraph.graph_core import DynamicGraph, UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 from dyngraph.oracles import fast_component_sizes, fast_ncc
@@ -108,8 +103,7 @@ def test_preprocess_thr_validation():
     g.insert_edge(0, 1)
     with pytest.raises(ValueError):
         PhasedCcEstimator(g, 0.5, 0.1, thr0=1, seed=0)  # below nis = 2
-    with pytest.raises(ValueError):
-        PhasedCcEstimator(g, 0.5, 0.1, mode=MODE_THR, seed=0)  # thr0 missing
+    assert PhasedCcEstimator(g, 0.5, 0.1, seed=0).psi == 2  # thr0 defaults to nis
 
 
 def test_estimate_frozen_between_boundaries():
@@ -121,9 +115,7 @@ def test_estimate_frozen_between_boundaries():
     values = []
     for step in range(est.phase_len):
         u, v = 100 + 2 * step, 101 + 2 * step
-        thr = g.nis
-        g.insert_edge(u, v)
-        est.on_update(UpdateOp("i", u, v), thr)
+        assert est.on_update(UpdateOp("i", u, v))
         values.append(est.estimate())
     # constant strictly inside the phase, refreshed exactly at the boundary
     assert len(set(values[:-1])) == 1
@@ -133,8 +125,7 @@ def test_phase_len_one_recomputes_every_update():
     g = DynamicGraph(6)
     est = PhasedCcEstimator(g, 0.5, 0.2, thr0=0, seed=3)
     assert est.phase_len == 1
-    g.insert_edge(0, 1)
-    est.on_update(UpdateOp("i", 0, 1), 0)
+    est.on_update(UpdateOp("i", 0, 1))
     assert est.estimate() == 5.0  # exact: one pair + four singletons
 
 
@@ -146,9 +137,7 @@ def test_deleting_everything_resets_estimate_to_n():
     est = PhasedCcEstimator(g, 1.0, 0.2, thr0=8, seed=4)
     # phase_len = ceil(1.0 * 8 / 4) = 2: boundary fires on the last deletion
     for u, v in pairs:
-        thr = g.nis
-        g.delete_edge(u, v)
-        est.on_update(UpdateOp("d", u, v), thr)
+        est.on_update(UpdateOp("d", u, v))
     assert est.estimate() == 8.0  # b=0 plus n - gamma with gamma = 0
 
 
@@ -165,42 +154,34 @@ def test_tick_advances_counter_and_fires_boundaries():
 def test_thr_contract_violations_raise():
     g = DynamicGraph(10)
     est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=6)
-    g.insert_edge(0, 1)
     with pytest.raises(ValueError):
         est.on_update(UpdateOp("i", 0, 1), thr=5)  # jumped by more than 2
-    est2 = PhasedCcEstimator(g, 0.5, 0.1, thr0=2, seed=6)
-    g.insert_edge(2, 3)
+    g2 = DynamicGraph(10)
+    g2.insert_edge(0, 1)
+    est2 = PhasedCcEstimator(g2, 0.5, 0.1, thr0=2, seed=6)
     with pytest.raises(ValueError):
         est2.on_update(UpdateOp("i", 2, 3), thr=1)  # below nis before update
     with pytest.raises(ValueError):
         est2.on_update(UpdateOp("q"), thr=2)
 
 
-def test_sampler_desync_detected():
-    g = DynamicGraph(6)
-    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=7)
-    with pytest.raises(ValueError):
-        # op was never applied to the graph
-        est.on_update(UpdateOp("i", 0, 1), thr=0)
+def sampler_values(s):
+    return [s.update(x, 0) for x in range(s.n)]  # a zero delta only reads
 
 
-def test_unapplied_op_raises_at_that_op():
+def test_duplicate_insert_and_absent_delete_are_noops():
     g = DynamicGraph(4)
-    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=8)
+    est = PhasedCcEstimator(g, 0.5, 0.1, seed=8)
     for u, v in [(0, 1), (1, 2)]:
-        thr = g.nis
-        assert g.insert_edge(u, v)
-        est.on_update(UpdateOp("i", u, v), thr)
-    thr = g.nis
-    assert not g.insert_edge(0, 1)  # the graph ignores the duplicate
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        est.on_update(UpdateOp("i", 0, 1), thr)
-    # an absent delete would drive the sampler's degree counts negative
-    g2 = DynamicGraph(4)
-    est2 = PhasedCcEstimator(g2, 0.5, 0.1, thr0=0, seed=8)
-    assert not g2.delete_edge(2, 3)
-    with pytest.raises(ValueError, match=r"\(2, 3\)"):
-        est2.on_update(UpdateOp("d", 2, 3), 2)
+        assert est.on_update(UpdateOp("i", u, v))
+    before = (g.m, est.sampler.nis, sampler_values(est.sampler), est.i, est.estimate())
+    assert not est.on_update(UpdateOp("i", 0, 1))  # duplicate
+    assert not est.on_update(UpdateOp("i", 1, 0))  # duplicate, reversed
+    assert not est.on_update(UpdateOp("d", 2, 3))  # absent
+    assert (g.m, est.sampler.nis, sampler_values(est.sampler), est.i, est.estimate()) == before
+    # the sampler still matches the degrees, so a valid delete goes through
+    assert est.on_update(UpdateOp("d", 0, 1))
+    assert sampler_values(est.sampler) == [g.degree(x) for x in range(g.n)]
 
 
 def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
@@ -224,15 +205,14 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
             u, v = edges[i]
             edges[i] = edges[-1]
             edges.pop()
-            g.delete_edge(u, v)
-            est.on_update(UpdateOp("d", u, v), thr)
+            assert est.on_update(UpdateOp("d", u, v), thr)
         else:
             while True:
                 u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-                if u != v and g.insert_edge(u, v):
+                if u != v and not g.has_edge(u, v):
                     edges.append((min(u, v), max(u, v)))
                     break
-            est.on_update(UpdateOp("i", u, v), thr)
+            assert est.on_update(UpdateOp("i", u, v), thr)
         assert est.gamma == g.nis
         truth = fast_ncc(*g.edge_view(), n)
         allowed = eps_p * thr

@@ -40,11 +40,13 @@ def test_out_of_range_vertex_rejected_before_any_state_change(bad):
     g = DynamicGraph(5)
     g.insert_edge(2, 4)
     before = (g.m, g.nis, g.edges(), [set(a) for a in g.adj])
-    for op in (g.insert_edge, g.delete_edge):
+    for op in (g.insert_edge, g.delete_edge, g.has_edge):
         for u, v in [(bad, 2), (2, bad)]:
             with pytest.raises(ValueError, match=rf"\(({bad}, 2|2, {bad})\)"):
                 op(u, v)
             assert (g.m, g.nis, g.edges(), [set(a) for a in g.adj]) == before
+    with pytest.raises(ValueError, match=rf"{bad} for n=5"):
+        g.degree(bad)
 
 
 def test_update_op_validation():

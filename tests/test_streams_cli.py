@@ -184,10 +184,19 @@ def test_replay_coloring_reports_zero_recolorings_on_conflict_free_stream():
 
 
 def test_generators_pinned_digests():
-    # both generators co-simulate Coloring / PhasedCcEstimator, so any change to
-    # those structures' rng draws changes these streams
+    # two generators co-simulate Coloring / PhasedCcEstimator, so any change to
+    # those structures' rng draws changes these streams; every generator draws
+    # uniform edges by position in a DynamicGraph's edge list
     def digest(stream):
         return hashlib.sha256(streams.render_stream(stream).encode()).hexdigest()
+
+    assert digest(streams.gen_random_churn(60, 400, 100, mode="cc", seed=3)) == \
+        "9035f985c5e4afb5a47d0efa56eff6c2eb0a1ab17d6f9144b8aa04af4aadd2d0"
+    assert digest(streams.gen_random_churn(60, 400, 100, mode="msf", W=3.0, seed=3)) == \
+        "5676ddc041a529331f523b1a64ce33bf6b4f086e5864dcd9f0f8923e0df3984c"
+    assert digest(streams.gen_sliding_window(60, 400, 50, mode="msf", W=4.0,
+                                             integer_weights=True, seed=3)) == \
+        "e71324e84512c5522788eba557a7239540bdfaf96ed858de41d908acc78f8fe6"
 
     assert digest(streams.gen_conflict_heavy(60, 400, 100, 6, seed=3, struct_seed=5)) == \
         "4985d2e2742ea0c5dc5e71a3584d6b9298e97ae7630e5bb91d55884084efeeff"
@@ -226,3 +235,28 @@ def test_cli_bench_error_names_the_step(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "step 3 (i 0 1): " in err and "already present" in err
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ("i 0 1\nd 0 1\n", ["--repeats", "0"], "--repeats must be >= 1"),
+    ("q\nq\n", [], "no updates"),
+], ids=["repeats-0", "no-updates"])
+def test_cli_bench_rejects_runs_with_nothing_to_time(tmp_path, capsys, text, argv, message):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\n" + text)
+    rc = _run_cli(["bench", "--algo", "cc-exact", "--stream", str(stream_path)] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_msf_det_work_counts_only_levels_the_update_hit(tmp_path):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=0 W=2.0 mode=msf\ni 0 1 1.0\ni 2 3 2.0\n")
+    out_path = tmp_path / "out.csv"
+    rc = _run_cli(["run", "--algo", "msf-det", "--eps", "0.5", "--stream", str(stream_path),
+                   "--check-every", "1", "--out", str(out_path)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out_path)))
+    # eps 0.5, W 2: thresholds 1, 1.25, 1.5625, 1.953125, 2; weight 2 admits only the top
+    assert [row["work"] for row in rows] == ["15", "3"]
