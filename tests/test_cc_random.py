@@ -165,6 +165,27 @@ def test_thr_contract_violations_raise():
         est2.on_update(UpdateOp("q"), thr=2)
 
 
+def test_sampler_desync_detected():
+    g = DynamicGraph(6)
+    est = PhasedCcEstimator(g, 0.5, 0.1, seed=7)
+    assert g.insert_edge(0, 1)  # edited behind the estimator's back
+    with pytest.raises(ValueError):
+        # the sampler never counted (0, 1), so its degrees would go negative
+        est.on_update(UpdateOp("d", 0, 1), thr=0)
+
+
+def test_unapplied_op_raises_at_that_op():
+    g = DynamicGraph(5)
+    est = PhasedCcEstimator(g, 0.5, 0.1, seed=8)
+    for u, v in [(0, 1), (1, 2)]:
+        assert est.on_update(UpdateOp("i", u, v))
+    assert g.insert_edge(2, 3)  # an op the estimator never applied
+    assert est.on_update(UpdateOp("i", 0, 4))  # ops away from (2, 3) still go through
+    assert est.on_update(UpdateOp("d", 0, 1))
+    with pytest.raises(ValueError, match=r"element 3\b"):
+        est.on_update(UpdateOp("d", 2, 3))
+
+
 def sampler_values(s):
     return [s.update(x, 0) for x in range(s.n)]  # a zero delta only reads
 
