@@ -1,16 +1,10 @@
 """Dynamic-graph library: (delta+1)-coloring, component-count estimators, MSF weight."""
 
 from .cc_exact import SmallCcCounter
-from .cc_random import PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
-from .coloring import Coloring, DeltaBoundError, InvariantError, RecolorStats
-from .graph_core import DynamicGraph, SelfLoopError, UpdateOp
-from .msf_weight import (
-    DeterministicMsfEstimator,
-    MsfConfig,
-    RandomizedMsfEstimator,
-    combine,
-)
-from .nonzero_sampler import NonZeroSampler
+from .cc_random import PhasedCcEstimator, static_estimate_nis
+from .coloring import Coloring, DeltaBoundError, InvariantError
+from .graph_core import DynamicGraph, UpdateOp
+from .msf_weight import DeterministicMsfEstimator, RandomizedMsfEstimator
 
 __all__ = [
     "Coloring",
@@ -18,16 +12,10 @@ __all__ = [
     "DeterministicMsfEstimator",
     "DynamicGraph",
     "InvariantError",
-    "MsfConfig",
-    "NonZeroSampler",
     "PhasedCcEstimator",
     "RandomizedMsfEstimator",
-    "RecolorStats",
-    "SelfLoopError",
     "SmallCcCounter",
-    "StaticEstimateConfig",
     "UpdateOp",
-    "combine",
     "static_estimate_nis",
 ]
 

@@ -107,7 +107,6 @@ class PhasedCcEstimator:
         self.use_fast_sizes = use_fast_sizes
 
         nis = graph.nis
-        self.gamma = nis
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
         if thr0 is None:
             thr0 = nis
@@ -169,7 +168,6 @@ class PhasedCcEstimator:
             raise ValueError(f"thr={thr} below nis={self.graph.nis}")
 
     def _advance(self, thr: int) -> None:
-        self.gamma = self.graph.nis
         self.i += 1
         self._until_boundary -= 1
         if self._until_boundary > 0:
@@ -179,7 +177,7 @@ class PhasedCcEstimator:
             eu, ev = self.graph.edge_view()
             sizes = fast_component_sizes(eu, ev, self.graph.n)
         b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng, sizes)
-        self.c_bar = b + self.graph.n - self.gamma
+        self.c_bar = b + self.graph.n - self.graph.nis
         self.psi = thr
         self.phase_len = max(1, math.ceil(self.eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len

@@ -74,7 +74,8 @@ class _Replay:
         self.soft_violations = 0
         self.checkpoints = 0
         self.context: str = ""
-        # an independently maintained edge store for the oracles
+        # an independent edge store for the oracle checks; ``cmd_run`` writes
+        # it outside the timed ``apply``, ``bench`` never checks and skips it
         self.shadow = DynamicGraph(h.n)
         self.weights: dict[tuple[int, int], float] = {}
         if algo == "coloring":
@@ -94,7 +95,8 @@ class _Replay:
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
 
-    def _shadow_apply(self, op) -> None:
+    def shadow_apply(self, op) -> None:
+        """Mirror one update in the shadow store (kept out of the timed ``apply``)."""
         key = (op.u, op.v) if op.u < op.v else (op.v, op.u)
         if op.kind == "i":
             self.shadow.insert_edge(op.u, op.v)
@@ -131,7 +133,6 @@ class _Replay:
             else:
                 self.struct.delete(op.u, op.v)
             work = sum(level.bfs_calls for level in levels) - before if levels else 1
-        self._shadow_apply(op)
         return work
 
     def timed_apply(self, step: int, op) -> tuple[int, int]:
@@ -204,6 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             continue
         step += 1
         work, nanos = replay.timed_apply(step, op)
+        replay.shadow_apply(op)
         if args.check_every and step % args.check_every == 0:
             rows.append(replay.checkpoint(step, op.kind, work, nanos))
             if replay.hard_violation:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_core import check_edge
+
 
 class DeltaBoundError(ValueError):
     """An insertion would push an endpoint's degree above the promised bound."""
@@ -123,7 +125,7 @@ class Coloring:
         Both endpoints must have degree < delta beforehand; a duplicate edge
         is a no-op returning empty stats.
         """
-        self._check_pair(u, v)
+        check_edge(u, v, self.n)
         if self.has_edge(u, v):
             return RecolorStats()
         if len(self.L[u]) + len(self.H[u]) >= self.delta:
@@ -147,7 +149,7 @@ class Coloring:
 
     def delete(self, u: int, v: int) -> None:
         """Delete edge (u, v); never recolors. Absent edge is a no-op."""
-        self._check_pair(u, v)
+        check_edge(u, v, self.n)
         if not self.has_edge(u, v):
             return
         self.updates += 1
@@ -168,12 +170,6 @@ class Coloring:
         return fresh
 
     # -- internals ----------------------------------------------------------
-
-    def _check_pair(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {u}) rejected")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range: ({u}, {v})")
 
     @staticmethod
     def _list_remove(lst: list[int], pos: dict[int, int], x: int) -> None:

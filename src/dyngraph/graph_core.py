@@ -5,6 +5,8 @@ running counters (edge count, per-vertex degree, number of non-isolated
 vertices) exactly in sync with the edge set.  ``bfs_limited`` explores a
 component from a start vertex but never discovers more than ``vertex_cap``
 vertices, which is the primitive the component-count estimators are built on.
+``check_edge`` is the one pair rule every structure applies before any state
+change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SelfLoopError(ValueError):
-    """Raised when an operation would create a self-loop."""
+def check_edge(u: int, v: int, n: int) -> None:
+    """Raise ValueError unless (u, v) is an edge on vertices 0..n-1 with u != v."""
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {u}) rejected")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex out of range: ({u}, {v}) for n={n}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class UpdateOp:
         if self.kind not in ("i", "d", "q"):
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind != "q" and self.u == self.v:
-            raise SelfLoopError(f"self-loop op on vertex {self.u}")
+            raise ValueError(f"self-loop ({self.u}, {self.u}) rejected")
 
 
 class DynamicGraph:
@@ -70,19 +76,12 @@ class DynamicGraph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        self.check_pair(u, v)
+        check_edge(u, v, self.n)
         return v in self.adj[u]
-
-    def check_pair(self, u: int, v: int) -> None:
-        """Raise ValueError unless both endpoints lie in {0, ..., n-1}."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range: ({u}, {v}) for n={self.n}")
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert (u, v); returns False if the edge was already present."""
-        if u == v:
-            raise SelfLoopError(f"self-loop ({u}, {u}) rejected")
-        self.check_pair(u, v)
+        check_edge(u, v, self.n)
         au = self.adj[u]
         if v in au:
             return False
@@ -107,7 +106,7 @@ class DynamicGraph:
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete (u, v); returns False if the edge was absent."""
-        self.check_pair(u, v)
+        check_edge(u, v, self.n)
         au = self.adj[u]
         if v not in au:
             return False

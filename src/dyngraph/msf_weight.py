@@ -5,9 +5,15 @@ sum of component counts of threshold subgraphs (edges of weight <= l_i for
 geometrically spaced l_i).  Each threshold subgraph carries its own dynamic
 component-count estimator, which applies every update to that subgraph: the
 deterministic variant uses the exact small-component counter, the randomized
-variant the phased sampling estimator.  Estimators of subgraphs untouched by an update advance their
-update counters by two anyway, standing in for a same-vertex insert/delete
-pair, so all phase schedules stay aligned with the full update sequence.
+variant the phased sampling estimator.  Estimators of subgraphs untouched by
+an update advance their update counters by two anyway, standing in for a
+same-vertex insert/delete pair, so all phase schedules stay aligned with the
+full update sequence.
+
+The threshold subgraphs are the only edge store: the top one (l_r = W) holds
+every edge, and a delete reaches exactly the subgraphs holding the edge.  An
+update failing ``graph_core.check_edge``, with a weight outside [1, W], a
+duplicate insert or an absent delete raises ``ValueError`` before any change.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .cc_exact import SmallCcCounter
 from .cc_random import PhasedCcEstimator
-from .graph_core import DynamicGraph, UpdateOp
+from .graph_core import DynamicGraph, UpdateOp, check_edge
 
 WeightedEdge = tuple[int, int, float]
 
@@ -39,8 +45,8 @@ class MsfConfig:
     def from_params(cls, eps: float, W: float) -> "MsfConfig":
         if not 0 < eps < 1:
             raise ValueError("eps must be in (0, 1)")
-        if W < 1:
-            raise ValueError("W must be >= 1")
+        if not 1 <= W < math.inf:
+            raise ValueError(f"W must be finite and >= 1, got {W}")
         base = 1.0 + eps / 2.0
         r = 0 if W == 1 else math.ceil(math.log(W) / math.log(base))
         thresholds = tuple(base**i for i in range(r)) + (float(W),)
@@ -66,7 +72,7 @@ def combine(config: MsfConfig, counts, n: int) -> float:
 
 
 class _MsfEstimatorBase:
-    """Config, edge weights and threshold graphs shared by both estimators.
+    """Config and threshold graphs shared by both estimators.
 
     Graph i holds the edges of weight <= l_i, seeded from ``initial_edges``;
     subclasses build one component-count estimator per graph in ``levels``.
@@ -76,46 +82,36 @@ class _MsfEstimatorBase:
                  initial_edges: list[WeightedEdge] | None):
         self.config = MsfConfig.from_params(eps, W)
         self.n = n
-        self._weights: dict[tuple[int, int], float] = {}
         self._graphs = [DynamicGraph(n) for _ in self.config.thresholds]
+        self._full = self._graphs[-1]
         for u, v, w in initial_edges or ():
-            key = self._register(u, v, w)
-            for g, hit in zip(self._graphs, self._hits(w)):
+            for g, hit in zip(self._graphs, self._admits(u, v, w)):
                 if hit:
-                    g.insert_edge(*key)
+                    g.insert_edge(u, v)
 
-    def _hits(self, w: float) -> list[bool]:
-        """Per level, whether its threshold admits an edge of weight w."""
-        return [w <= thr for thr in self.config.thresholds]
-
-    def _key(self, u: int, v: int) -> tuple[int, int]:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
-        return (u, v) if u < v else (v, u)
-
-    def _register(self, u: int, v: int, w: float) -> tuple[int, int]:
-        key = self._key(u, v)
+    def _admits(self, u: int, v: int, w: float) -> list[bool]:
+        """Check that (u, v, w) may be inserted; per level, whether it admits w."""
+        check_edge(u, v, self.n)
         if not 1.0 <= w <= self.config.W:
             raise ValueError(f"weight {w} outside [1, {self.config.W}]")
-        if key in self._weights:
-            raise ValueError(f"edge {key} already present")
-        self._weights[key] = w
-        return key
+        if v in self._full.adj[u]:
+            raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) already present")
+        return [w <= thr for thr in self.config.thresholds]
 
-    def _unregister(self, u: int, v: int) -> float:
-        key = self._key(u, v)
-        w = self._weights.pop(key, None)
-        if w is None:
-            raise ValueError(f"edge {key} not present")
-        return w
+    def _holds(self, u: int, v: int) -> list[bool]:
+        """Check that (u, v) is present; per level, whether its graph holds it."""
+        check_edge(u, v, self.n)
+        if v not in self._full.adj[u]:
+            raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) not present")
+        return [v in g.adj[u] for g in self._graphs]
 
 
 class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     Per level the exact small-component counter runs with error parameter
-    eps/(4W); an update touches every level whose threshold admits the
-    edge's weight.
+    eps/(4W); an update touches every level whose graph admits (insert) or
+    holds (delete) the edge.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -124,14 +120,12 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in self._graphs]
 
     def insert(self, u: int, v: int, w: float) -> None:
-        self._register(u, v, w)
-        for level, hit in zip(self.levels, self._hits(w)):
+        for level, hit in zip(self.levels, self._admits(u, v, w)):
             if hit:
                 level.on_insert(u, v)
 
     def delete(self, u: int, v: int) -> None:
-        w = self._unregister(u, v)
-        for level, hit in zip(self.levels, self._hits(w)):
+        for level, hit in zip(self.levels, self._holds(u, v)):
             if hit:
                 level.on_delete(u, v)
 
@@ -154,7 +148,6 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
                  use_fast_sizes: bool = False):
         super().__init__(n, eps, W, initial_edges)
         rng = np.random.default_rng(seed)
-        self._full = self._graphs[-1]  # the top threshold admits every weight
         # every level sees the same Thr stream: nis of the full graph
         self.levels = [
             PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs),
@@ -164,16 +157,15 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         ]
 
     def insert(self, u: int, v: int, w: float) -> None:
-        self._register(u, v, w)
-        self._route(UpdateOp("i", u, v, w))
+        self._route(UpdateOp("i", u, v, w), self._admits(u, v, w))
 
     def delete(self, u: int, v: int) -> None:
-        self._route(UpdateOp("d", u, v, self._unregister(u, v)))
+        self._route(UpdateOp("d", u, v), self._holds(u, v))
 
-    def _route(self, op: UpdateOp) -> None:
-        """Apply op at every admitting level; tick every other level."""
+    def _route(self, op: UpdateOp, hits: list[bool]) -> None:
+        """Apply op at every hit level; tick every other level."""
         thr = self._full.nis
-        for level, hit in zip(self.levels, self._hits(op.w)):
+        for level, hit in zip(self.levels, hits):
             if hit:
                 level.on_update(op, thr)
             else:

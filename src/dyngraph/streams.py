@@ -16,15 +16,20 @@ adversarial interaction byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cc_random import PhasedCcEstimator
 from .coloring import Coloring
 from .graph_core import DynamicGraph, UpdateOp
 from .oracles import fast_component_labels, fast_ncc
 
 MODES = ("coloring", "cc", "msf")
+
+_CONFLICT_CANDIDATES = 12  # non-edges gen_conflict_heavy draws per insert
+_ADVERSARY_CANDIDATES = 8  # edges adaptive_adversary_step weighs per delete
 
 
 class StreamFormatError(ValueError):
@@ -79,6 +84,8 @@ def parse_stream(text: str) -> Stream:
         raise StreamFormatError(1, f"bad header: {exc}") from exc
     if header.mode not in MODES:
         raise StreamFormatError(1, f"unknown mode {header.mode!r}")
+    if not math.isfinite(header.W):
+        raise StreamFormatError(1, f"W must be finite, got {header.W}")
     ops: list[UpdateOp] = []
     for idx, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -222,6 +229,8 @@ def gen_sliding_window(
     """Each step inserts a fresh edge; past the window, the oldest is deleted first."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     bound = delta if mode == "coloring" else None
     _check_density(n, window + 1, bound)
     rng = np.random.default_rng(seed)
@@ -253,7 +262,6 @@ def gen_conflict_heavy(
     delta: int,
     seed: int | None = None,
     struct_seed: int | None = None,
-    candidates: int = 12,
 ) -> Stream:
     """Coloring stream biasing insertions toward currently same-colored endpoints.
 
@@ -268,7 +276,7 @@ def gen_conflict_heavy(
     for _ in range(num_ops):
         if graph.m < target_m:
             best = None
-            for _ in range(candidates):
+            for _ in range(_CONFLICT_CANDIDATES):
                 key = _sample_insert(rng, n, graph, delta, tries=16)
                 if key is None:
                     continue
@@ -297,7 +305,6 @@ def adaptive_adversary_step(
     graph: DynamicGraph,
     estimate: float,
     rng: np.random.Generator,
-    candidates: int = 8,
 ) -> UpdateOp | None:
     """One move of the scripted adaptive adversary against a CC estimator.
 
@@ -320,7 +327,7 @@ def adaptive_adversary_step(
         return None
     if graph.m == 0:
         return None
-    picked = [_random_edge(graph, rng) for _ in range(min(candidates, graph.m))]
+    picked = [_random_edge(graph, rng) for _ in range(min(_ADVERSARY_CANDIDATES, graph.m))]
     for key in picked:
         # a leaf edge is always a bridge: removal gains the maximum +1
         if graph.degree(key[0]) == 1 or graph.degree(key[1]) == 1:
@@ -350,8 +357,6 @@ def gen_adaptive_script(
     The replay must run the estimator with ``struct_seed`` to reproduce the
     interaction the adversary saw.
     """
-    from .cc_random import PhasedCcEstimator  # cycle guard
-
     rng = np.random.default_rng(seed)
     # the estimator runs from the empty graph, exactly as a replay will
     est = PhasedCcEstimator(DynamicGraph(n), eps_prime, p, seed=struct_seed,

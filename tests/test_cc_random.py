@@ -76,7 +76,7 @@ def test_preprocess_empty_graph():
     g = DynamicGraph(12)
     est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=0)
     assert est.estimate() == 12.0
-    assert est.gamma == 0
+    assert est.graph.nis == 0
 
 
 def test_preprocess_exact_at_step_zero():
@@ -138,7 +138,7 @@ def test_deleting_everything_resets_estimate_to_n():
     # phase_len = ceil(1.0 * 8 / 4) = 2: boundary fires on the last deletion
     for u, v in pairs:
         est.on_update(UpdateOp("d", u, v))
-    assert est.estimate() == 8.0  # b=0 plus n - gamma with gamma = 0
+    assert est.estimate() == 8.0  # b=0 plus n - nis with nis = 0
 
 
 def test_tick_advances_counter_and_fires_boundaries():
@@ -234,7 +234,6 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
                     edges.append((min(u, v), max(u, v)))
                     break
             assert est.on_update(UpdateOp("i", u, v), thr)
-        assert est.gamma == g.nis
         truth = fast_ncc(*g.edge_view(), n)
         allowed = eps_p * thr
         checks += 1

@@ -36,6 +36,12 @@ def test_config_unit_weight_range():
         MsfConfig.from_params(0.5, 0.5)
 
 
+@pytest.mark.parametrize("W", [float("inf"), float("nan")])
+def test_config_rejects_non_finite_W(W):
+    with pytest.raises(ValueError, match="W must be finite"):
+        MsfConfig.from_params(0.5, W)
+
+
 def test_combine_empty_graph_telescopes_to_zero():
     for eps, W in ((0.1, 4.0), (0.5, 3.0), (0.25, 1.0)):
         cfg = MsfConfig.from_params(eps, W)

@@ -260,3 +260,66 @@ def test_cli_msf_det_work_counts_only_levels_the_update_hit(tmp_path):
     rows = list(csv.DictReader(open(out_path)))
     # eps 0.5, W 2: thresholds 1, 1.25, 1.5625, 1.953125, 2; weight 2 admits only the top
     assert [row["work"] for row in rows] == ["15", "3"]
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_cli_gen_sliding_window_rejects_window_below_one(tmp_path, capsys, window):
+    rc = _run_cli(["gen", "sliding-window", "--n", "10", "--ops", "5", "--window", window,
+                   "--out", str(tmp_path / "w.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"window must be >= 1, got {window}" in err
+
+
+@pytest.mark.parametrize("W", ["inf", "nan"])
+def test_parse_rejects_non_finite_weight_bound(W):
+    with pytest.raises(streams.StreamFormatError, match="W must be finite") as exc:
+        streams.parse_stream(f"# n=3 delta=0 W={W} mode=msf\ni 0 1 1.0\n")
+    assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_timed_apply_leaves_the_shadow_store_alone(algo):
+    mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
+    stream = streams.parse_stream(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\ni 1 2\nd 0 1\n")
+    replay = cli._Replay(algo, stream, 0.5, 0.2, 0)
+    for step, op in enumerate(stream.ops, start=1):
+        replay.timed_apply(step, op)
+    assert replay.shadow.m == 0 and not replay.weights
+
+
+@pytest.mark.parametrize("algo,gen_argv,run_argv,expected", [
+    ("coloring",
+     ["conflict-heavy", "--target-m", "100", "--delta", "6", "--struct-seed", "5"],
+     ["--seed", "5"],
+     "aff3786ac586f7f9262a265b486541529f094ca82101167180fe94267c14aaed"),
+    ("cc-exact",
+     ["random-churn", "--target-m", "100", "--mode", "cc"],
+     ["--eps", "0.34"],
+     "17d748f3c501ff50e2e9ddf5b22ef839b91af6b8ac93798f20b4bad352caeae0"),
+    ("cc-random",
+     ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
+      "--struct-seed", "5"],
+     ["--eps", "0.4", "--p", "0.2", "--seed", "5"],
+     "273ba2d1182ece147023b9a91aabf920953f6561af220231d29fda858b80bfca"),
+    ("msf-det",
+     ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
+     ["--eps", "0.5"],
+     "ebacaf93f7b39121c998b4f8071aa965332dd4f49243b2f108ecc7a0eb8a1f9b"),
+    ("msf-rand",
+     ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
+     ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
+     "306491862f24ca917cc187504ca47d7189f222c78e7284d5573d0ecb929f659f"),
+])
+def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, expected):
+    # every CSV column but the wall-clock ``nanos``, one row per op, hashed
+    stream_path = str(tmp_path / "s.txt")
+    out_path = str(tmp_path / "out.csv")
+    assert _run_cli(["gen", *gen_argv, "--n", "60", "--ops", "400", "--seed", "3",
+                     "--out", stream_path]) == 0
+    assert _run_cli(["run", "--algo", algo, "--stream", stream_path, "--check-every", "1",
+                     "--out", out_path, *run_argv]) == 0
+    rows = [[row[c] for c in cli.CSV_COLUMNS if c != "nanos"]
+            for row in csv.DictReader(open(out_path))]
+    assert len(rows) == 400
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
