@@ -6,7 +6,8 @@ than the cap are treated as contributing zero, which biases the estimate by
 at most eps*nis/2 while Hoeffding bounds the sampling error by the same
 amount.  The dynamic estimator re-runs the static one at phase boundaries
 and relies on the fact that one update changes the component count by at
-most one in between.
+most one in between; its error scale Thr is the nis of an enclosing graph
+(by default its own) read before each update.
 """
 
 from __future__ import annotations
@@ -77,15 +78,13 @@ class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
     The estimator owns its graph: ``on_update`` applies each insert or delete
-    itself, so callers must not mutate the graph separately.  Every update
-    has a Thr, an upper bound on the number of non-isolated vertices just
-    before the update that moves by at most 2 per update; it defaults to the
-    graph's nis before the update (``thr0``: at construction), and callers
-    estimating a subgraph pass the enclosing graph's nis instead.  The
-    estimate stays within eps' * Thr of the truth with probability 1 - p per
-    phase; Thr = n throughout gives the absolute bound eps' * n.  The
-    estimate is frozen between boundaries, so queries leak no randomness
-    mid-phase and an adaptive adversary gains nothing.
+    itself, so callers must not mutate the graph separately.  Thr, the error
+    scale, is the nis of ``enclosing`` just before each update; it defaults to
+    the graph itself, and an estimator of a subgraph passes the graph it lies
+    in, which changes by one edge per update.  The estimate stays within
+    eps' * Thr of the truth with probability 1 - p per phase and is frozen
+    between boundaries, so queries leak no randomness mid-phase and an
+    adaptive adversary gains nothing.
     """
 
     def __init__(
@@ -93,27 +92,24 @@ class PhasedCcEstimator:
         graph: DynamicGraph,
         eps_prime: float,
         p: float,
-        thr0: int | None = None,
         seed: int | np.random.Generator | None = None,
         use_fast_sizes: bool = False,
+        enclosing: DynamicGraph | None = None,
     ):
         if not 0 < eps_prime <= 1:
             raise ValueError("eps_prime must be in (0, 1]")
+        enclosing = graph if enclosing is None else enclosing
+        if enclosing.n != graph.n or enclosing.nis < graph.nis:
+            raise ValueError("enclosing graph needs the same n and at least the graph's nis")
         self.graph = graph
+        self.enclosing = enclosing
         self.eps_prime = eps_prime
-        self.p = p
         self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p)
         self.rng = np.random.default_rng(seed)  # a Generator passes through as is
         self.use_fast_sizes = use_fast_sizes
 
-        nis = graph.nis
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
-        if thr0 is None:
-            thr0 = nis
-        if thr0 < nis:
-            raise ValueError(f"thr0={thr0} below nis={nis}")
-        self.psi = thr0
-        self._prev_thr = thr0
+        self.psi = enclosing.nis
         self.i = 0
         self.phase_len = max(1, math.ceil(eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len
@@ -126,46 +122,35 @@ class PhasedCcEstimator:
     def estimate(self) -> float:
         return self.c_bar
 
-    def on_update(self, op: UpdateOp, thr: int | None = None) -> bool:
+    def on_update(self, op: UpdateOp) -> bool:
         """Apply one insert or delete to the graph and advance the phase.
 
-        ``thr`` bounds nis of the graph before the update (default: that
-        nis).  A duplicate insert or an absent delete is a no-op: it returns
-        False and changes nothing.
+        A duplicate insert or an absent delete is a no-op: it returns False
+        and changes nothing.
         """
         if op.kind not in ("i", "d"):
             raise ValueError("queries are not updates")
+        thr = self.enclosing.nis
         g = self.graph
-        thr = g.nis if thr is None else thr
-        self._validate_thr(thr)
         insert = op.kind == "i"
         if not (g.insert_edge(op.u, op.v) if insert else g.delete_edge(op.u, op.v)):
             return False
         delta = 1 if insert else -1
         self.sampler.update(op.u, delta)
         self.sampler.update(op.v, delta)
-        self._prev_thr = thr
         self._advance(thr)
         return True
 
-    def tick(self, thr: int) -> None:
+    def tick(self) -> None:
         """Advance the update counter by two without a graph change.
 
         Keeps estimators on threshold subgraphs in lockstep with the full
         update sequence, standing in for a same-vertex insert/delete pair;
         boundaries fire exactly as for real updates.
         """
-        self._validate_thr(thr)
-        self._prev_thr = thr
+        thr = self.enclosing.nis
         self._advance(thr)
         self._advance(thr)
-
-    def _validate_thr(self, thr: int) -> None:
-        """Thr moves by at most 2 per update and bounds nis before the update."""
-        if abs(thr - self._prev_thr) > 2:
-            raise ValueError(f"thr moved by more than 2: {self._prev_thr} -> {thr}")
-        if thr < self.graph.nis:
-            raise ValueError(f"thr={thr} below nis={self.graph.nis}")
 
     def _advance(self, thr: int) -> None:
         self.i += 1

@@ -68,7 +68,6 @@ class DynamicGraph:
         # scratch marks for bfs_limited; epoch trick avoids O(n) clears
         self._mark = [0] * n
         self._epoch = 0
-        self.bfs_marks_last = 0
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -162,10 +161,8 @@ class DynamicGraph:
             for w in adj[x]:
                 if mark[w] != epoch:
                     if discovered == vertex_cap:
-                        self.bfs_marks_last = discovered
                         return vertex_cap, False
                     mark[w] = epoch
                     queue.append(w)
                     discovered += 1
-        self.bfs_marks_last = discovered
         return discovered, True

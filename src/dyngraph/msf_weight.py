@@ -11,14 +11,16 @@ same-vertex insert/delete pair, so all phase schedules stay aligned with the
 full update sequence.
 
 The threshold subgraphs are the only edge store: the top one (l_r = W) holds
-every edge, and a delete reaches exactly the subgraphs holding the edge.  An
-update failing ``graph_core.check_edge``, with a weight outside [1, W], a
-duplicate insert or an absent delete raises ``ValueError`` before any change.
+every edge.  They nest, so an update hits one level and every level above
+it.  An update failing ``graph_core.check_edge`` or with a weight outside
+[1, W] raises ``ValueError`` before any change; a duplicate insert or an
+absent delete returns False and changes nothing.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +76,8 @@ def combine(config: MsfConfig, counts, n: int) -> float:
 class _MsfEstimatorBase:
     """Config and threshold graphs shared by both estimators.
 
-    Graph i holds the edges of weight <= l_i, seeded from ``initial_edges``;
-    subclasses build one component-count estimator per graph in ``levels``.
+    Graph i holds the edges of weight <= l_i from ``initial_edges``, duplicates
+    skipped; subclasses build one component-count estimator per graph in ``levels``.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -85,33 +87,34 @@ class _MsfEstimatorBase:
         self._graphs = [DynamicGraph(n) for _ in self.config.thresholds]
         self._full = self._graphs[-1]
         for u, v, w in initial_edges or ():
-            for g, hit in zip(self._graphs, self._admits(u, v, w)):
-                if hit:
+            first = self._admits(u, v, w)
+            if first is not None:
+                for g in self._graphs[first:]:
                     g.insert_edge(u, v)
 
-    def _admits(self, u: int, v: int, w: float) -> list[bool]:
-        """Check that (u, v, w) may be inserted; per level, whether it admits w."""
+    def _admits(self, u: int, v: int, w: float) -> int | None:
+        """Check (u, v, w); the first level admitting w, or None if (u, v) is present."""
         check_edge(u, v, self.n)
         if not 1.0 <= w <= self.config.W:
             raise ValueError(f"weight {w} outside [1, {self.config.W}]")
         if v in self._full.adj[u]:
-            raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) already present")
-        return [w <= thr for thr in self.config.thresholds]
+            return None
+        return bisect_left(self.config.thresholds, w)
 
-    def _holds(self, u: int, v: int) -> list[bool]:
-        """Check that (u, v) is present; per level, whether its graph holds it."""
+    def _holds(self, u: int, v: int) -> int | None:
+        """Check (u, v); the first level whose graph holds it, or None if absent."""
         check_edge(u, v, self.n)
         if v not in self._full.adj[u]:
-            raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) not present")
-        return [v in g.adj[u] for g in self._graphs]
+            return None
+        return next(i for i, g in enumerate(self._graphs) if v in g.adj[u])
 
 
 class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     Per level the exact small-component counter runs with error parameter
-    eps/(4W); an update touches every level whose graph admits (insert) or
-    holds (delete) the edge.
+    eps/(4W); an update touches every level from the first that admits
+    (insert) or holds (delete) the edge.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -119,15 +122,21 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         super().__init__(n, eps, W, initial_edges)
         self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in self._graphs]
 
-    def insert(self, u: int, v: int, w: float) -> None:
-        for level, hit in zip(self.levels, self._admits(u, v, w)):
-            if hit:
-                level.on_insert(u, v)
+    def insert(self, u: int, v: int, w: float) -> bool:
+        first = self._admits(u, v, w)
+        if first is None:
+            return False
+        for level in self.levels[first:]:
+            level.on_insert(u, v)
+        return True
 
-    def delete(self, u: int, v: int) -> None:
-        for level, hit in zip(self.levels, self._holds(u, v)):
-            if hit:
-                level.on_delete(u, v)
+    def delete(self, u: int, v: int) -> bool:
+        first = self._holds(u, v)
+        if first is None:
+            return False
+        for level in self.levels[first:]:
+            level.on_delete(u, v)
+        return True
 
     def estimate(self) -> float:
         return combine(self.config, [level.estimate() for level in self.levels], self.n)
@@ -138,8 +147,8 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
 
     Each level runs the phased estimator with error eps/(4W) and failure
     probability p_prime/(r+1) on its own threshold graph, all drawing from
-    one generator; the Thr parameter shared by all levels is the
-    non-isolated-vertex count of the full graph just before each update.
+    one generator.  Every level reads Thr from the top level's graph, which
+    ``_route`` updates last, so each sees the full graph's nis before the update.
     """
 
     def __init__(self, n: int, eps: float, W: float, p_prime: float,
@@ -148,28 +157,27 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
                  use_fast_sizes: bool = False):
         super().__init__(n, eps, W, initial_edges)
         rng = np.random.default_rng(seed)
-        # every level sees the same Thr stream: nis of the full graph
         self.levels = [
-            PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs),
-                              thr0=self._full.nis, seed=rng,
-                              use_fast_sizes=use_fast_sizes)
+            PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs), seed=rng,
+                              use_fast_sizes=use_fast_sizes, enclosing=self._full)
             for g in self._graphs
         ]
 
-    def insert(self, u: int, v: int, w: float) -> None:
-        self._route(UpdateOp("i", u, v, w), self._admits(u, v, w))
+    def insert(self, u: int, v: int, w: float) -> bool:
+        return self._route(UpdateOp("i", u, v, w), self._admits(u, v, w))
 
-    def delete(self, u: int, v: int) -> None:
-        self._route(UpdateOp("d", u, v), self._holds(u, v))
+    def delete(self, u: int, v: int) -> bool:
+        return self._route(UpdateOp("d", u, v), self._holds(u, v))
 
-    def _route(self, op: UpdateOp, hits: list[bool]) -> None:
-        """Apply op at every hit level; tick every other level."""
-        thr = self._full.nis
-        for level, hit in zip(self.levels, hits):
-            if hit:
-                level.on_update(op, thr)
-            else:
-                level.tick(thr)
+    def _route(self, op: UpdateOp, first: int | None) -> bool:
+        """Tick the levels below ``first``, then apply op from ``first`` up to the top."""
+        if first is None:
+            return False
+        for level in self.levels[:first]:
+            level.tick()
+        for level in self.levels[first:]:
+            level.on_update(op)
+        return True
 
     def estimate(self) -> float:
         return combine(self.config, [level.estimate() for level in self.levels], self.n)

@@ -187,6 +187,8 @@ def gen_random_churn(
     """Insert up to target_m edges, then mix inserts and deletes 50/50."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not 1 <= W < math.inf:  # the bound MsfConfig and run accept
+        raise ValueError(f"W must be finite and >= 1, got {W}")
     bound = delta if mode == "coloring" else None
     _check_density(n, target_m, bound)
     rng = np.random.default_rng(seed)
@@ -229,6 +231,8 @@ def gen_sliding_window(
     """Each step inserts a fresh edge; past the window, the oldest is deleted first."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not 1 <= W < math.inf:  # the bound MsfConfig and run accept
+        raise ValueError(f"W must be finite and >= 1, got {W}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     bound = delta if mode == "coloring" else None

@@ -326,8 +326,7 @@ def _phased_run(seed: int, adaptive: bool, n=2000, m0=1500, steps=2000,
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
             g.insert_edge(u, v)
-    est = PhasedCcEstimator(g, eps_p, p, thr0=g.nis,
-                            seed=seed + 5000, use_fast_sizes=True)
+    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 5000, use_fast_sizes=True)
     viol = checks = 0
     for step in range(steps):
         thr = g.nis

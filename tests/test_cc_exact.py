@@ -104,6 +104,15 @@ def test_fuzz_exact_agreement_and_work_bound():
     n = 60
     g = DynamicGraph(n)
     counter = SmallCcCounter(g, eps=0.25)  # k = 4
+    bfs_limited = g.bfs_limited
+    runs = []  # (cap, reached) of every capped BFS
+
+    def recorded(start, cap):
+        reached, closed = bfs_limited(start, cap)
+        runs.append((cap, reached))
+        return reached, closed
+
+    g.bfs_limited = recorded
     edges = set()
     for step in range(3000):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -118,7 +127,9 @@ def test_fuzz_exact_agreement_and_work_bound():
             counter.on_insert(u, v)
             edges.add(key)
         assert counter.bfs_calls - calls <= 3
-        assert g.bfs_marks_last <= counter.k + 1
+        assert len(runs) == counter.bfs_calls - calls
+        assert all(cap == counter.k + 1 and reached <= cap for cap, reached in runs)
+        runs.clear()
         want = exact_nscc(sorted(edges), n, counter.k)
         assert counter.estimate() == want
         # error envelope against the full component count

@@ -74,7 +74,7 @@ def test_static_estimate_error_bound_on_disjoint_edges():
 
 def test_preprocess_empty_graph():
     g = DynamicGraph(12)
-    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=0)
+    est = PhasedCcEstimator(g, 0.5, 0.1, seed=0)
     assert est.estimate() == 12.0
     assert est.graph.nis == 0
 
@@ -86,31 +86,27 @@ def test_preprocess_exact_at_step_zero():
         u, v = int(rng.integers(0, 40)), int(rng.integers(0, 40))
         if u != v:
             g.insert_edge(u, v)
-    est = PhasedCcEstimator(g, 0.3, 0.1, thr0=g.nis, seed=1)
+    est = PhasedCcEstimator(g, 0.3, 0.1, seed=1)
     assert est.estimate() == fast_ncc(*g.edge_view(), 40)
-
-
-def test_absolute_mode_uses_n_for_phase_budget():
-    # the absolute bound eps' * n is Thr mode with Thr = n throughout
-    g = DynamicGraph(30)
-    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=30, seed=0)
-    assert est.psi == 30
-    assert est.phase_len == math.ceil(0.5 * 30 / 4)
 
 
 def test_preprocess_thr_validation():
     g = DynamicGraph(5)
     g.insert_edge(0, 1)
-    with pytest.raises(ValueError):
-        PhasedCcEstimator(g, 0.5, 0.1, thr0=1, seed=0)  # below nis = 2
-    assert PhasedCcEstimator(g, 0.5, 0.1, seed=0).psi == 2  # thr0 defaults to nis
+    with pytest.raises(ValueError, match="enclosing graph"):
+        PhasedCcEstimator(g, 0.5, 0.1, seed=0, enclosing=DynamicGraph(5))  # nis 0 < 2
+    other_n = DynamicGraph(6)
+    other_n.insert_edge(0, 1)
+    with pytest.raises(ValueError, match="enclosing graph"):
+        PhasedCcEstimator(g, 0.5, 0.1, seed=0, enclosing=other_n)  # n = 6 != 5
+    assert PhasedCcEstimator(g, 0.5, 0.1, seed=0).psi == 2  # Thr defaults to the graph's nis
 
 
 def test_estimate_frozen_between_boundaries():
     g = DynamicGraph(200)
     for i in range(0, 100, 2):
         g.insert_edge(i, i + 1)
-    est = PhasedCcEstimator(g, 0.5, 0.2, thr0=g.nis, seed=2)
+    est = PhasedCcEstimator(g, 0.5, 0.2, seed=2)
     assert est.phase_len == math.ceil(0.5 * 100 / 4)
     values = []
     for step in range(est.phase_len):
@@ -123,10 +119,11 @@ def test_estimate_frozen_between_boundaries():
 
 def test_phase_len_one_recomputes_every_update():
     g = DynamicGraph(6)
-    est = PhasedCcEstimator(g, 0.5, 0.2, thr0=0, seed=3)
+    est = PhasedCcEstimator(g, 0.5, 0.2, seed=3)
     assert est.phase_len == 1
     est.on_update(UpdateOp("i", 0, 1))
     assert est.estimate() == 5.0  # exact: one pair + four singletons
+    assert est.psi == 0  # Thr is the nis before the update
 
 
 def test_deleting_everything_resets_estimate_to_n():
@@ -134,7 +131,7 @@ def test_deleting_everything_resets_estimate_to_n():
     pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
     for u, v in pairs:
         g.insert_edge(u, v)
-    est = PhasedCcEstimator(g, 1.0, 0.2, thr0=8, seed=4)
+    est = PhasedCcEstimator(g, 1.0, 0.2, seed=4)
     # phase_len = ceil(1.0 * 8 / 4) = 2: boundary fires on the last deletion
     for u, v in pairs:
         est.on_update(UpdateOp("d", u, v))
@@ -144,25 +141,17 @@ def test_deleting_everything_resets_estimate_to_n():
 def test_tick_advances_counter_and_fires_boundaries():
     g = DynamicGraph(10)
     g.insert_edge(0, 1)
-    est = PhasedCcEstimator(g, 1.0, 0.2, thr0=4, seed=5)
+    est = PhasedCcEstimator(g, 1.0, 0.2, seed=5)
     assert est.phase_len == 1
     before = est.i
-    est.tick(4)
+    est.tick()
     assert est.i == before + 2
 
 
 def test_thr_contract_violations_raise():
-    g = DynamicGraph(10)
-    est = PhasedCcEstimator(g, 0.5, 0.1, thr0=0, seed=6)
+    est = PhasedCcEstimator(DynamicGraph(10), 0.5, 0.1, seed=6)
     with pytest.raises(ValueError):
-        est.on_update(UpdateOp("i", 0, 1), thr=5)  # jumped by more than 2
-    g2 = DynamicGraph(10)
-    g2.insert_edge(0, 1)
-    est2 = PhasedCcEstimator(g2, 0.5, 0.1, thr0=2, seed=6)
-    with pytest.raises(ValueError):
-        est2.on_update(UpdateOp("i", 2, 3), thr=1)  # below nis before update
-    with pytest.raises(ValueError):
-        est2.on_update(UpdateOp("q"), thr=2)
+        est.on_update(UpdateOp("q"))
 
 
 def test_sampler_desync_detected():
@@ -171,7 +160,7 @@ def test_sampler_desync_detected():
     assert g.insert_edge(0, 1)  # edited behind the estimator's back
     with pytest.raises(ValueError):
         # the sampler never counted (0, 1), so its degrees would go negative
-        est.on_update(UpdateOp("d", 0, 1), thr=0)
+        est.on_update(UpdateOp("d", 0, 1))
 
 
 def test_unapplied_op_raises_at_that_op():
@@ -205,8 +194,7 @@ def test_duplicate_insert_and_absent_delete_are_noops():
     assert sampler_values(est.sampler) == [g.degree(x) for x in range(g.n)]
 
 
-def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
-          use_ticks=False):
+def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False):
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
     edges = []
@@ -214,26 +202,25 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, fixed_thr=None,
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v and g.insert_edge(u, v):
             edges.append((min(u, v), max(u, v)))
-    thr0 = g.nis if fixed_thr is None else fixed_thr
-    est = PhasedCcEstimator(g, eps_p, p, thr0=thr0, seed=seed + 100)
+    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 100)
     viol = checks = 0
     for step in range(steps):
-        thr = g.nis if fixed_thr is None else fixed_thr
+        thr = g.nis
         if use_ticks and step % 7 == 0:
-            est.tick(thr)
+            est.tick()
         elif rng.random() < 0.5 and edges:
             i = int(rng.integers(0, len(edges)))
             u, v = edges[i]
             edges[i] = edges[-1]
             edges.pop()
-            assert est.on_update(UpdateOp("d", u, v), thr)
+            assert est.on_update(UpdateOp("d", u, v))
         else:
             while True:
                 u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
                 if u != v and not g.has_edge(u, v):
                     edges.append((min(u, v), max(u, v)))
                     break
-            assert est.on_update(UpdateOp("i", u, v), thr)
+            assert est.on_update(UpdateOp("i", u, v))
         truth = fast_ncc(*g.edge_view(), n)
         allowed = eps_p * thr
         checks += 1
@@ -253,9 +240,4 @@ def test_churn_envelope_mostly_holds():
 
 def test_churn_with_interleaved_ticks():
     viol, checks = churn(11, use_ticks=True)
-    assert viol <= 0.1 * checks
-
-
-def test_absolute_mode_envelope():
-    viol, checks = churn(13, fixed_thr=150)  # Thr = n
     assert viol <= 0.1 * checks

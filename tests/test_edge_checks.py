@@ -1,4 +1,5 @@
-"""Every structure rejects a bad pair with graph_core.check_edge's messages."""
+"""Every structure rejects a bad pair with graph_core.check_edge's messages and
+treats a duplicate insert or an absent delete as a no-op."""
 
 import re
 
@@ -63,5 +64,20 @@ def test_bad_pairs_raise_the_shared_messages_and_change_nothing(name):
         with pytest.raises(ValueError, match=re.escape(message)):
             op(s, u, v)
         assert state(s) == before
+    delete(s, 0, 1)  # the structure still takes valid updates
+    assert state(s) != before
+
+
+@pytest.mark.parametrize("name", list(STRUCTURES))
+def test_duplicate_insert_and_absent_delete_change_nothing(name):
+    build, insert, delete, state = STRUCTURES[name]
+    s = build()
+    insert(s, 0, 1)
+    insert(s, 1, 2)
+    before = state(s)
+    insert(s, 0, 1)  # duplicate
+    insert(s, 2, 1)  # duplicate, reversed
+    delete(s, 3, 4)  # absent
+    assert state(s) == before
     delete(s, 0, 1)  # the structure still takes valid updates
     assert state(s) != before

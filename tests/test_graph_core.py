@@ -137,7 +137,6 @@ def test_bfs_limited_matches_truncated_full_bfs():
             reached, closed = g.bfs_limited(start, cap)
             assert reached == min(size, cap)
             assert closed == (size <= cap)
-            assert g.bfs_marks_last <= cap
 
 
 def test_bfs_limited_rejects_bad_cap():

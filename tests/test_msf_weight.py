@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from dyngraph.msf_weight import (
     combine,
 )
 from dyngraph.oracles import exact_msf_weight, exact_ncc
+from dyngraph.streams import gen_sliding_window
 
 
 def test_config_geometry():
@@ -119,11 +121,13 @@ def test_deterministic_weight_validation_and_duplicates():
         est.insert(0, 1, 0.5)
     with pytest.raises(ValueError):
         est.insert(0, 1, 3.5)
-    est.insert(0, 1, 2.0)
-    with pytest.raises(ValueError):
-        est.insert(1, 0, 1.0)  # duplicate edge
-    with pytest.raises(ValueError):
-        est.delete(2, 3)  # absent edge
+    assert est.insert(0, 1, 2.0)
+    state = [(level.graph.edges(), level.bfs_calls, level.estimate()) for level in est.levels]
+    assert not est.insert(1, 0, 1.0)  # duplicate edge, even with another weight
+    assert not est.delete(2, 3)  # absent edge
+    assert [(level.graph.edges(), level.bfs_calls, level.estimate())
+            for level in est.levels] == state
+    assert est.delete(1, 0)
 
 
 def test_deterministic_unit_weights_track_forest_size():
@@ -227,7 +231,7 @@ def test_randomized_levels_share_thr_stream():
     # all levels saw exactly three updates' worth of counter advances
     assert len({level.i for level in est.levels}) <= 2  # ticks add 2, updates 1
     for level in est.levels:
-        assert level._prev_thr == 4  # nis of the full graph before the delete
+        assert level.psi == 4  # nis of the full graph before the delete
 
 
 @pytest.mark.parametrize("make", [
@@ -249,3 +253,38 @@ def test_invalid_vertices_rejected_before_any_state_change(make):
     assert 0.5 <= est.estimate() <= 1.5  # MSF weight 1 within the (1 +- eps) envelope
     est.delete(2, 1)
     assert all(level.graph.m == 0 for level in est.levels)
+
+
+def _window_from_initial_edges(make, record):
+    """sha256 over ``record(est)`` after each update of a seeded sliding window.
+
+    The edges inserted before the first delete are ``initial_edges``.
+    """
+    stream = gen_sliding_window(120, 2000, 100, mode="msf", W=2.0, seed=3)
+    first = next(i for i, op in enumerate(stream.ops) if op.kind == "d")
+    est = make([(op.u, op.v, op.w) for op in stream.ops[:first] if op.kind == "i"])
+    h = hashlib.sha256()
+    for op in stream.ops[first:]:
+        if op.kind == "q":
+            continue
+        if op.kind == "i":
+            est.insert(op.u, op.v, op.w)
+        else:
+            est.delete(op.u, op.v)
+        h.update(repr(record(est)).encode())
+    return h.hexdigest()
+
+
+def test_deterministic_from_initial_edges_pinned():
+    digest = _window_from_initial_edges(
+        lambda init: DeterministicMsfEstimator(120, 0.8, 2.0, initial_edges=init),
+        lambda est: (est.estimate(), sum(level.bfs_calls for level in est.levels)))
+    assert digest == "14aba5b38470b30dfff56e4f79ad7de2e767488e583fced6ac67e000f07d1c33"
+
+
+def test_randomized_from_initial_edges_pinned():
+    digest = _window_from_initial_edges(
+        lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init,
+                                            use_fast_sizes=True),
+        lambda est: (est.estimate(), [(level.i, level.psi) for level in est.levels]))
+    assert digest == "045ef1333ef4fa282de1e247c4c0bd6acd4719e6a3bc88b7d2b011e098d71b97"

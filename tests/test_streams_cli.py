@@ -217,24 +217,41 @@ def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
     assert [row["work"] for row in rows] == ["1", "1", "0", "1", "1", "0"]
 
 
+@pytest.mark.parametrize("algo", ["msf-det", "msf-rand"])
+def test_cli_msf_duplicate_insert_and_absent_delete_are_noops(tmp_path, algo):
+    # the duplicate carries another weight: the structure and the oracle keep the first;
+    # the empty graph at the end reads 2.2e-16 at msf-det, within the round-off slack
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=2.0 mode=msf\n"
+                           "i 0 1 1.0\ni 1 2 2.0\ni 0 1 2.0\nd 0 1\nd 1 2\nd 1 2\n")
+    out_path = tmp_path / "out.csv"
+    rc = _run_cli(["run", "--algo", algo, "--stream", str(stream_path),
+                   "--check-every", "1", "--out", str(out_path)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out_path)))
+    assert [row["work"] != "0" for row in rows] == [True, True, False, True, True, False]
+    assert [row["exact"] for row in rows] == ["1.000000", "3.000000", "3.000000",
+                                              "2.000000", "0.000000", "0.000000"]
+
+
 def test_cli_run_error_names_the_step(tmp_path, capsys):
     stream_path = tmp_path / "s.txt"
-    stream_path.write_text("# n=4 delta=0 W=2.0 mode=msf\n"
-                           "i 0 1 1.0\ni 1 2 2.0\ni 1 0 1.5\n")
-    rc = _run_cli(["run", "--algo", "msf-det", "--stream", str(stream_path)])
+    stream_path.write_text("# n=4 delta=2 W=1.0 mode=coloring\n"
+                           "i 0 1\ni 1 2\ni 1 3\n")
+    rc = _run_cli(["run", "--algo", "coloring", "--stream", str(stream_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "step 3 (i 1 0): " in err and "already present" in err
+    assert "step 3 (i 1 3): " in err and "would exceed delta=2" in err
 
 
 def test_cli_bench_error_names_the_step(tmp_path, capsys):
     stream_path = tmp_path / "s.txt"
-    stream_path.write_text("# n=4 delta=0 W=2.0 mode=msf\n"
-                           "i 0 1 1.0\ni 1 2 1.5\ni 0 1 2.0\n")
-    rc = _run_cli(["bench", "--algo", "msf-det", "--stream", str(stream_path)])
+    stream_path.write_text("# n=4 delta=2 W=1.0 mode=coloring\n"
+                           "i 0 1\ni 0 2\ni 0 3\n")
+    rc = _run_cli(["bench", "--algo", "coloring", "--stream", str(stream_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "step 3 (i 0 1): " in err and "already present" in err
+    assert "step 3 (i 0 3): " in err and "would exceed delta=2" in err
 
 
 @pytest.mark.parametrize("text,argv,message", [
@@ -269,6 +286,21 @@ def test_cli_gen_sliding_window_rejects_window_below_one(tmp_path, capsys, windo
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"window must be >= 1, got {window}" in err
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("random-churn", ["--target-m", "5"]),
+    ("sliding-window", ["--window", "5"]),
+], ids=["random-churn", "sliding-window"])
+@pytest.mark.parametrize("W", ["inf", "nan", "0.5"])
+def test_cli_gen_rejects_weight_bound_run_refuses(tmp_path, capsys, kind, argv, W):
+    out = tmp_path / "s.txt"
+    rc = _run_cli(["gen", kind, "--n", "10", "--ops", "20", *argv, "--mode", "msf",
+                   "--W", W, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"W must be finite and >= 1, got {float(W)}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("W", ["inf", "nan"])
