@@ -84,7 +84,8 @@ class PhasedCcEstimator:
     in, which changes by one edge per update.  The estimate stays within
     eps' * Thr of the truth with probability 1 - p per phase and is frozen
     between boundaries, so queries leak no randomness mid-phase and an
-    adaptive adversary gains nothing.
+    adaptive adversary gains nothing.  ``samples`` counts every vertex drawn
+    at a boundary since construction.
     """
 
     def __init__(
@@ -111,6 +112,7 @@ class PhasedCcEstimator:
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
         self.psi = enclosing.nis
         self.i = 0
+        self.samples = 0
         self.phase_len = max(1, math.ceil(eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len
 
@@ -158,9 +160,11 @@ class PhasedCcEstimator:
         if self._until_boundary > 0:
             return
         sizes = None
-        if self.use_fast_sizes and self.sampler.nis > 0:
-            eu, ev = self.graph.edge_view()
-            sizes = fast_component_sizes(eu, ev, self.graph.n)
+        if self.sampler.nis > 0:  # else static_estimate_nis draws nothing
+            self.samples += self.cfg.samples
+            if self.use_fast_sizes:
+                eu, ev = self.graph.edge_view()
+                sizes = fast_component_sizes(eu, ev, self.graph.n)
         b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng, sizes)
         self.c_bar = b + self.graph.n - self.graph.nis
         self.psi = thr

@@ -105,35 +105,35 @@ class _Replay:
             self.shadow.delete_edge(op.u, op.v)
             self.weights.pop(key, None)
 
+    def work(self) -> int:
+        """Cumulative recolor work, capped BFS runs or samples, summed over MSF levels."""
+        s = self.struct
+        if self.algo == "coloring":
+            return s.total_recolor_work
+        if self.algo == "cc-exact":
+            return s.bfs_calls
+        if self.algo == "cc-random":
+            return s.samples
+        if self.algo == "msf-det":
+            return sum(lv.bfs_calls for lv in s.levels)
+        return sum(lv.samples for lv in s.levels)
+
     def apply(self, op) -> int:
-        """Apply one update; returns the work counter for the CSV row."""
-        algo = self.algo
-        if algo == "coloring":
-            if op.kind == "i":
-                stats = self.struct.insert(op.u, op.v)
-                work = stats.total_work
-            else:
-                self.struct.delete(op.u, op.v)
-                work = 0
-        elif algo == "cc-exact":
-            before = self.struct.bfs_calls
-            if op.kind == "i":
-                self.struct.on_insert(op.u, op.v)
-            else:
-                self.struct.on_delete(op.u, op.v)
-            work = self.struct.bfs_calls - before
-        elif algo == "cc-random":
-            # a duplicate insert or absent delete is a no-op with work 0
-            work = int(self.struct.on_update(op))
-        else:  # msf-det, msf-rand; work is msf-det's BFS runs at every level
-            levels = self.struct.levels if algo == "msf-det" else ()
-            before = sum(lv.bfs_calls for lv in levels)
-            if op.kind == "i":
-                applied = self.struct.insert(op.u, op.v, op.w)
-            else:
-                applied = self.struct.delete(op.u, op.v)
-            work = sum(lv.bfs_calls for lv in levels) - before if levels else int(applied)
-        return work
+        """Apply one update; returns the work it did, for the CSV row."""
+        before = self.work()
+        s = self.struct
+        insert = op.kind == "i"
+        if self.algo == "coloring":
+            (s.insert if insert else s.delete)(op.u, op.v)
+        elif self.algo == "cc-exact":
+            (s.on_insert if insert else s.on_delete)(op.u, op.v)
+        elif self.algo == "cc-random":
+            s.on_update(op)
+        elif insert:
+            s.insert(op.u, op.v, op.w)
+        else:
+            s.delete(op.u, op.v)
+        return self.work() - before
 
     def timed_apply(self, step: int, op) -> tuple[int, int]:
         """``apply`` timed alone; returns (work, nanos).  Errors name the step."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import check_edge
+from .graph_core import check_edge, check_vertex
 
 
 class DeltaBoundError(ValueError):
@@ -98,9 +98,11 @@ class Coloring:
     # -- basic queries ------------------------------------------------------
 
     def degree(self, v: int) -> int:
+        check_vertex(v, self.n)
         return len(self.L[v]) + len(self.H[v])
 
     def color_of(self, v: int) -> int:
+        check_vertex(v, self.n)
         return self._chi[v]
 
     @property
@@ -108,6 +110,7 @@ class Coloring:
         return np.array(self._chi, dtype=np.int64)
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_edge(u, v, self.n)
         return u in self._posL[v] or u in self._posH[v]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -126,7 +129,7 @@ class Coloring:
         is a no-op returning empty stats.
         """
         check_edge(u, v, self.n)
-        if self.has_edge(u, v):
+        if u in self._posL[v] or u in self._posH[v]:
             return RecolorStats()
         if len(self.L[u]) + len(self.H[u]) >= self.delta:
             raise DeltaBoundError(f"degree of {u} would exceed delta={self.delta}")
@@ -150,7 +153,7 @@ class Coloring:
     def delete(self, u: int, v: int) -> None:
         """Delete edge (u, v); never recolors. Absent edge is a no-op."""
         check_edge(u, v, self.n)
-        if not self.has_edge(u, v):
+        if u not in self._posL[v] and u not in self._posH[v]:
             return
         self.updates += 1
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)

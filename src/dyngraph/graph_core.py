@@ -6,7 +6,8 @@ vertices) exactly in sync with the edge set.  ``bfs_limited`` explores a
 component from a start vertex but never discovers more than ``vertex_cap``
 vertices, which is the primitive the component-count estimators are built on.
 ``check_edge`` is the one pair rule every structure applies before any state
-change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``.
+change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``;
+``check_vertex`` is its one-vertex form for reads.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ def check_edge(u: int, v: int, n: int) -> None:
         raise ValueError(f"self-loop ({u}, {u}) rejected")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range: ({u}, {v}) for n={n}")
+
+
+def check_vertex(v: int, n: int) -> None:
+    """Raise ValueError unless v is a vertex of 0..n-1."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex out of range: {v} for n={n}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,18 @@ class DynamicGraph:
         self._eu = np.zeros(cap, dtype=np.int64)
         self._ev = np.zeros(cap, dtype=np.int64)
         self._epos: dict[tuple[int, int], int] = {}
-        # scratch marks for bfs_limited; epoch trick avoids O(n) clears
-        self._mark = [0] * n
+        # scratch marks for bfs_limited; epoch trick avoids O(n) clears, -1 is no epoch
+        self._mark = [-1] * n
         self._epoch = 0
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex out of range: {v} for n={self.n}")
+        check_vertex(v, self.n)
         return len(self.adj[v])
+
+    def bfs_reached(self, x: int) -> bool:
+        """Whether the last ``bfs_limited`` call discovered ``x``."""
+        check_vertex(x, self.n)
+        return self._mark[x] == self._epoch
 
     def has_edge(self, u: int, v: int) -> bool:
         check_edge(u, v, self.n)
@@ -145,6 +156,7 @@ class DynamicGraph:
         whole component was exhausted.  Only edges among the discovered
         vertices are ever scanned.
         """
+        check_vertex(start, self.n)
         if vertex_cap < 1:
             raise ValueError("vertex_cap must be >= 1")
         self._epoch += 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -99,11 +101,12 @@ def test_delete_cycle_edge_keeps_count():
     assert counter.estimate() == 1
 
 
-def test_fuzz_exact_agreement_and_work_bound():
-    rng = np.random.default_rng(1)
-    n = 60
+def _fuzz(n, k, seed, steps):
+    """Random toggles checked against the oracles; returns Counter(BFS runs per update)."""
+    rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
-    counter = SmallCcCounter(g, eps=0.25)  # k = 4
+    counter = SmallCcCounter(g, eps=1.0 / k)
+    assert counter.k == k
     bfs_limited = g.bfs_limited
     runs = []  # (cap, reached) of every capped BFS
 
@@ -114,7 +117,8 @@ def test_fuzz_exact_agreement_and_work_bound():
 
     g.bfs_limited = recorded
     edges = set()
-    for step in range(3000):
+    per_update = Counter()
+    for step in range(steps):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u == v:
             continue
@@ -126,16 +130,30 @@ def test_fuzz_exact_agreement_and_work_bound():
         else:
             counter.on_insert(u, v)
             edges.add(key)
-        assert counter.bfs_calls - calls <= 3
+        per_update[counter.bfs_calls - calls] += 1
+        assert counter.bfs_calls - calls <= 2
         assert len(runs) == counter.bfs_calls - calls
-        assert all(cap == counter.k + 1 and reached <= cap for cap, reached in runs)
+        assert all(cap == k + 1 and reached <= cap for cap, reached in runs)
         runs.clear()
-        want = exact_nscc(sorted(edges), n, counter.k)
+        want = exact_nscc(sorted(edges), n, k)
         assert counter.estimate() == want
         # error envelope against the full component count
         ncc = exact_ncc(sorted(edges), n)
         nis = exact_nis(sorted(edges), n)
-        assert abs(counter.estimate() - ncc) <= 0.25 * nis
+        assert abs(counter.estimate() - ncc) <= nis / k
+    return per_update
+
+
+def test_fuzz_exact_agreement_and_work_bound():
+    assert _fuzz(60, 4, seed=1, steps=3000)[2]  # the two-BFS path ran
+
+
+@pytest.mark.parametrize("n,k", [(12, 1), (10, 10), (9, 16)])
+def test_fuzz_extreme_k(n, k):
+    per_update = _fuzz(n, k, seed=k, steps=1500)
+    # the one-BFS path runs when the first BFS reaches v; with k = 1 it stops at one
+    # neighbour of u, never v, since the graph it runs on lacks (u, v)
+    assert per_update[2] and bool(per_update[1]) == (k > 1)
 
 
 def test_estimate_envelope_single_large_component():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -379,3 +380,20 @@ def test_color_of_reads_match_array():
     for v in range(20):
         assert c.color_of(v) == int(c.colors[v])
         assert 1 <= c.color_of(v) <= 6
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_vertex_reads_reject_out_of_range(bad):
+    c = Coloring(5, 2, seed=0)
+    c.insert(2, 4)
+    for u, v in [(bad, 2), (2, bad)]:
+        message = f"vertex out of range: ({u}, {v}) for n=5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            c.has_edge(u, v)
+    for read in (c.degree, c.color_of):
+        message = f"vertex out of range: {bad} for n=5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(bad)
+    with pytest.raises(ValueError, match=re.escape("self-loop (2, 2) rejected")):
+        c.has_edge(2, 2)
+    assert c.has_edge(4, 2) and c.degree(4) == 1

@@ -45,8 +45,11 @@ def test_out_of_range_vertex_rejected_before_any_state_change(bad):
             with pytest.raises(ValueError, match=rf"\(({bad}, 2|2, {bad})\)"):
                 op(u, v)
             assert (g.m, g.nis, g.edges(), [set(a) for a in g.adj]) == before
-    with pytest.raises(ValueError, match=rf"{bad} for n=5"):
-        g.degree(bad)
+    g.bfs_limited(2, 3)
+    for read in (g.degree, g.bfs_reached, lambda x: g.bfs_limited(x, 3)):
+        with pytest.raises(ValueError, match=rf"vertex out of range: {bad} for n=5"):
+            read(bad)
+    assert [g.bfs_reached(x) for x in range(5)] == [False, False, True, False, True]
 
 
 def test_update_op_validation():
@@ -105,7 +108,9 @@ def _full_component(adj, start):
 
 def test_bfs_limited_isolated_vertex():
     g = DynamicGraph(6)
+    assert not any(g.bfs_reached(x) for x in range(6))  # no BFS has run yet
     assert g.bfs_limited(3, 5) == (1, True)
+    assert [g.bfs_reached(x) for x in range(6)] == [x == 3 for x in range(6)]
 
 
 def test_bfs_limited_path_cap_reached():
@@ -132,11 +137,14 @@ def test_bfs_limited_matches_truncated_full_bfs():
         if u != v:
             g.insert_edge(u, v)
     for start in range(30):
-        size = len(_full_component(g.adj, start))
+        component = _full_component(g.adj, start)
+        size = len(component)
         for cap in range(1, 7):
             reached, closed = g.bfs_limited(start, cap)
             assert reached == min(size, cap)
             assert closed == (size <= cap)
+            marked = {x for x in range(30) if g.bfs_reached(x)}
+            assert start in marked and marked <= component and len(marked) == reached
 
 
 def test_bfs_limited_rejects_bad_cap():

@@ -276,10 +276,15 @@ def _window_from_initial_edges(make, record):
 
 
 def test_deterministic_from_initial_edges_pinned():
-    digest = _window_from_initial_edges(
-        lambda init: DeterministicMsfEstimator(120, 0.8, 2.0, initial_edges=init),
-        lambda est: (est.estimate(), sum(level.bfs_calls for level in est.levels)))
-    assert digest == "14aba5b38470b30dfff56e4f79ad7de2e767488e583fced6ac67e000f07d1c33"
+    def make(init):
+        return DeterministicMsfEstimator(120, 0.8, 2.0, initial_edges=init)
+
+    # the estimates and the BFS work are pinned apart: the work can change alone
+    assert _window_from_initial_edges(make, lambda est: est.estimate()) == \
+        "a5ee7532c1425b8344e4c147e0ebc0cb8570d6057d3de94ca5fca1b1270c2313"
+    assert _window_from_initial_edges(
+        make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
+        "456517a4d19671c367b4030841e0d58ea5679a6d99c5bfa34311d090818c4f80"
 
 
 def test_randomized_from_initial_edges_pinned():

@@ -5,6 +5,7 @@ import pytest
 
 from dyngraph import cli, oracles, streams
 from dyngraph.graph_core import UpdateOp
+from dyngraph.nonzero_sampler import NonZeroSampler
 
 
 def test_round_trip_all_generators(tmp_path):
@@ -214,7 +215,10 @@ def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
                    "--check-every", "1", "--out", str(out_path)])
     assert rc == 0
     rows = list(csv.DictReader(open(out_path)))
-    assert [row["work"] for row in rows] == ["1", "1", "0", "1", "1", "0"]
+    # every update is a boundary here; the applied delete that empties the graph draws none
+    assert [row["work"] for row in rows] == ["2952", "2952", "0", "2952", "0", "0"]
+    assert rows[2]["estimate"] == rows[1]["estimate"]
+    assert rows[5]["estimate"] == rows[4]["estimate"]
 
 
 @pytest.mark.parametrize("algo", ["msf-det", "msf-rand"])
@@ -229,9 +233,34 @@ def test_cli_msf_duplicate_insert_and_absent_delete_are_noops(tmp_path, algo):
                    "--check-every", "1", "--out", str(out_path)])
     assert rc == 0
     rows = list(csv.DictReader(open(out_path)))
-    assert [row["work"] != "0" for row in rows] == [True, True, False, True, True, False]
+    # msf-rand's work is samples: the applied delete that empties the graph draws none
+    works = [True, True, False, True, algo == "msf-det", False]
+    assert [row["work"] != "0" for row in rows] == works
+    assert rows[2]["estimate"] == rows[1]["estimate"]
+    assert rows[5]["estimate"] == rows[4]["estimate"]
     assert [row["exact"] for row in rows] == ["1.000000", "3.000000", "3.000000",
                                               "2.000000", "0.000000", "0.000000"]
+
+
+def test_cli_msf_rand_work_counts_sampled_vertices(tmp_path, monkeypatch):
+    drawn = []
+    sample_many = NonZeroSampler.sample_many
+
+    def counted(self, rng, k):
+        out = sample_many(self, rng, k)
+        drawn.append(len(out))
+        return out
+
+    monkeypatch.setattr(NonZeroSampler, "sample_many", counted)
+    stream_path = str(tmp_path / "s.txt")
+    out_path = str(tmp_path / "out.csv")
+    assert _run_cli(["gen", "sliding-window", "--window", "8", "--mode", "msf", "--W", "2",
+                     "--n", "12", "--ops", "40", "--seed", "3", "--out", stream_path]) == 0
+    assert _run_cli(["run", "--algo", "msf-rand", "--stream", stream_path, "--eps", "0.8",
+                     "--p", "0.2", "--check-every", "1", "--out", out_path]) == 0
+    rows = list(csv.DictReader(open(out_path)))
+    assert len(rows) == 40 and drawn
+    assert sum(int(row["work"]) for row in rows) == sum(drawn)
 
 
 def test_cli_run_error_names_the_step(tmp_path, capsys):
@@ -276,7 +305,7 @@ def test_cli_msf_det_work_counts_only_levels_the_update_hit(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(open(out_path)))
     # eps 0.5, W 2: thresholds 1, 1.25, 1.5625, 1.953125, 2; weight 2 admits only the top
-    assert [row["work"] for row in rows] == ["15", "3"]
+    assert [row["work"] for row in rows] == ["10", "2"]
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])
@@ -320,38 +349,46 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
     assert replay.shadow.m == 0 and not replay.weights
 
 
-@pytest.mark.parametrize("algo,gen_argv,run_argv,expected", [
+@pytest.mark.parametrize("algo,gen_argv,run_argv,outputs,work", [
     ("coloring",
      ["conflict-heavy", "--target-m", "100", "--delta", "6", "--struct-seed", "5"],
      ["--seed", "5"],
-     "aff3786ac586f7f9262a265b486541529f094ca82101167180fe94267c14aaed"),
+     "e4d2f29a98f4877056837a90c890a1852c4e11b925575c7818cd6de1e74ea46c",
+     "7bd4b2714ae72f5c4efc9d66c99ce1685cf35903f35b0a183a92505fbeceef71"),
     ("cc-exact",
      ["random-churn", "--target-m", "100", "--mode", "cc"],
      ["--eps", "0.34"],
-     "17d748f3c501ff50e2e9ddf5b22ef839b91af6b8ac93798f20b4bad352caeae0"),
+     "397a2a084d96bca1837dcae6b29fe265c2267dc2a65ad5db41a0f3608da0c7b2",
+     "a441375a44e7299c71f61b18e15f8733513efded2568e197957911a7ea5ada9f"),
     ("cc-random",
      ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
       "--struct-seed", "5"],
      ["--eps", "0.4", "--p", "0.2", "--seed", "5"],
-     "273ba2d1182ece147023b9a91aabf920953f6561af220231d29fda858b80bfca"),
+     "2a471063d26e93dcf7d89931f7856691fa096340bed1ecc95ab06a90d672643d",
+     "6654af93c6e0226a08e03b4aaf2f145618e73cddc4d90878fead447da488b89d"),
     ("msf-det",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
-     "ebacaf93f7b39121c998b4f8071aa965332dd4f49243b2f108ecc7a0eb8a1f9b"),
+     "6a4aef18fd101c999388bcb68fa65855ee993f0d516b8b08bbdc0770b3d96487",
+     "a9ba504903b34a4b1a1ef8b9abb8f2cb4066376877fbe71fea6304876d27859f"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
-     "306491862f24ca917cc187504ca47d7189f222c78e7284d5573d0ecb929f659f"),
-])
-def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, expected):
-    # every CSV column but the wall-clock ``nanos``, one row per op, hashed
+     "9248520743aeba5cabaddeb9517891ec4708666f84874ccafff2c69d3289c1a4",
+     "f82ca1e3b48a3960eba799c35a3364092f0f37214588b0145827ec109b79e109"),
+], ids=list(cli.ALGOS))
+def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, outputs, work):
+    # one row per op, hashed twice: every CSV column but the wall-clock ``nanos``
+    # and ``work``, then ``work`` alone, whose units can change without the outputs
     stream_path = str(tmp_path / "s.txt")
     out_path = str(tmp_path / "out.csv")
     assert _run_cli(["gen", *gen_argv, "--n", "60", "--ops", "400", "--seed", "3",
                      "--out", stream_path]) == 0
     assert _run_cli(["run", "--algo", algo, "--stream", stream_path, "--check-every", "1",
                      "--out", out_path, *run_argv]) == 0
-    rows = [[row[c] for c in cli.CSV_COLUMNS if c != "nanos"]
-            for row in csv.DictReader(open(out_path))]
+    rows = list(csv.DictReader(open(out_path)))
     assert len(rows) == 400
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
+    out_rows = [[row[c] for c in cli.CSV_COLUMNS if c not in ("nanos", "work")]
+                for row in rows]
+    assert hashlib.sha256(repr(out_rows).encode()).hexdigest() == outputs
+    assert hashlib.sha256(repr([row["work"] for row in rows]).encode()).hexdigest() == work
