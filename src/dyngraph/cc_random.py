@@ -4,10 +4,15 @@ The static estimator samples non-isolated vertices, sizes each one's
 component with a capped BFS, and averages inverse sizes; components larger
 than the cap are treated as contributing zero, which biases the estimate by
 at most eps*nis/2 while Hoeffding bounds the sampling error by the same
-amount.  The dynamic estimator re-runs the static one at phase boundaries
-and relies on the fact that one update changes the component count by at
-most one in between; its error scale Thr is the nis of an enclosing graph
-(by default its own) read before each update.
+amount.  The dynamic estimator re-estimates at phase boundaries and relies
+on the fact that one update changes the component count by at most one in
+between; its error scale Thr is the nis of an enclosing graph (by default
+its own) read before each update.  Given every component's size, a boundary
+takes one multinomial draw over the component sizes 2..cap and "above cap"
+instead of one draw per sample: the estimate depends only on how many
+samples land in each size class, so the draw has the distribution of the
+per-sample loop (the inverse-size estimator of Chazelle, Rubinfeld and
+Trevisan, SICOMP 2005).
 """
 
 from __future__ import annotations
@@ -74,6 +79,24 @@ def static_estimate_nis(
     return nis * total / cfg.samples
 
 
+def _size_class_estimate(
+    sizes: np.ndarray, nis: int, cfg: StaticEstimateConfig, rng: np.random.Generator
+) -> float:
+    """``static_estimate_nis`` drawn per size class from per-vertex component sizes.
+
+    Class s = 2..cap holds the non-isolated vertices in components of s
+    vertices, and the last class those in larger components.  The number of
+    cfg.samples uniform draws that land in each class is multinomial with
+    shares counts / nis, and a draw in class s contributes 1/s (0 in the last
+    class), so one multinomial draw replaces the per-sample loop in O(cap).
+    """
+    cap = cfg.cap
+    counts = np.bincount(sizes, minlength=cap + 1)[2 : cap + 1]
+    draws = rng.multinomial(cfg.samples, np.append(counts, nis - counts.sum()) / nis)
+    total = float(draws[:-1] @ (1.0 / np.arange(2, cap + 1)))
+    return nis * total / cfg.samples
+
+
 class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
@@ -84,8 +107,11 @@ class PhasedCcEstimator:
     in, which changes by one edge per update.  The estimate stays within
     eps' * Thr of the truth with probability 1 - p per phase and is frozen
     between boundaries, so queries leak no randomness mid-phase and an
-    adaptive adversary gains nothing.  ``samples`` counts every vertex drawn
-    at a boundary since construction.
+    adaptive adversary gains nothing.  A boundary draws cfg.samples vertices
+    of the graph's nis: with ``use_fast_sizes`` it labels the components once
+    and draws how many samples land in each size class, in one multinomial
+    draw; otherwise it sizes each sample with a capped BFS.  ``samples``
+    counts every vertex drawn at a boundary since construction.
     """
 
     def __init__(
@@ -159,13 +185,16 @@ class PhasedCcEstimator:
         self._until_boundary -= 1
         if self._until_boundary > 0:
             return
-        sizes = None
-        if self.sampler.nis > 0:  # else static_estimate_nis draws nothing
+        b = 0.0
+        nis = self.sampler.nis
+        if nis > 0:  # an empty sampler draws nothing
             self.samples += self.cfg.samples
             if self.use_fast_sizes:
                 eu, ev = self.graph.edge_view()
                 sizes = fast_component_sizes(eu, ev, self.graph.n)
-        b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng, sizes)
+                b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
+            else:
+                b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng)
         self.c_bar = b + self.graph.n - self.graph.nis
         self.psi = thr
         self.phase_len = max(1, math.ceil(self.eps_prime * self.psi / 4.0))

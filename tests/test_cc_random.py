@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dyngraph.cc_random import PhasedCcEstimator, StaticEstimateConfig, static_estimate_nis
+from dyngraph.cc_random import (
+    PhasedCcEstimator,
+    StaticEstimateConfig,
+    _size_class_estimate,
+    static_estimate_nis,
+)
 from dyngraph.graph_core import DynamicGraph, UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 from dyngraph.oracles import fast_component_sizes, fast_ncc
@@ -70,6 +75,104 @@ def test_static_estimate_error_bound_on_disjoint_edges():
         if abs(b - n / 2) <= 0.1 * n:
             hits += 1
     assert hits >= 0.9 * trials
+
+
+def paths(n, lengths):
+    """A graph on n vertices made of vertex-disjoint paths with these vertex counts."""
+    g = DynamicGraph(n)
+    start = 0
+    for k in lengths:
+        for u in range(start, start + k - 1):
+            g.insert_edge(u, u + 1)
+        start += k
+    return g
+
+
+class RecordingRng:
+    """Passes draws through to a Generator and keeps every multinomial result."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def multinomial(self, n, pvals):
+        out = self.rng.multinomial(n, pvals)
+        self.draws.append(out)
+        return out
+
+
+def test_size_class_draw_agrees_with_per_sample_route():
+    # cap 8: classes 2, 3, 5 and 8 below it, 12 and 20 above it
+    cfg = StaticEstimateConfig.from_error(0.25, 0.1)
+    assert cfg.cap == 8
+    g = paths(80, [2, 2, 3, 5, 8, 12, 20])
+    s = sampler_for(g)
+    nis = g.nis
+    sizes = fast_component_sizes(*g.edge_view(), g.n)
+    counts = np.bincount(sizes, minlength=cfg.cap + 1)[2 : cfg.cap + 1]
+    shares = np.append(counts, nis - counts.sum()) / nis
+    seeds = range(400)
+    per_sample = np.array([static_estimate_nis(g, s, cfg, np.random.default_rng(t), sizes)
+                           for t in seeds])
+    recorded = [RecordingRng(np.random.default_rng(t)) for t in seeds]
+    by_class = np.array([_size_class_estimate(sizes, nis, cfg, r) for r in recorded])
+
+    truth = 5.0  # the components of at most cap vertices
+    # one estimate's spread: nis * sd(contribution) / sqrt(samples)
+    contribution = np.append(1.0 / np.arange(2, cfg.cap + 1), 0.0)
+    sd = nis * math.sqrt(shares @ contribution**2 - (shares @ contribution) ** 2)
+    sd /= math.sqrt(cfg.samples)
+    for est in (per_sample, by_class):
+        assert abs(est.mean() - truth) < 4 * sd / math.sqrt(len(seeds))
+        assert 0.85 * sd < est.std() < 1.15 * sd
+    draws = np.array([d for r in recorded for d in r.draws])
+    assert draws.shape == (len(seeds), cfg.cap)  # classes 2..cap plus the one above cap
+    assert (draws.sum(axis=1) == cfg.samples).all()
+    total = len(seeds) * cfg.samples
+    share_sd = np.sqrt(shares * (1 - shares) / total)
+    assert (np.abs(draws.sum(axis=0) / total - shares) <= 4 * share_sd).all()
+    assert (draws[:, shares == 0] == 0).all()
+
+
+def test_size_class_draw_single_pair_is_exact():
+    g = paths(4, [2])
+    cfg = StaticEstimateConfig.from_error(0.5, 0.1)
+    sizes = fast_component_sizes(*g.edge_view(), g.n)
+    assert _size_class_estimate(sizes, g.nis, cfg, np.random.default_rng(3)) == 1.0
+
+
+def test_size_class_draw_components_above_cap_give_zero():
+    g = paths(30, [9, 10, 11])
+    cfg = StaticEstimateConfig.from_error(0.25, 0.1)  # cap 8
+    sizes = fast_component_sizes(*g.edge_view(), g.n)
+    assert _size_class_estimate(sizes, g.nis, cfg, np.random.default_rng(0)) == 0.0
+
+
+def test_size_class_draw_with_empty_last_class():
+    # every vertex lies in a component of at most cap; summed left to right the
+    # class shares of these sizes come to 1.0000000000000002
+    lengths = [4, 5, 5, 6, 6, 7, 7, 8]
+    g = paths(48, lengths)
+    cfg = StaticEstimateConfig.from_error(0.25, 0.1)  # cap 8
+    sizes = fast_component_sizes(*g.edge_view(), g.n)
+    rng = RecordingRng(np.random.default_rng(1))
+    b = _size_class_estimate(sizes, g.nis, cfg, rng)
+    (draws,) = rng.draws
+    assert draws[-1] == 0 and draws.sum() == cfg.samples
+    assert b == pytest.approx(len(lengths), rel=0.5)
+
+
+def test_fast_sizes_boundary_on_empty_sampler_draws_nothing():
+    g = paths(6, [2])
+    est = PhasedCcEstimator(g, 0.5, 0.2, seed=3, use_fast_sizes=True)
+    assert est.phase_len == 1
+    before = (est.samples, est.rng.bit_generator.state)
+    assert est.on_update(UpdateOp("d", 0, 1))  # the boundary sees nis 0
+    assert (est.samples, est.rng.bit_generator.state) == before
+    assert est.estimate() == 6.0
+    assert est.on_update(UpdateOp("i", 2, 3))  # a non-empty boundary draws cfg.samples
+    assert est.samples == est.cfg.samples
+    assert est.estimate() == 5.0
 
 
 def test_preprocess_empty_graph():
@@ -194,7 +297,8 @@ def test_duplicate_insert_and_absent_delete_are_noops():
     assert sampler_values(est.sampler) == [g.degree(x) for x in range(g.n)]
 
 
-def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False):
+def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False,
+          use_fast_sizes=False):
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
     edges = []
@@ -202,7 +306,7 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v and g.insert_edge(u, v):
             edges.append((min(u, v), max(u, v)))
-    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 100)
+    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 100, use_fast_sizes=use_fast_sizes)
     viol = checks = 0
     for step in range(steps):
         thr = g.nis
@@ -233,6 +337,15 @@ def test_churn_envelope_mostly_holds():
     viol = checks = 0
     for seed in range(5):
         v, c = churn(seed)
+        viol += v
+        checks += c
+    assert viol <= 0.1 * checks
+
+
+def test_churn_envelope_mostly_holds_with_size_class_draws():
+    viol = checks = 0
+    for seed in range(5):
+        v, c = churn(seed, use_fast_sizes=True)
         viol += v
         checks += c
     assert viol <= 0.1 * checks

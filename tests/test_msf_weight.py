@@ -292,4 +292,4 @@ def test_randomized_from_initial_edges_pinned():
         lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init,
                                             use_fast_sizes=True),
         lambda est: (est.estimate(), [(level.i, level.psi) for level in est.levels]))
-    assert digest == "045ef1333ef4fa282de1e247c4c0bd6acd4719e6a3bc88b7d2b011e098d71b97"
+    assert digest == "8beae71cdf04ba1b7ec5887560d56cf9b43ef4e63c01dfc4cf1c215ad5768113"

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from dyngraph import cli, oracles, streams
+from dyngraph import cc_random, cli, oracles, streams
 from dyngraph.graph_core import UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 
@@ -203,7 +203,7 @@ def test_generators_pinned_digests():
         "4985d2e2742ea0c5dc5e71a3584d6b9298e97ae7630e5bb91d55884084efeeff"
     assert digest(streams.gen_adaptive_script(40, 200, 30, 0.4, 0.2, seed=3,
                                               struct_seed=5)) == \
-        "facd299c554c445f4ce36d396d350eba5c218dacbdc75d7132fb35838608a1d5"
+        "2b4c230835d8248d1845f945629b47e991b4eb480137b491d16f6991305258c6"
 
 
 def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
@@ -243,15 +243,23 @@ def test_cli_msf_duplicate_insert_and_absent_delete_are_noops(tmp_path, algo):
 
 
 def test_cli_msf_rand_work_counts_sampled_vertices(tmp_path, monkeypatch):
+    # a boundary draws its samples as one multinomial over size classes
     drawn = []
-    sample_many = NonZeroSampler.sample_many
+    size_class_estimate = cc_random._size_class_estimate
 
-    def counted(self, rng, k):
-        out = sample_many(self, rng, k)
-        drawn.append(len(out))
-        return out
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(NonZeroSampler, "sample_many", counted)
+        def multinomial(self, n, pvals):
+            out = self.rng.multinomial(n, pvals)
+            drawn.append(int(out.sum()))
+            return out
+
+    def counted(sizes, nis, cfg, rng):
+        return size_class_estimate(sizes, nis, cfg, CountingRng(rng))
+
+    monkeypatch.setattr(cc_random, "_size_class_estimate", counted)
     stream_path = str(tmp_path / "s.txt")
     out_path = str(tmp_path / "out.csv")
     assert _run_cli(["gen", "sliding-window", "--window", "8", "--mode", "msf", "--W", "2",
@@ -261,6 +269,26 @@ def test_cli_msf_rand_work_counts_sampled_vertices(tmp_path, monkeypatch):
     rows = list(csv.DictReader(open(out_path)))
     assert len(rows) == 40 and drawn
     assert sum(int(row["work"]) for row in rows) == sum(drawn)
+
+
+def test_cli_msf_rand_tiny_graph_draws_no_vertex_one_by_one(tmp_path, monkeypatch):
+    # millions of samples per boundary on three vertices: the work column counts them
+    # all, yet no boundary draws them one at a time
+    def refuse(self, rng, k):
+        raise AssertionError("a boundary drew samples one by one")
+
+    monkeypatch.setattr(NonZeroSampler, "sample_many", refuse)
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=2.0 mode=msf\n"
+                           "i 0 1 1.0\ni 1 2 2.0\nd 0 1\ni 0 2 1.5\n")
+    out_path = tmp_path / "out.csv"
+    assert _run_cli(["run", "--algo", "msf-rand", "--stream", str(stream_path),
+                     "--check-every", "1", "--out", str(out_path)]) == 0
+    rows = list(csv.DictReader(open(out_path)))
+    assert [row["work"] for row in rows] == ["2712321", "5123273", "301369", "1205476"]
+    # one component per level: every draw lands in the same size class
+    assert [row["estimate"] for row in rows] == ["1.000000", "3.143589", "2.143589",
+                                                 "3.754099"]
 
 
 def test_cli_run_error_names_the_step(tmp_path, capsys):
@@ -364,8 +392,8 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
      ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
       "--struct-seed", "5"],
      ["--eps", "0.4", "--p", "0.2", "--seed", "5"],
-     "2a471063d26e93dcf7d89931f7856691fa096340bed1ecc95ab06a90d672643d",
-     "6654af93c6e0226a08e03b4aaf2f145618e73cddc4d90878fead447da488b89d"),
+     "b2668f5de0421cd8b550d9ed2ce86e7e9c86f4ed2d06760b9a31e5d0d6c8839a",
+     "22b183f2e0c9a79d835d074bdff716f3d76d45f56d5acfabce412ee0f573d6d0"),
     ("msf-det",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
@@ -374,7 +402,7 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
-     "9248520743aeba5cabaddeb9517891ec4708666f84874ccafff2c69d3289c1a4",
+     "f54a6f6889f40722fc36738eaef1d190d689179b99ebb6165166a6a1df9c1fb1",
      "f82ca1e3b48a3960eba799c35a3364092f0f37214588b0145827ec109b79e109"),
 ], ids=list(cli.ALGOS))
 def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, outputs, work):
