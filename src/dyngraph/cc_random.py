@@ -50,32 +50,24 @@ def static_estimate_nis(
     sampler: NonZeroSampler,
     cfg: StaticEstimateConfig,
     rng: np.random.Generator,
-    component_sizes: np.ndarray | None = None,
 ) -> float:
     """Estimate the number of components spanned by non-isolated vertices.
 
     Draws cfg.samples vertices from the sampler; each contributes the inverse
     of its component size when the capped BFS exhausts the component, else 0.
     With probability >= 1 - cfg.p the result is within cfg.eps * nis of the
-    true count.  ``component_sizes`` short-circuits the per-sample BFS with a
-    precomputed size array; it produces the same value for the same rng state
-    (the sampler draw stream is identical either way).
+    true count.
     """
     nis = sampler.nis
     if nis == 0:
         return 0.0
     cap = cfg.cap
-    if component_sizes is not None:
-        us = sampler.sample_many(rng, cfg.samples)
-        sizes = component_sizes[us]
-        total = float(np.where(sizes <= cap, 1.0 / sizes, 0.0).sum())
-    else:
-        total = 0.0
-        for _ in range(cfg.samples):
-            u = sampler.sample(rng)
-            reached, closed = graph.bfs_limited(u, cap)
-            if closed:
-                total += 1.0 / reached
+    total = 0.0
+    for _ in range(cfg.samples):
+        u = sampler.sample(rng)
+        reached, closed = graph.bfs_limited(u, cap)
+        if closed:
+            total += 1.0 / reached
     return nis * total / cfg.samples
 
 

@@ -12,9 +12,17 @@ full update sequence.
 
 The threshold subgraphs are the only edge store: the top one (l_r = W) holds
 every edge.  They nest, so an update hits one level and every level above
-it.  An update failing ``graph_core.check_edge`` or with a weight outside
-[1, W] raises ``ValueError`` before any change; a duplicate insert or an
-absent delete returns False and changes nothing.
+it.  The deterministic estimator walks the hit levels bottom-up and carries
+what each level's capped BFS found in its graph G_i without (u, v) to the
+levels G_j above it (the four facts of ``cc_exact``): (1) u and v connected
+in G_i are connected in G_j, which then needs no BFS; (2) a component of
+more than k vertices in G_i lies in one in G_j; (3) with both endpoints
+large in G_i, G_j needs no BFS; (4) with one large in G_i, G_j needs one
+BFS, from the other endpoint.
+
+An update failing ``graph_core.check_edge`` or with a weight outside [1, W]
+raises ``ValueError`` before any change; a duplicate insert or an absent
+delete returns False and changes nothing.
 """
 
 from __future__ import annotations
@@ -113,8 +121,12 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     Per level the exact small-component counter runs with error parameter
-    eps/(4W); an update touches every level from the first that admits
-    (insert) or holds (delete) the edge.
+    eps/(4W), so every level has the same k.  An update touches every level
+    from the first that admits (insert) or holds (delete) the edge, bottom
+    up, and hands each level the one below it, whose findings in G_i (facts
+    1-4 above, each read on G_i without (u, v)) spare BFS calls at G_j: no
+    BFS once u and v are connected or both large in G_i, one while exactly
+    one endpoint is large, else at most two.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -126,16 +138,20 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         first = self._admits(u, v, w)
         if first is None:
             return False
+        below = None
         for level in self.levels[first:]:
-            level.on_insert(u, v)
+            level.on_insert(u, v, below=below)
+            below = level
         return True
 
     def delete(self, u: int, v: int) -> bool:
         first = self._holds(u, v)
         if first is None:
             return False
+        below = None
         for level in self.levels[first:]:
-            level.on_delete(u, v)
+            level.on_delete(u, v, below=below)
+            below = level
         return True
 
     def estimate(self) -> float:

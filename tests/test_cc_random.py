@@ -46,21 +46,6 @@ def test_static_estimate_single_pair_is_exact():
     assert b == 1.0  # every sample contributes 1/2, nis = 2
 
 
-def test_static_estimate_fast_path_bit_equal():
-    rng = np.random.default_rng(5)
-    g = DynamicGraph(150)
-    for _ in range(200):
-        u, v = int(rng.integers(0, 150)), int(rng.integers(0, 150))
-        if u != v:
-            g.insert_edge(u, v)
-    s = sampler_for(g)
-    cfg = StaticEstimateConfig.from_error(0.2, 0.1)
-    sizes = fast_component_sizes(*g.edge_view(), g.n)
-    b_scalar = static_estimate_nis(g, s, cfg, np.random.default_rng(42))
-    b_fast = static_estimate_nis(g, s, cfg, np.random.default_rng(42), sizes)
-    assert b_scalar == b_fast
-
-
 def test_static_estimate_error_bound_on_disjoint_edges():
     n = 300
     g = DynamicGraph(n)
@@ -112,7 +97,7 @@ def test_size_class_draw_agrees_with_per_sample_route():
     counts = np.bincount(sizes, minlength=cfg.cap + 1)[2 : cfg.cap + 1]
     shares = np.append(counts, nis - counts.sum()) / nis
     seeds = range(400)
-    per_sample = np.array([static_estimate_nis(g, s, cfg, np.random.default_rng(t), sizes)
+    per_sample = np.array([static_estimate_nis(g, s, cfg, np.random.default_rng(t))
                            for t in seeds])
     recorded = [RecordingRng(np.random.default_rng(t)) for t in seeds]
     by_class = np.array([_size_class_estimate(sizes, nis, cfg, r) for r in recorded])

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dyngraph.msf_weight import (
     RandomizedMsfEstimator,
     combine,
 )
-from dyngraph.oracles import exact_msf_weight, exact_ncc
+from dyngraph.oracles import exact_msf_weight, exact_ncc, fast_nscc
 from dyngraph.streams import gen_sliding_window
 
 
@@ -177,6 +178,101 @@ def test_deterministic_initial_edges_preprocessing():
     assert (1 - 0.25) * m_true <= est.estimate() <= (1 + 0.25) * m_true
 
 
+def _bfs_per_level(est, update):
+    """BFS calls each level ran during ``update()``."""
+    before = [level.bfs_calls for level in est.levels]
+    update()
+    return [level.bfs_calls - b for level, b in zip(est.levels, before)]
+
+
+@pytest.mark.parametrize("n,eps,W,seed", [
+    (30, 0.8, 2.0, 1), (40, 0.5, 3.0, 2), (25, 0.9, 4.0, 3), (60, 0.6, 1.5, 4),
+])
+def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
+    # every level's count against the oracle after every update, and the BFS
+    # calls against the same levels run one by one with the lone-counter rule
+    est = DeterministicMsfEstimator(n, eps, W)
+    ref = DeterministicMsfEstimator(n, eps, W)
+    k = est.levels[0].k
+    rng = np.random.default_rng(seed)
+    edges = {}
+    nested_total = ref_total = 0
+    for _ in range(400):
+        if edges and rng.random() < 0.4:
+            (u, v), w = list(edges.items())[int(rng.integers(0, len(edges)))]
+            del edges[(u, v)]
+            u, v = (u, v) if rng.random() < 0.5 else (v, u)
+            calls = _bfs_per_level(est, lambda: est.delete(u, v))
+            lone = [level.on_delete for level in ref.levels]
+        else:
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+            key = (min(u, v), max(u, v))
+            if u == v or key in edges:
+                continue
+            w = float(rng.choice([1.0, rng.uniform(1.0, W), W]))
+            edges[key] = w
+            calls = _bfs_per_level(est, lambda: est.insert(u, v, w))
+            lone = [level.on_insert for level in ref.levels]
+        first = bisect_left(est.config.thresholds, w)
+        ref_calls = _bfs_per_level(ref, lambda: [op(u, v) for op in lone[first:]])
+        assert calls[:first] == ref_calls[:first] == [0] * first
+        assert all(c <= 2 for c in calls)
+        assert sum(calls) <= sum(ref_calls)
+        nested_total += sum(calls)
+        ref_total += sum(ref_calls)
+        for level, other in zip(est.levels, ref.levels):
+            assert level.estimate() == other.estimate() == \
+                fast_nscc(*level.graph.edge_view(), n, k)
+        assert est.estimate() == ref.estimate()
+    assert nested_total < ref_total
+
+
+def _nested_levels(edges):
+    """eps 0.8, W 2: k = 10 and four levels with thresholds 1, 1.4, 1.4**2, 2."""
+    est = DeterministicMsfEstimator(40, 0.8, 2.0, initial_edges=edges)
+    assert est.levels[0].k == 10
+    assert est.config.thresholds == pytest.approx((1.0, 1.4, 1.96, 2.0))
+    return est
+
+
+def _path(first, count, w):
+    return [(x, x + 1, w) for x in range(first, first + count - 1)]
+
+
+def _check_counts(est):
+    for level in est.levels:
+        assert level.estimate() == fast_nscc(*level.graph.edge_view(), 40, level.k)
+
+
+def test_deterministic_connected_at_first_level_takes_one_bfs():
+    est = _nested_levels([(0, 2, 1.0), (2, 1, 1.0)])
+    assert _bfs_per_level(est, lambda: est.insert(0, 1, 1.0)) == [1, 0, 0, 0]
+    assert _bfs_per_level(est, lambda: est.delete(1, 0)) == [1, 0, 0, 0]
+    _check_counts(est)
+
+
+def test_deterministic_both_large_at_first_level_takes_two_bfs():
+    est = _nested_levels(_path(0, 11, 1.0) + _path(11, 11, 1.0))
+    before = [level.estimate() for level in est.levels]
+    assert _bfs_per_level(est, lambda: est.insert(5, 16, 1.0)) == [2, 0, 0, 0]
+    assert [level.estimate() for level in est.levels] == before
+    assert _bfs_per_level(est, lambda: est.delete(16, 5)) == [2, 0, 0, 0]
+    _check_counts(est)
+
+
+def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
+    # u = 0 lies in an 11-vertex path at every level; v = 20 is alone at level 0,
+    # in 3 vertices from level 1 and in 12 (large) from level 2 on
+    est = _nested_levels(_path(0, 11, 1.0) + _path(20, 3, 1.4) + _path(22, 10, 1.9))
+    before = [level.estimate() for level in est.levels]
+    assert _bfs_per_level(est, lambda: est.insert(0, 20, 1.0)) == [2, 1, 1, 0]
+    # v's small component joins u's large one at levels 0 and 1 only
+    assert [b - level.estimate() for b, level in zip(before, est.levels)] == [1, 1, 0, 0]
+    assert _bfs_per_level(est, lambda: est.delete(0, 20)) == [2, 1, 1, 0]
+    assert [level.estimate() for level in est.levels] == before
+    _check_counts(est)
+
+
 def test_randomized_light_edges_update_all_levels():
     est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
     counters = [level.i for level in est.levels]
@@ -284,7 +380,7 @@ def test_deterministic_from_initial_edges_pinned():
         "a5ee7532c1425b8344e4c147e0ebc0cb8570d6057d3de94ca5fca1b1270c2313"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "456517a4d19671c367b4030841e0d58ea5679a6d99c5bfa34311d090818c4f80"
+        "fdd67fc3d6bcaa3f61a534b1576f3d4db3dc9d281ff280ab29784d529ffde874"
 
 
 def test_randomized_from_initial_edges_pinned():

@@ -398,7 +398,7 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
      "6a4aef18fd101c999388bcb68fa65855ee993f0d516b8b08bbdc0770b3d96487",
-     "a9ba504903b34a4b1a1ef8b9abb8f2cb4066376877fbe71fea6304876d27859f"),
+     "ad9322abf162b43838b8af674de198734fcbbcd71fd960177e38c173ca8003a9"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
