@@ -100,9 +100,11 @@ class PhasedCcEstimator:
     eps' * Thr of the truth with probability 1 - p per phase and is frozen
     between boundaries, so queries leak no randomness mid-phase and an
     adaptive adversary gains nothing.  A boundary draws cfg.samples vertices
-    of the graph's nis: with ``use_fast_sizes`` it labels the components once
-    and draws how many samples land in each size class, in one multinomial
-    draw; otherwise it sizes each sample with a capped BFS.  ``samples``
+    of the graph's nis: with ``use_fast_sizes`` it labels the components once,
+    on the nis non-isolated vertices only (each edge endpoint renamed to its
+    sampler slot, so O(nis + m) rather than O(n + m)), and draws how many
+    samples land in each size class, in one multinomial draw; otherwise it
+    sizes each sample with a capped BFS.  ``samples``
     counts every vertex drawn at a boundary since construction.
     """
 
@@ -183,7 +185,8 @@ class PhasedCcEstimator:
             self.samples += self.cfg.samples
             if self.use_fast_sizes:
                 eu, ev = self.graph.edge_view()
-                sizes = fast_component_sizes(eu, ev, self.graph.n)
+                slots = self.sampler.slots
+                sizes = fast_component_sizes(slots(eu), slots(ev), nis)
                 b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
             else:
                 b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng)

@@ -80,6 +80,16 @@ class NonZeroSampler:
         js = rng.integers(0, self.nis, size=count)
         return self._elems[js]
 
+    def slots(self, elems: np.ndarray) -> np.ndarray:
+        """Slot of each given element in the dense prefix, all in 0..nis-1.
+
+        Raises ValueError if any of them has value zero (it has no slot).
+        """
+        slots = self._pos[elems]
+        if len(slots) and slots.min() < 0:
+            raise ValueError("element with value zero has no slot")
+        return slots
+
     def nonzero_elements(self) -> np.ndarray:
         """Snapshot of the current non-zero elements (unordered contract)."""
         return self._elems[: self.nis].copy()

@@ -4,14 +4,14 @@ Everything here recomputes from scratch on plain edge lists and is kept
 independent of the maintained structures.  ``exact_ncc`` has two routes
 (union-find and BFS) so the oracles can cross-check each other, and the
 ``fast_*`` helpers are vectorized equivalents used inside long per-step
-verification loops; they are asserted against the pure routes in the tests.
+verification loops and at ``cc_random`` phase boundaries: component labels
+from a numpy hook-and-jump kernel, the MSF weight from scipy's MST.  They are
+asserted against the pure routes in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 Edge = tuple[int, int]
 WeightedEdge = tuple[int, int, float]
@@ -130,41 +130,62 @@ def is_proper_coloring(edges: list[Edge], colors, delta: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Vectorized fast paths (per-step verification loops).  Same mathematical
-# functions as above, computed by scipy.sparse.csgraph; cross-validated
-# against the pure routes in tests/test_oracles.py.
+# functions as above, computed with numpy (the MST with scipy.sparse.csgraph);
+# cross-validated against the pure routes in tests/test_oracles.py.
 
 
 def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
-    if len(eu) == 0:
-        return np.arange(n)
-    g = coo_matrix((np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(n, n))
-    _, labels = connected_components(g, directed=False)
-    return labels
+    """Per-vertex component label: the smallest vertex of the component.
+
+    Hook-and-jump (the Shiloach-Vishkin pattern): ``parent`` starts as the
+    identity and every round (1) keeps the edges whose endpoints have
+    different roots, (2) hooks the larger root of each onto the smaller one
+    and (3) pointer-jumps until every vertex points at its root.  A vertex
+    only ever points at a smaller vertex of its component, so the smallest
+    one stays a root and ends as the label.  Each round removes at least one
+    root from every component that still has two, so the loop ends.  Observed
+    hooking rounds: at most 11 on random-order paths up to n = 10^5 (seeds
+    0-4), 2 on zigzag paths (0, n-1, 1, n-2, ...).  The edge arrays are only
+    read.
+    """
+    parent = np.arange(n)
+    ra, rb = eu, ev
+    while True:
+        live = ra != rb
+        if not live.any():
+            return parent
+        eu, ev, ra, rb = eu[live], ev[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        ra, rb = parent[eu], parent[ev]
 
 
 def fast_component_sizes(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
     """Per-vertex size of the containing component."""
     labels = fast_component_labels(eu, ev, n)
-    counts = np.bincount(labels)
-    return counts[labels]
+    return np.bincount(labels)[labels]
 
 
 def fast_ncc(eu: np.ndarray, ev: np.ndarray, n: int) -> int:
-    if len(eu) == 0:
-        return n
-    g = coo_matrix((np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(n, n))
-    ncomp, _ = connected_components(g, directed=False)
-    return int(ncomp)
+    labels = fast_component_labels(eu, ev, n)
+    return int(np.count_nonzero(labels == np.arange(n)))
 
 
 def fast_nscc(eu: np.ndarray, ev: np.ndarray, n: int, k: int) -> int:
     labels = fast_component_labels(eu, ev, n)
-    counts = np.bincount(labels)
-    return int((counts <= k).sum())
+    counts = np.bincount(labels, minlength=n)
+    return int(np.count_nonzero(counts[labels == np.arange(n)] <= k))
 
 
 def fast_msf_weight(eu: np.ndarray, ev: np.ndarray, w: np.ndarray, n: int) -> float:
     if len(eu) == 0:
         return 0.0
+    from scipy.sparse import coo_matrix  # scipy serves only this oracle
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     g = coo_matrix((w, (eu, ev)), shape=(n, n))
     return float(minimum_spanning_tree(g).sum())

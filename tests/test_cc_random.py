@@ -160,6 +160,54 @@ def test_fast_sizes_boundary_on_empty_sampler_draws_nothing():
     assert est.estimate() == 5.0
 
 
+def test_sampler_slots_send_every_edge_endpoint_below_nis():
+    rng = np.random.default_rng(12)
+    n = 120
+    g = DynamicGraph(n)
+    est = PhasedCcEstimator(g, 0.3, 0.1, seed=4, use_fast_sizes=True)
+    for _ in range(1500):
+        if g.m > 40 and rng.random() < 0.5:
+            i = int(rng.integers(0, g.m))
+            u, v = (int(x[i]) for x in g.edge_view())
+        else:
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            est.on_update(UpdateOp("d" if g.has_edge(u, v) else "i", u, v))
+        eu, ev = g.edge_view()
+        for ends in (eu, ev):
+            slots = est.sampler.slots(ends)
+            assert ((0 <= slots) & (slots < g.nis)).all()
+            assert np.array_equal(est.sampler.nonzero_elements()[slots], ends)
+    assert 0 < g.nis < n
+
+
+def test_boundary_on_non_isolated_vertices_matches_labelling_all_n():
+    # 300 vertices, components on a scattered tenth of them, the rest isolated
+    rng = np.random.default_rng(2)
+    used = rng.permutation(300)[:40]
+    g = DynamicGraph(300)
+    for a, b in zip(used[:-1], used[1:]):
+        if rng.random() < 0.7:
+            g.insert_edge(int(a), int(b))
+    est = PhasedCcEstimator(g, 0.1, 0.1, seed=9, use_fast_sizes=True)
+    assert est.phase_len == 1 and est.cfg.cap == 80
+    u, v = int(used[0]), int(used[-1])
+    rng_all_n = np.random.default_rng(0)
+    rng_all_n.bit_generator.state = est.rng.bit_generator.state
+    assert est.on_update(UpdateOp("d" if g.has_edge(u, v) else "i", u, v))
+
+    eu, ev = g.edge_view()
+    slots = est.sampler.slots
+    compact = fast_component_sizes(slots(eu), slots(ev), g.nis)
+    full = fast_component_sizes(eu, ev, g.n)
+    cap = est.cfg.cap
+    classes = [np.bincount(x, minlength=cap + 1)[2 : cap + 1] for x in (compact, full)]
+    assert np.array_equal(*classes) and classes[0].sum() == g.nis
+    b = _size_class_estimate(full, g.nis, est.cfg, rng_all_n)
+    assert est.estimate() == b + g.n - g.nis
+    assert est.rng.bit_generator.state == rng_all_n.bit_generator.state
+
+
 def test_preprocess_empty_graph():
     g = DynamicGraph(12)
     est = PhasedCcEstimator(g, 0.5, 0.1, seed=0)

@@ -95,6 +95,19 @@ def test_sample_many_empty_support_rejected():
         s.sample_many(np.random.default_rng(0), 4)
 
 
+def test_slots_map_nonzero_elements_and_reject_zero_ones():
+    s = NonZeroSampler(10)
+    for u in (7, 2, 9):
+        s.update(u, 1)
+    s.update(7, -1)  # 9 moves into 7's slot
+    slots = s.slots(np.array([2, 9, 9, 2]))
+    assert slots.tolist() == [1, 0, 0, 1]
+    assert s.nonzero_elements()[slots].tolist() == [2, 9, 9, 2]
+    assert s.slots(np.array([], dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError):
+        s.slots(np.array([2, 7]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=60))
 def test_invariant_under_arbitrary_updates(ops):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dyngraph import oracles
+from dyngraph.graph_core import DynamicGraph
 
 
 def random_weighted_graph(rng, n, m, W, integer=True):
@@ -18,6 +19,30 @@ def random_weighted_graph(rng, n, m, W, integer=True):
         else:
             edges[key] = 1.0 + float(rng.random()) * (W - 1)
     return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def bfs_components(edges, n):
+    """Every component's vertex set, by BFS over adjacency sets."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    comps = []
+    seen = set()
+    for s in range(n):
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def test_ncc_trivial_cases():
@@ -47,25 +72,7 @@ def test_nscc_matches_component_enumeration():
     for _ in range(40):
         n = int(rng.integers(1, 30))
         edges = [(u, v) for u, v, _ in random_weighted_graph(rng, n, 25, 1)]
-        adj = {v: set() for v in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        sizes = []
-        seen = set()
-        for s in range(n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for w in adj[x]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            sizes.append(len(comp))
+        sizes = [len(comp) for comp in bfs_components(edges, n)]
         for k in (1, 2, 3, 5):
             assert oracles.exact_nscc(edges, n, k) == sum(1 for x in sizes if x <= k)
 
@@ -129,18 +136,70 @@ def test_fast_paths_agree_with_pure_routes():
             oracles.exact_msf_weight(wedges, n), abs=1e-9
         )
         sizes = oracles.fast_component_sizes(eu, ev, n)
-        adj = {v: set() for v in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        for s in range(n):
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            assert sizes[s] == len(comp)
+        for comp in bfs_components(edges, n):
+            assert all(sizes[x] == len(comp) for x in comp)
 
+
+
+def path_edges(order):
+    return list(zip(order[:-1], order[1:]))
+
+
+def kernel_shapes():
+    """(edges, n) graphs that stress hook-and-jump in different ways."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    zigzag = [x for i in range(n // 2) for x in (i, n - 1 - i)]  # 0, n-1, 1, n-2, ...
+    tree = [(int(rng.integers(0, v)), v) for v in range(1, 300)]
+    binary, free = [], [0, 0]  # free: one entry per open child slot
+    for v in range(1, 255):
+        binary.append((free.pop(int(rng.integers(0, len(free)))), v))
+        free += [v, v]
+    relabel = rng.permutation(255)
+    cliques = [(a + 40 * c, b + 40 * c) for c in range(5)
+               for a, b in itertools.combinations(range(0, 40, 3), 2)]
+    shapes = {
+        "random-order path": (path_edges(rng.permutation(n).tolist()), n),
+        "zigzag path": (path_edges(zigzag), n),
+        "star, centre largest": ([(leaf, 99) for leaf in range(99)], 100),
+        "random tree": (tree, 300),
+        "random binary tree": ([(int(relabel[a]), int(relabel[b])) for a, b in binary], 255),
+        "disjoint cliques, isolated vertices": (cliques, 200),
+        "one vertex": ([], 1),
+        "no vertices": ([], 0),
+        "no edges": ([], 17),
+    }
+    return [pytest.param(edges, n, id=name) for name, (edges, n) in shapes.items()]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("edges, n", kernel_shapes())
+def test_component_labels_kernel_on_shapes(edges, n, dtype):
+    eu = np.array([e[0] for e in edges], dtype=dtype)
+    ev = np.array([e[1] for e in edges], dtype=dtype)
+    labels = oracles.fast_component_labels(eu, ev, n)
+    sizes = oracles.fast_component_sizes(eu, ev, n)
+    assert len(labels) == len(sizes) == n
+    comps = bfs_components(edges, n)
+    for comp in comps:
+        assert {int(labels[x]) for x in comp} == {min(comp)}  # the component's minimum
+        assert all(sizes[x] == len(comp) for x in comp)
+    assert oracles.fast_ncc(eu, ev, n) == len(comps) == oracles.exact_ncc(edges, n)
+    for k in (1, 2, 7, 40, n):
+        assert oracles.fast_nscc(eu, ev, n, k) == oracles.exact_nscc(edges, n, k)
+
+
+def test_component_labels_leave_live_edge_view_unchanged():
+    g = DynamicGraph(500)
+    rng = np.random.default_rng(8)
+    while g.m < 400:
+        u, v = rng.integers(0, 500, 2)
+        if u != v:
+            g.insert_edge(int(u), int(v))
+    eu, ev = g.edge_view()
+    before = eu.copy(), ev.copy()
+    oracles.fast_component_labels(eu, ev, g.n)
+    oracles.fast_component_sizes(eu, ev, g.n)
+    oracles.fast_nscc(eu, ev, g.n, 3)
+    assert np.array_equal(eu, before[0]) and np.array_equal(ev, before[1])
+    assert [tuple(e) for e in zip(*g.edge_view())] == list(zip(*before))
