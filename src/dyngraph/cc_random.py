@@ -100,12 +100,12 @@ class PhasedCcEstimator:
     eps' * Thr of the truth with probability 1 - p per phase and is frozen
     between boundaries, so queries leak no randomness mid-phase and an
     adaptive adversary gains nothing.  A boundary draws cfg.samples vertices
-    of the graph's nis: with ``use_fast_sizes`` it labels the components once,
-    on the nis non-isolated vertices only (each edge endpoint renamed to its
-    sampler slot, so O(nis + m) rather than O(n + m)), and draws how many
-    samples land in each size class, in one multinomial draw; otherwise it
-    sizes each sample with a capped BFS.  ``samples``
-    counts every vertex drawn at a boundary since construction.
+    of the graph's nis: it numbers the non-isolated vertices 0..nis-1 from the
+    edge view, labels their components once (O(n) for the numbering, O(nis +
+    m) for the labelling), and draws how many samples land in each size
+    class, in one multinomial draw.  Everything is read from ``graph``; no
+    second copy of its degrees is kept.  ``samples`` counts every vertex drawn
+    at a boundary since construction.
     """
 
     def __init__(
@@ -114,7 +114,6 @@ class PhasedCcEstimator:
         eps_prime: float,
         p: float,
         seed: int | np.random.Generator | None = None,
-        use_fast_sizes: bool = False,
         enclosing: DynamicGraph | None = None,
     ):
         if not 0 < eps_prime <= 1:
@@ -127,7 +126,6 @@ class PhasedCcEstimator:
         self.eps_prime = eps_prime
         self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p)
         self.rng = np.random.default_rng(seed)  # a Generator passes through as is
-        self.use_fast_sizes = use_fast_sizes
 
         self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
         self.psi = enclosing.nis
@@ -135,11 +133,6 @@ class PhasedCcEstimator:
         self.samples = 0
         self.phase_len = max(1, math.ceil(eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len
-
-        self.sampler = NonZeroSampler(graph.n)
-        for v, nbrs in enumerate(graph.adj):
-            if nbrs:
-                self.sampler.update(v, len(nbrs))
 
     def estimate(self) -> float:
         return self.c_bar
@@ -157,9 +150,6 @@ class PhasedCcEstimator:
         insert = op.kind == "i"
         if not (g.insert_edge(op.u, op.v) if insert else g.delete_edge(op.u, op.v)):
             return False
-        delta = 1 if insert else -1
-        self.sampler.update(op.u, delta)
-        self.sampler.update(op.v, delta)
         self._advance(thr)
         return True
 
@@ -180,17 +170,18 @@ class PhasedCcEstimator:
         if self._until_boundary > 0:
             return
         b = 0.0
-        nis = self.sampler.nis
-        if nis > 0:  # an empty sampler draws nothing
+        g = self.graph
+        nis = g.nis
+        if nis > 0:  # a graph without edges draws nothing
             self.samples += self.cfg.samples
-            if self.use_fast_sizes:
-                eu, ev = self.graph.edge_view()
-                slots = self.sampler.slots
-                sizes = fast_component_sizes(slots(eu), slots(ev), nis)
-                b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
-            else:
-                b = static_estimate_nis(self.graph, self.sampler, self.cfg, self.rng)
-        self.c_bar = b + self.graph.n - self.graph.nis
+            eu, ev = g.edge_view()
+            slot = np.zeros(g.n, dtype=np.int64)
+            slot[eu] = 1
+            slot[ev] = 1
+            slot = np.cumsum(slot) - 1  # non-isolated vertices -> 0..nis-1
+            sizes = fast_component_sizes(slot[eu], slot[ev], nis)
+            b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
+        self.c_bar = b + g.n - nis
         self.psi = thr
         self.phase_len = max(1, math.ceil(self.eps_prime * self.psi / 4.0))
         self._until_boundary = self.phase_len

@@ -81,17 +81,15 @@ class _Replay:
         if algo == "coloring":
             if h.mode != "coloring" or h.delta < 1:
                 raise ValueError("coloring run needs a coloring-mode stream with delta>=1")
-            self.struct = Coloring(h.n, h.delta, seed=seed, strict=True)
+            self.struct = Coloring(h.n, h.delta, seed=seed)
         elif algo == "cc-exact":
             self.struct = SmallCcCounter(DynamicGraph(h.n), eps)
         elif algo == "cc-random":
-            self.struct = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed,
-                                            use_fast_sizes=True)
+            self.struct = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed)
         elif algo == "msf-det":
             self.struct = DeterministicMsfEstimator(h.n, eps, h.W)
         elif algo == "msf-rand":
-            self.struct = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed,
-                                                 use_fast_sizes=True)
+            self.struct = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed)
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
 

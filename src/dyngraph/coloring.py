@@ -49,9 +49,10 @@ class Coloring:
     directly with ``insert``/``delete`` and not attached to a DynamicGraph.
     The per-vertex list of colors unused on the H side is only materialized
     once a vertex's degree first reaches ceil(delta/2), keeping
-    initialization O(n).  ``strict`` enables the sample-set size check on
-    every color draw.  ``colors`` is a numpy snapshot of the current colors,
-    built on each access; ``color_of`` reads one vertex without a copy.
+    initialization O(n).  Every color draw checks that its sample set is
+    large enough and raises ``InvariantError`` if not; ``strict`` accepts
+    only True.  ``colors`` is a numpy snapshot of the current colors, built
+    on each access; ``color_of`` reads one vertex without a copy.
     """
 
     def __init__(
@@ -65,10 +66,11 @@ class Coloring:
             raise ValueError("need 1 <= n < 2**32")
         if delta < 1:
             raise ValueError("delta must be >= 1")
+        if not strict:  # the keyword stays while perfbench/workloads.py passes it
+            raise ValueError("strict=False: the sample-set size check always runs")
         self.n = n
         self.delta = delta
         self.palette = delta + 1
-        self.strict = strict
         self.rng = np.random.default_rng(seed)
 
         r64 = self.rng.integers(0, 2**64, size=n, dtype=np.uint64)
@@ -167,7 +169,7 @@ class Coloring:
         if self.max_degree() > new_delta:
             raise DeltaBoundError("current max degree exceeds new_delta")
         child_seed = int(self.rng.integers(0, 2**63))
-        fresh = Coloring(self.n, new_delta, seed=child_seed, strict=self.strict)
+        fresh = Coloring(self.n, new_delta, seed=child_seed)
         for a, b in edges:
             fresh.insert(a, b)
         return fresh
@@ -327,8 +329,6 @@ class Coloring:
                 cnt[c] = 0
 
     def _check_sample_size(self, s: int, len_l: int, low_degree: bool) -> None:
-        if not self.strict:
-            return
         if low_degree:
             if 2 * s < self.delta + 2:
                 raise InvariantError(

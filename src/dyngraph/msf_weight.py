@@ -165,17 +165,24 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
     probability p_prime/(r+1) on its own threshold graph, all drawing from
     one generator.  Every level reads Thr from the top level's graph, which
     ``_route`` updates last, so each sees the full graph's nis before the update.
+    A level boundary draws per component-size class from its own graph (see
+    ``PhasedCcEstimator``); ``use_fast_sizes`` accepts only True, the route
+    every boundary takes.
     """
 
     def __init__(self, n: int, eps: float, W: float, p_prime: float,
                  seed: int | None = None,
                  initial_edges: list[WeightedEdge] | None = None,
-                 use_fast_sizes: bool = False):
+                 use_fast_sizes: bool = True):
+        # the keyword stays while perfbench/workloads.py passes it, and goes
+        # with the next change to the benchmark
+        if not use_fast_sizes:
+            raise ValueError("use_fast_sizes=False: the per-sample boundary route was removed")
         super().__init__(n, eps, W, initial_edges)
         rng = np.random.default_rng(seed)
         self.levels = [
             PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs), seed=rng,
-                              use_fast_sizes=use_fast_sizes, enclosing=self._full)
+                              enclosing=self._full)
             for g in self._graphs
         ]
 

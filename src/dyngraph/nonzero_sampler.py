@@ -5,6 +5,8 @@ A dense prefix of array ``A`` stores the non-zero elements and a position
 index ``P`` maps each element to its slot, so value updates and uniform
 samples over the non-zero support are a constant number of array touches.
 This trades O(n) space for constant time, unlike polylog-space sketches.
+It supplies the uniform draws of ``cc_random.static_estimate_nis``; the
+phased estimator reads its graph directly and keeps no sampler.
 """
 
 from __future__ import annotations
@@ -79,16 +81,6 @@ class NonZeroSampler:
             raise ValueError("cannot sample from empty support")
         js = rng.integers(0, self.nis, size=count)
         return self._elems[js]
-
-    def slots(self, elems: np.ndarray) -> np.ndarray:
-        """Slot of each given element in the dense prefix, all in 0..nis-1.
-
-        Raises ValueError if any of them has value zero (it has no slot).
-        """
-        slots = self._pos[elems]
-        if len(slots) and slots.min() < 0:
-            raise ValueError("element with value zero has no slot")
-        return slots
 
     def nonzero_elements(self) -> np.ndarray:
         """Snapshot of the current non-zero elements (unordered contract)."""

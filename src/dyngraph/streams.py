@@ -320,9 +320,9 @@ def adaptive_adversary_step(
     """
     n = graph.n
     eu, ev = graph.edge_view()
-    truth = fast_ncc(eu, ev, n)
+    labels = fast_component_labels(eu, ev, n)
+    truth = int(np.count_nonzero(labels == np.arange(n)))  # each root labels itself
     if estimate >= truth:
-        labels = fast_component_labels(eu, ev, n)
         for _ in range(32):
             u = int(rng.integers(0, n))
             v = int(rng.integers(0, n))
@@ -363,8 +363,7 @@ def gen_adaptive_script(
     """
     rng = np.random.default_rng(seed)
     # the estimator runs from the empty graph, exactly as a replay will
-    est = PhasedCcEstimator(DynamicGraph(n), eps_prime, p, seed=struct_seed,
-                            use_fast_sizes=True)
+    est = PhasedCcEstimator(DynamicGraph(n), eps_prime, p, seed=struct_seed)
     ops: list[UpdateOp] = []
     warm = gen_random_churn(n, target_m, target_m, mode="cc", seed=seed)
     for op in warm.ops:

@@ -326,7 +326,7 @@ def _phased_run(seed: int, adaptive: bool, n=2000, m0=1500, steps=2000,
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
             g.insert_edge(u, v)
-    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 5000, use_fast_sizes=True)
+    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 5000)
     viol = checks = 0
     for step in range(steps):
         thr = g.nis
@@ -387,8 +387,7 @@ def test_criterion_10_randomized_msf():
                 edges[key] = float(rng.integers(1, W + 1))
                 keys.append(key)
         init = [(u, v, w) for (u, v), w in edges.items()]
-        est = RandomizedMsfEstimator(n, eps, W, pp, seed=seed, initial_edges=init,
-                                     use_fast_sizes=True)
+        est = RandomizedMsfEstimator(n, eps, W, pp, seed=seed, initial_edges=init)
         for step in range(steps):
             if rng.random() < 0.5 and keys:
                 i = int(rng.integers(0, len(keys)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dyngraph import cc_random
 from dyngraph.cc_random import (
     PhasedCcEstimator,
     StaticEstimateConfig,
@@ -149,7 +150,7 @@ def test_size_class_draw_with_empty_last_class():
 
 def test_fast_sizes_boundary_on_empty_sampler_draws_nothing():
     g = paths(6, [2])
-    est = PhasedCcEstimator(g, 0.5, 0.2, seed=3, use_fast_sizes=True)
+    est = PhasedCcEstimator(g, 0.5, 0.2, seed=3)
     assert est.phase_len == 1
     before = (est.samples, est.rng.bit_generator.state)
     assert est.on_update(UpdateOp("d", 0, 1))  # the boundary sees nis 0
@@ -160,28 +161,7 @@ def test_fast_sizes_boundary_on_empty_sampler_draws_nothing():
     assert est.estimate() == 5.0
 
 
-def test_sampler_slots_send_every_edge_endpoint_below_nis():
-    rng = np.random.default_rng(12)
-    n = 120
-    g = DynamicGraph(n)
-    est = PhasedCcEstimator(g, 0.3, 0.1, seed=4, use_fast_sizes=True)
-    for _ in range(1500):
-        if g.m > 40 and rng.random() < 0.5:
-            i = int(rng.integers(0, g.m))
-            u, v = (int(x[i]) for x in g.edge_view())
-        else:
-            u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u != v:
-            est.on_update(UpdateOp("d" if g.has_edge(u, v) else "i", u, v))
-        eu, ev = g.edge_view()
-        for ends in (eu, ev):
-            slots = est.sampler.slots(ends)
-            assert ((0 <= slots) & (slots < g.nis)).all()
-            assert np.array_equal(est.sampler.nonzero_elements()[slots], ends)
-    assert 0 < g.nis < n
-
-
-def test_boundary_on_non_isolated_vertices_matches_labelling_all_n():
+def test_boundary_on_non_isolated_vertices_matches_labelling_all_n(monkeypatch):
     # 300 vertices, components on a scattered tenth of them, the rest isolated
     rng = np.random.default_rng(2)
     used = rng.permutation(300)[:40]
@@ -189,17 +169,23 @@ def test_boundary_on_non_isolated_vertices_matches_labelling_all_n():
     for a, b in zip(used[:-1], used[1:]):
         if rng.random() < 0.7:
             g.insert_edge(int(a), int(b))
-    est = PhasedCcEstimator(g, 0.1, 0.1, seed=9, use_fast_sizes=True)
+    est = PhasedCcEstimator(g, 0.1, 0.1, seed=9)
     assert est.phase_len == 1 and est.cfg.cap == 80
     u, v = int(used[0]), int(used[-1])
     rng_all_n = np.random.default_rng(0)
     rng_all_n.bit_generator.state = est.rng.bit_generator.state
+    sizes_seen = []
+
+    def recording_sizes(eu, ev, n):
+        sizes_seen.append(fast_component_sizes(eu, ev, n))
+        return sizes_seen[-1]
+
+    monkeypatch.setattr(cc_random, "fast_component_sizes", recording_sizes)
     assert est.on_update(UpdateOp("d" if g.has_edge(u, v) else "i", u, v))
 
-    eu, ev = g.edge_view()
-    slots = est.sampler.slots
-    compact = fast_component_sizes(slots(eu), slots(ev), g.nis)
-    full = fast_component_sizes(eu, ev, g.n)
+    (compact,) = sizes_seen  # the boundary labelled the nis non-isolated vertices only
+    assert len(compact) == g.nis <= len(used)
+    full = fast_component_sizes(*g.edge_view(), g.n)
     cap = est.cfg.cap
     classes = [np.bincount(x, minlength=cap + 1)[2 : cap + 1] for x in (compact, full)]
     assert np.array_equal(*classes) and classes[0].sum() == g.nis
@@ -290,48 +276,21 @@ def test_thr_contract_violations_raise():
         est.on_update(UpdateOp("q"))
 
 
-def test_sampler_desync_detected():
-    g = DynamicGraph(6)
-    est = PhasedCcEstimator(g, 0.5, 0.1, seed=7)
-    assert g.insert_edge(0, 1)  # edited behind the estimator's back
-    with pytest.raises(ValueError):
-        # the sampler never counted (0, 1), so its degrees would go negative
-        est.on_update(UpdateOp("d", 0, 1))
-
-
-def test_unapplied_op_raises_at_that_op():
-    g = DynamicGraph(5)
-    est = PhasedCcEstimator(g, 0.5, 0.1, seed=8)
-    for u, v in [(0, 1), (1, 2)]:
-        assert est.on_update(UpdateOp("i", u, v))
-    assert g.insert_edge(2, 3)  # an op the estimator never applied
-    assert est.on_update(UpdateOp("i", 0, 4))  # ops away from (2, 3) still go through
-    assert est.on_update(UpdateOp("d", 0, 1))
-    with pytest.raises(ValueError, match=r"element 3\b"):
-        est.on_update(UpdateOp("d", 2, 3))
-
-
-def sampler_values(s):
-    return [s.update(x, 0) for x in range(s.n)]  # a zero delta only reads
-
-
 def test_duplicate_insert_and_absent_delete_are_noops():
     g = DynamicGraph(4)
     est = PhasedCcEstimator(g, 0.5, 0.1, seed=8)
     for u, v in [(0, 1), (1, 2)]:
         assert est.on_update(UpdateOp("i", u, v))
-    before = (g.m, est.sampler.nis, sampler_values(est.sampler), est.i, est.estimate())
+    before = (g.edges(), g.nis, est.i, est.estimate())
     assert not est.on_update(UpdateOp("i", 0, 1))  # duplicate
     assert not est.on_update(UpdateOp("i", 1, 0))  # duplicate, reversed
     assert not est.on_update(UpdateOp("d", 2, 3))  # absent
-    assert (g.m, est.sampler.nis, sampler_values(est.sampler), est.i, est.estimate()) == before
-    # the sampler still matches the degrees, so a valid delete goes through
-    assert est.on_update(UpdateOp("d", 0, 1))
-    assert sampler_values(est.sampler) == [g.degree(x) for x in range(g.n)]
+    assert (g.edges(), g.nis, est.i, est.estimate()) == before
+    assert est.on_update(UpdateOp("d", 0, 1))  # a valid delete still goes through
+    assert (g.m, est.i) == (1, before[2] + 1)
 
 
-def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False,
-          use_fast_sizes=False):
+def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False):
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
     edges = []
@@ -339,7 +298,7 @@ def churn(seed, n=150, m0=120, steps=600, eps_p=0.3, p=0.1, use_ticks=False,
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v and g.insert_edge(u, v):
             edges.append((min(u, v), max(u, v)))
-    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 100, use_fast_sizes=use_fast_sizes)
+    est = PhasedCcEstimator(g, eps_p, p, seed=seed + 100)
     viol = checks = 0
     for step in range(steps):
         thr = g.nis
@@ -370,15 +329,6 @@ def test_churn_envelope_mostly_holds():
     viol = checks = 0
     for seed in range(5):
         v, c = churn(seed)
-        viol += v
-        checks += c
-    assert viol <= 0.1 * checks
-
-
-def test_churn_envelope_mostly_holds_with_size_class_draws():
-    viol = checks = 0
-    for seed in range(5):
-        v, c = churn(seed, use_fast_sizes=True)
         viol += v
         checks += c
     assert viol <= 0.1 * checks

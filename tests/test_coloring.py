@@ -65,6 +65,14 @@ def test_constructor_validation():
         Coloring(5, 0)
 
 
+def test_sample_size_check_cannot_be_switched_off():
+    with pytest.raises(ValueError, match="strict=False"):
+        Coloring(4, 3, strict=False)
+    c = Coloring(4, 3, strict=True)
+    with pytest.raises(InvariantError):  # the check runs on every instance
+        c._check_sample_size(1, 0, True)
+
+
 # -- insert / delete ----------------------------------------------------------
 
 
@@ -249,7 +257,7 @@ def test_exhaustive_micro_all_rank_orders_and_colorings():
     script = edges + [(0, 1), (1, 2)]  # deletions below re-add conflicts
     for perm in itertools.permutations(range(4)):
         for cols in itertools.product(range(1, 5), repeat=4):
-            c = Coloring(4, 3, seed=11, strict=True)
+            c = Coloring(4, 3, seed=11)
             force_ranks(c, list(perm))
             force_colors(c, list(cols))
             for u, v in edges:
@@ -270,7 +278,7 @@ def test_five_vertex_rank_permutations_sampled_colorings():
     for perm in itertools.permutations(range(5)):
         for _ in range(3):
             cols = rng.integers(1, 6, size=5).tolist()
-            c = Coloring(5, 4, seed=13, strict=True)
+            c = Coloring(5, 4, seed=13)
             force_ranks(c, list(perm))
             force_colors(c, cols)
             for u, v in edges:
@@ -303,7 +311,7 @@ def test_mixed_fuzz_books_match_recount():
 
 def test_dense_fuzz_produces_cascades_and_stays_proper():
     n, delta = 120, 10
-    c = Coloring(n, delta, seed=21, strict=True)
+    c = Coloring(n, delta, seed=21)
     rng = np.random.default_rng(21)
     target = int(0.46 * n * delta)
     deep = 0

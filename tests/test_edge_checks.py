@@ -29,7 +29,7 @@ STRUCTURES = {
         lambda: PhasedCcEstimator(DynamicGraph(N), 0.5, 0.2, seed=1),
         lambda s, u, v: s.on_update(UpdateOp("i", u, v)),
         lambda s, u, v: s.on_update(UpdateOp("d", u, v)),
-        lambda s: (s.graph.edges(), s.graph.nis, s.sampler.nis, s.i, s.psi, s.estimate()),
+        lambda s: (s.graph.edges(), s.graph.nis, s.i, s.psi, s.estimate()),
     ),
     "msf-det": (
         lambda: DeterministicMsfEstimator(N, 0.5, 2.0),

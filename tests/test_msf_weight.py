@@ -295,8 +295,7 @@ def test_randomized_envelope_fuzz():
     n, W, eps, pp = 120, 2, 0.5, 0.1
     rng = np.random.default_rng(4)
     init = random_weighted_graph(rng, n, 150, W)
-    est = RandomizedMsfEstimator(n, eps, W, pp, seed=5, initial_edges=init,
-                                 use_fast_sizes=True)
+    est = RandomizedMsfEstimator(n, eps, W, pp, seed=5, initial_edges=init)
     edges = {(u, v): w for u, v, w in init}
     viol = checks = 0
     for step in range(400):
@@ -385,7 +384,12 @@ def test_deterministic_from_initial_edges_pinned():
 
 def test_randomized_from_initial_edges_pinned():
     digest = _window_from_initial_edges(
-        lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init,
-                                            use_fast_sizes=True),
+        lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init),
         lambda est: (est.estimate(), [(level.i, level.psi) for level in est.levels]))
     assert digest == "8beae71cdf04ba1b7ec5887560d56cf9b43ef4e63c01dfc4cf1c215ad5768113"
+
+
+def test_randomized_rejects_the_removed_per_sample_route():
+    with pytest.raises(ValueError, match="per-sample boundary route"):
+        RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=False)
+    assert RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=True).levels
