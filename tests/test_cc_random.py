@@ -334,6 +334,29 @@ def test_churn_envelope_mostly_holds():
     assert viol <= 0.1 * checks
 
 
+def test_churn_envelope_mostly_holds_with_size_class_draws(monkeypatch):
+    # Every boundary must go through the size-class draw, and the envelope
+    # must hold on what those draws give.
+    draws = []
+    real = cc_random._size_class_estimate
+
+    def counted(sizes, nis, cfg, rng):
+        b = real(sizes, nis, cfg, rng)
+        draws.append((nis, b))
+        return b
+
+    monkeypatch.setattr(cc_random, "_size_class_estimate", counted)
+    viol = checks = 0
+    for seed in range(5):
+        before = len(draws)
+        v, c = churn(seed)
+        assert len(draws) > before
+        viol += v
+        checks += c
+    assert all(0 <= b <= nis for nis, b in draws)
+    assert viol <= 0.1 * checks
+
+
 def test_churn_with_interleaved_ticks():
     viol, checks = churn(11, use_ticks=True)
     assert viol <= 0.1 * checks
