@@ -74,10 +74,13 @@ class _Replay:
         self.soft_violations = 0
         self.checkpoints = 0
         self.context: str = ""
-        # an independent edge store for the oracle checks; ``cmd_run`` writes
-        # it outside the timed ``apply``, ``bench`` never checks and skips it
+        # an independent edge store for the coloring and msf oracle checks;
+        # ``cmd_run`` writes it outside the timed ``apply``, ``bench`` never
+        # checks and skips it
         self.shadow = DynamicGraph(h.n)
         self.weights: dict[tuple[int, int], float] = {}
+        # cc checkpoint values by step, from ``oracles.small_component_counts``
+        self.exact_cc: dict[int, int] = {}
         if algo == "coloring":
             if h.mode != "coloring" or h.delta < 1:
                 raise ValueError("coloring run needs a coloring-mode stream with delta>=1")
@@ -166,13 +169,13 @@ class _Replay:
                 self._violation(f"monochromatic edges at indices {bad[:5].tolist()}")
         elif algo == "cc-exact":
             estimate = float(self.struct.estimate())
-            exact = float(oracles.fast_nscc(eu, ev, self.n, self.struct.k))
+            exact = float(self.exact_cc[step])
             allowed = 0.0
             if estimate != exact:
                 self._violation(f"small-component count {estimate} != oracle {exact}")
         elif algo == "cc-random":
             estimate = float(self.struct.estimate())
-            exact = float(oracles.fast_ncc(eu, ev, self.n))
+            exact = float(self.exact_cc[step])
             allowed = self.eps * self.struct.psi
             if abs(estimate - exact) > allowed:
                 self._violation(f"estimate {estimate} outside +-{allowed} of {exact}")
@@ -193,9 +196,28 @@ class _Replay:
         }
 
 
+def _checkpoint_steps(ops, check_every: int) -> list[int]:
+    """The steps ``cmd_run`` checks: each query's, and every ``check_every``-th update's."""
+    steps = []
+    step = 0
+    for op in ops:
+        if op.kind != "q":
+            step += 1
+            if not (check_every and step % check_every == 0):
+                continue
+        steps.append(step)
+    return steps
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.check_every < 0:
+        raise ValueError(f"--check-every must be >= 0, got {args.check_every}")
     stream = streams.read_stream(args.stream)
     replay = _Replay(args.algo, stream, args.eps, args.p, args.seed)
+    if args.algo in ("cc-exact", "cc-random"):
+        k = replay.struct.k if args.algo == "cc-exact" else replay.n
+        steps = _checkpoint_steps(stream.ops, args.check_every)
+        replay.exact_cc = oracles.small_component_counts(replay.n, stream.ops, k, steps)
     rows: list[dict] = []
     step = 0
     for op in stream.ops:

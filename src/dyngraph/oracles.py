@@ -2,14 +2,21 @@
 
 Everything here recomputes from scratch on plain edge lists and is kept
 independent of the maintained structures.  ``exact_ncc`` has two routes
-(union-find and BFS) so the oracles can cross-check each other, and the
-``fast_*`` helpers are vectorized equivalents used inside long per-step
-verification loops and at ``cc_random`` phase boundaries: component labels
-from a numpy hook-and-jump kernel, the MSF weight from scipy's MST.  They are
+(union-find and BFS) so the oracles can cross-check each other.
+``small_component_counts`` answers every checkpoint of a whole update stream
+in one offline pass (a segment tree over the checkpoint steps and a union-find
+with rollback); ``dyngraph run`` takes its cc-exact and cc-random checkpoint
+values from it.  The ``fast_*`` helpers are vectorized equivalents that check
+one graph at a time: ``run``'s coloring and msf checkpoints on its shadow
+store, the counters' starting values, ``cc_random`` phase boundaries and
+the adaptive stream generator.  Component labels come from a numpy
+hook-and-jump kernel, the MSF weight from scipy's MST.  All of them are
 asserted against the pure routes in the tests.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -126,6 +133,87 @@ def is_proper_coloring(edges: list[Edge], colors, delta: int) -> bool:
         if not 1 <= c <= delta + 1:
             return False
     return all(colors[u] != colors[v] for u, v in edges)
+
+
+def small_component_counts(n: int, ops, k: int, steps) -> dict[int, int]:
+    """Number of components of size at most k after each of ``steps`` updates.
+
+    Offline dynamic connectivity over the whole op list.  Step s is the graph
+    after the first s updates (``q`` ops are skipped); a duplicate insert and
+    an absent delete are no-ops, as in ``DynamicGraph``.  An edge lives over
+    the steps [insert, delete), and that range of the sorted distinct
+    ``steps`` is split over the O(log L) nodes of a segment tree on those L
+    leaves.  A depth-first walk applies a node's unions to a union-by-size
+    union-find without path compression, so each union is undone by
+    resetting one parent, and rolls them back on the way out; at a leaf the
+    running count is that step's answer.  O((m log L + L) log n) for m edge
+    lifetimes.  With k >= n the count is the component count.
+    """
+    leaves = sorted(set(steps))
+    lifetimes: list[tuple[Edge, int, int]] = []  # (edge, first step, first step without it)
+    born: dict[Edge, int] = {}
+    step = 0
+    for op in ops:
+        if op.kind == "q":
+            continue
+        step += 1
+        edge = (op.u, op.v) if op.u < op.v else (op.v, op.u)
+        if op.kind == "i":
+            born.setdefault(edge, step)
+        elif edge in born:
+            lifetimes.append((edge, born.pop(edge), step))
+    end = max([step, *leaves]) + 1
+    lifetimes += [(edge, first, end) for edge, first in born.items()]
+
+    size = 1 << max(0, len(leaves) - 1).bit_length()
+    node_edges: list[list[Edge]] = [[] for _ in range(2 * size)]
+    for edge, first, stop in lifetimes:
+        lo = bisect_left(leaves, first) + size
+        hi = bisect_left(leaves, stop) + size
+        while lo < hi:
+            if lo & 1:
+                node_edges[lo].append(edge)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                node_edges[hi].append(edge)
+            lo >>= 1
+            hi >>= 1
+
+    parent = list(range(n))
+    comp_size = [1] * n
+    out: dict[int, int] = {}
+
+    def walk(node: int, first_leaf: int, width: int, count: int) -> None:
+        absorbed = []  # roots this node hung below another, in union order
+        for u, v in node_edges[node]:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                continue
+            su, sv = comp_size[u], comp_size[v]
+            if su < sv:
+                u, v, su, sv = v, u, sv, su
+            count += (su + sv <= k) - (su <= k) - (sv <= k)
+            parent[v] = u
+            comp_size[u] = su + sv
+            absorbed.append(v)
+        if width == 1:
+            out[leaves[first_leaf]] = count
+        else:
+            half = width >> 1
+            walk(2 * node, first_leaf, half, count)
+            if first_leaf + half < len(leaves):
+                walk(2 * node + 1, first_leaf + half, half, count)
+        for v in reversed(absorbed):
+            comp_size[parent[v]] -= comp_size[v]
+            parent[v] = v
+
+    if leaves:
+        walk(1, 0, size, n if k >= 1 else 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_size_class_draw_with_empty_last_class():
     assert b == pytest.approx(len(lengths), rel=0.5)
 
 
-def test_fast_sizes_boundary_on_empty_sampler_draws_nothing():
+def test_boundary_on_graph_without_edges_draws_nothing():
     g = paths(6, [2])
     est = PhasedCcEstimator(g, 0.5, 0.2, seed=3)
     assert est.phase_len == 1

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyngraph import oracles
-from dyngraph.graph_core import DynamicGraph
+from dyngraph.graph_core import DynamicGraph, UpdateOp
 
 
 def random_weighted_graph(rng, n, m, W, integer=True):
@@ -117,6 +119,51 @@ def test_proper_coloring_checks():
     assert not oracles.is_proper_coloring([(0, 2)], [1, 2, 1], 2)
     assert not oracles.is_proper_coloring([], [1, 4], 2)  # palette overflow
     assert not oracles.is_proper_coloring([], [0, 1], 2)
+
+
+@st.composite
+def op_lists(draw):
+    """(n, ops) on few vertices, so duplicate inserts, absent deletes and reinserts are common."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    update = st.builds(lambda kind, e: UpdateOp(kind, *e), st.sampled_from("id"), pair)
+    return n, draw(st.lists(st.one_of(update, st.just(UpdateOp("q"))), max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(op_lists())
+def test_small_component_counts_match_exact_after_every_step(case):
+    n, ops = case
+    live: set[tuple[int, int]] = set()
+    graphs = [[]]  # the live edge set after 0, 1, 2, ... updates
+    for op in ops:
+        if op.kind == "q":
+            continue
+        edge = (min(op.u, op.v), max(op.u, op.v))
+        (live.add if op.kind == "i" else live.discard)(edge)
+        graphs.append(sorted(live))
+    steps = range(len(graphs))
+    for k in (1, 2, n):
+        assert oracles.small_component_counts(n, ops, k, steps) == {
+            s: oracles.exact_nscc(edges, n, k) for s, edges in enumerate(graphs)}
+    assert oracles.small_component_counts(n, ops, n, steps) == {
+        s: oracles.exact_ncc(edges, n) for s, edges in enumerate(graphs)}
+
+
+def test_small_component_counts_cases():
+    path = [UpdateOp("i", v, v + 1) for v in range(5)]  # steps 1..5 grow a path on 0..5
+    assert oracles.small_component_counts(6, [], 2, [0]) == {0: 6}
+    assert oracles.small_component_counts(6, path, 2, []) == {}
+    # a subset of the steps, given out of order and repeated
+    assert oracles.small_component_counts(6, path, 2, [5, 2, 2]) == {2: 3, 5: 0}
+    assert oracles.small_component_counts(6, path, 6, [5, 2]) == {2: 4, 5: 1}
+    # step 0: a query before any update sees the empty graph
+    ops = [UpdateOp("q"), UpdateOp("i", 0, 1), UpdateOp("q"), UpdateOp("d", 0, 1)]
+    assert oracles.small_component_counts(3, ops, 3, [0, 1, 2]) == {0: 3, 1: 2, 2: 3}
+    # a duplicate insert is a no-op, so one delete removes the edge
+    ops = [UpdateOp("i", 0, 1), UpdateOp("i", 1, 0), UpdateOp("d", 0, 1), UpdateOp("d", 0, 1)]
+    assert oracles.small_component_counts(2, ops, 2, range(5)) == {
+        0: 2, 1: 1, 2: 1, 3: 2, 4: 2}
 
 
 def test_fast_paths_agree_with_pure_routes():

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from dyngraph import cc_random, cli, oracles, streams
+from dyngraph import cc_random, cli, streams
 from dyngraph.graph_core import UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 
@@ -138,16 +138,27 @@ def test_cli_exit_code_two_on_bad_stream(tmp_path):
     assert _run_cli(["run", "--algo", "cc-exact", "--stream", "/no/such/file"]) == 2
 
 
-def test_cli_exit_code_one_on_guarantee_violation(tmp_path, monkeypatch):
+def test_cli_exit_code_one_on_guarantee_violation(tmp_path, monkeypatch, capsys):
     stream_path = str(tmp_path / "s.txt")
     _run_cli(["gen", "random-churn", "--n", "20", "--ops", "60", "--target-m",
               "25", "--mode", "cc", "--seed", "5", "--out", stream_path])
-    # simulate a broken structure: the oracle disagrees at every checkpoint
-    monkeypatch.setattr(oracles, "fast_nscc", lambda *a, **k: -1)
-    monkeypatch.setattr(cli.oracles, "fast_nscc", lambda *a, **k: -1)
+    # simulate a broken structure: its count disagrees with the oracle at every checkpoint
+    monkeypatch.setattr(cli.SmallCcCounter, "estimate", lambda self: -1)
     rc = _run_cli(["run", "--algo", "cc-exact", "--stream", stream_path,
                    "--eps", "0.5", "--check-every", "10"])
     assert rc == 1
+    assert "guarantee violation at step 10: " in capsys.readouterr().err
+
+
+def test_cli_run_rejects_negative_check_every(tmp_path, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\ni 0 1\ni 1 2\nd 0 1\nd 1 2\n")
+    rc = _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path),
+                   "--check-every", "-2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --check-every must be >= 0, got -2\n"
+    assert captured.out == ""
 
 
 def test_cli_bench_work_column_reproducible(tmp_path):
