@@ -23,13 +23,15 @@ from . import oracles, streams
 ALGOS = ("coloring", "cc-exact", "cc-random", "msf-det", "msf-rand")
 
 CSV_COLUMNS = ["step", "op", "estimate", "exact", "abs_err", "allowed_err", "work", "nanos"]
+BENCH_COLUMNS = ["stream", "delta", "W", "eps", "repeat", "ops", "mean_ns", "p50_ns",
+                 "p99_ns", "mean_work", "p99_work", "max_work"]
 
 
-def _write_rows(path: str | None, rows: list[dict], fieldnames: list[str]) -> None:
+def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(out)
+        writer.writerow(header)
         writer.writerows(rows)
     finally:
         if path:
@@ -62,42 +64,88 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 class _Replay:
-    """Per-algorithm replay driver feeding checkpoint rows."""
+    """One algorithm's structure, replayed one update at a time.
+
+    ``__init__`` binds, once, the structure's update callables (``update``, by
+    op kind), its cumulative work counter (``work``) and its checkpoint check,
+    so an update costs one structure call, timed alone.  Given ``check_every``
+    (``run``) it also builds what the checkpoints read: for cc-exact and
+    cc-random the exact count at each checkpoint step, from one offline pass
+    over the stream; for coloring and msf a shadow edge store and its weights,
+    which ``mirror`` writes outside the timed call.  ``bench`` keeps neither.
+    """
 
     def __init__(self, algo: str, stream: streams.Stream, eps: float, p: float,
-                 seed: int | None):
+                 seed: int | None, check_every: int | None = None):
         h = stream.header
-        self.algo = algo
         self.n = h.n
         self.eps = eps
+        self.soft = algo in ("cc-random", "msf-rand")  # an envelope miss is counted, not fatal
         self.hard_violation = False
         self.soft_violations = 0
         self.checkpoints = 0
         self.context: str = ""
-        # an independent edge store for the coloring and msf oracle checks;
-        # ``cmd_run`` writes it outside the timed ``apply``, ``bench`` never
-        # checks and skips it
-        self.shadow = DynamicGraph(h.n)
+        self.shadow: DynamicGraph | None = None
         self.weights: dict[tuple[int, int], float] = {}
-        # cc checkpoint values by step, from ``oracles.small_component_counts``
         self.exact_cc: dict[int, int] = {}
+        k = None  # the size cap of the cc checkpoints' exact count
         if algo == "coloring":
             if h.mode != "coloring" or h.delta < 1:
                 raise ValueError("coloring run needs a coloring-mode stream with delta>=1")
-            self.struct = Coloring(h.n, h.delta, seed=seed)
+            s = Coloring(h.n, h.delta, seed=seed)
+            insert = lambda op: s.insert(op.u, op.v)
+            delete = lambda op: s.delete(op.u, op.v)
+            work = lambda: s.total_recolor_work
+            check = self._check_coloring
         elif algo == "cc-exact":
-            self.struct = SmallCcCounter(DynamicGraph(h.n), eps)
+            s = SmallCcCounter(DynamicGraph(h.n), eps)
+            insert = lambda op: s.on_insert(op.u, op.v)
+            delete = lambda op: s.on_delete(op.u, op.v)
+            work = lambda: s.bfs_calls
+            check, k = self._check_cc_exact, s.k
         elif algo == "cc-random":
-            self.struct = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed)
-        elif algo == "msf-det":
-            self.struct = DeterministicMsfEstimator(h.n, eps, h.W)
-        elif algo == "msf-rand":
-            self.struct = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed)
+            s = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed)
+            insert = delete = s.on_update
+            work = lambda: s.samples
+            check, k = self._check_cc_random, h.n
+        elif algo in ("msf-det", "msf-rand"):
+            if algo == "msf-det":
+                s = DeterministicMsfEstimator(h.n, eps, h.W)
+                work = lambda: sum(lv.bfs_calls for lv in s.levels)
+            else:
+                s = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed)
+                work = lambda: sum(lv.samples for lv in s.levels)
+            insert = lambda op: s.insert(op.u, op.v, op.w)
+            delete = lambda op: s.delete(op.u, op.v)
+            check = self._check_msf
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
+        self.struct = s
+        self.update = {"i": insert, "d": delete}
+        self.work = work
+        self._check = check
+        if check_every is None:
+            return
+        if k is None:
+            self.shadow = DynamicGraph(h.n)
+        else:
+            steps = _checkpoint_steps(stream.ops, check_every)
+            self.exact_cc = oracles.small_component_counts(h.n, stream.ops, k, steps)
 
-    def shadow_apply(self, op) -> None:
-        """Mirror one update in the shadow store (kept out of the timed ``apply``)."""
+    def timed_apply(self, step: int, op) -> tuple[int, int]:
+        """Apply one update; returns (work, nanos), timing the structure call alone."""
+        before = self.work()
+        update = self.update[op.kind]
+        t0 = time.perf_counter_ns()
+        try:
+            update(op)
+        except ValueError as exc:
+            raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
+        nanos = time.perf_counter_ns() - t0
+        return self.work() - before, nanos
+
+    def mirror(self, op) -> None:
+        """Apply one update to the shadow store (coloring and msf runs only)."""
         key = (op.u, op.v) if op.u < op.v else (op.v, op.u)
         if op.kind == "i":
             self.shadow.insert_edge(op.u, op.v)
@@ -106,94 +154,57 @@ class _Replay:
             self.shadow.delete_edge(op.u, op.v)
             self.weights.pop(key, None)
 
-    def work(self) -> int:
-        """Cumulative recolor work, capped BFS runs or samples, summed over MSF levels."""
-        s = self.struct
-        if self.algo == "coloring":
-            return s.total_recolor_work
-        if self.algo == "cc-exact":
-            return s.bfs_calls
-        if self.algo == "cc-random":
-            return s.samples
-        if self.algo == "msf-det":
-            return sum(lv.bfs_calls for lv in s.levels)
-        return sum(lv.samples for lv in s.levels)
-
-    def apply(self, op) -> int:
-        """Apply one update; returns the work it did, for the CSV row."""
-        before = self.work()
-        s = self.struct
-        insert = op.kind == "i"
-        if self.algo == "coloring":
-            (s.insert if insert else s.delete)(op.u, op.v)
-        elif self.algo == "cc-exact":
-            (s.on_insert if insert else s.on_delete)(op.u, op.v)
-        elif self.algo == "cc-random":
-            s.on_update(op)
-        elif insert:
-            s.insert(op.u, op.v, op.w)
-        else:
-            s.delete(op.u, op.v)
-        return self.work() - before
-
-    def timed_apply(self, step: int, op) -> tuple[int, int]:
-        """``apply`` timed alone; returns (work, nanos).  Errors name the step."""
-        t0 = time.perf_counter_ns()
-        try:
-            work = self.apply(op)
-        except ValueError as exc:
-            raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
-        return work, time.perf_counter_ns() - t0
-
     def _violation(self, context: str) -> None:
         """Count a soft (randomized) miss, or record a hard guarantee violation."""
-        if self.algo in ("cc-random", "msf-rand"):
+        if self.soft:
             self.soft_violations += 1
         else:
             self.hard_violation = True
             self.context = context
 
-    def checkpoint(self, step: int, op_kind: str, work: int, nanos: int) -> dict:
-        self.checkpoints += 1
+    def _check_coloring(self, step: int) -> tuple[float, float, float]:
         eu, ev = self.shadow.edge_view()
-        algo = self.algo
-        if algo == "coloring":
-            colors = self.struct.colors
-            ok = bool((colors >= 1).all() and (colors <= self.struct.palette).all())
-            if ok and self.shadow.m:
-                ok = bool((colors[eu] != colors[ev]).all())
-            estimate, exact = float(ok), 1.0
-            allowed = 0.0
-            if not ok:
-                bad = np.nonzero(colors[eu] == colors[ev])[0]
-                self._violation(f"monochromatic edges at indices {bad[:5].tolist()}")
-        elif algo == "cc-exact":
-            estimate = float(self.struct.estimate())
-            exact = float(self.exact_cc[step])
-            allowed = 0.0
-            if estimate != exact:
-                self._violation(f"small-component count {estimate} != oracle {exact}")
-        elif algo == "cc-random":
-            estimate = float(self.struct.estimate())
-            exact = float(self.exact_cc[step])
-            allowed = self.eps * self.struct.psi
-            if abs(estimate - exact) > allowed:
-                self._violation(f"estimate {estimate} outside +-{allowed} of {exact}")
-        else:  # msf-det, msf-rand
-            estimate = self.struct.estimate()
-            w = np.array([self.weights[k] for k in zip(eu.tolist(), ev.tolist())])
-            exact = oracles.fast_msf_weight(eu, ev, w, self.n)
-            allowed = self.eps * exact
-            # 1e-9: round-off of combine's telescoping sum, 2.2e-16 on an empty graph
-            if abs(estimate - exact) > allowed + 1e-9:
-                self._violation(f"estimate {estimate} outside (1+-eps) of {exact}")
-        return {
-            "step": step, "op": op_kind,
-            "estimate": f"{estimate:.6f}", "exact": f"{exact:.6f}",
-            "abs_err": f"{abs(estimate - exact):.6f}",
-            "allowed_err": f"{allowed:.6f}",
-            "work": work, "nanos": nanos,
-        }
+        colors = self.struct.colors
+        ok = bool((colors >= 1).all() and (colors <= self.struct.palette).all())
+        if ok and self.shadow.m:
+            ok = bool((colors[eu] != colors[ev]).all())
+        if not ok:
+            bad = np.nonzero(colors[eu] == colors[ev])[0]
+            self._violation(f"monochromatic edges at indices {bad[:5].tolist()}")
+        return float(ok), 1.0, 0.0
+
+    def _check_cc_exact(self, step: int) -> tuple[float, float, float]:
+        estimate = float(self.struct.estimate())
+        exact = float(self.exact_cc[step])
+        if estimate != exact:
+            self._violation(f"small-component count {estimate} != oracle {exact}")
+        return estimate, exact, 0.0
+
+    def _check_cc_random(self, step: int) -> tuple[float, float, float]:
+        estimate = float(self.struct.estimate())
+        exact = float(self.exact_cc[step])
+        allowed = self.eps * self.struct.psi
+        if abs(estimate - exact) > allowed:
+            self._violation(f"estimate {estimate} outside +-{allowed} of {exact}")
+        return estimate, exact, allowed
+
+    def _check_msf(self, step: int) -> tuple[float, float, float]:
+        estimate = self.struct.estimate()
+        eu, ev = self.shadow.edge_view()
+        w = np.array([self.weights[k] for k in zip(eu.tolist(), ev.tolist())])
+        exact = oracles.fast_msf_weight(eu, ev, w, self.n)
+        allowed = self.eps * exact
+        # 1e-9: round-off of combine's telescoping sum, 2.2e-16 on an empty graph
+        if abs(estimate - exact) > allowed + 1e-9:
+            self._violation(f"estimate {estimate} outside (1+-eps) of {exact}")
+        return estimate, exact, allowed
+
+    def checkpoint(self, step: int, op_kind: str, work: int, nanos: int) -> list:
+        """Check the structure after ``step`` updates; returns the row in ``CSV_COLUMNS`` order."""
+        self.checkpoints += 1
+        estimate, exact, allowed = self._check(step)
+        return [step, op_kind, f"{estimate:.6f}", f"{exact:.6f}",
+                f"{abs(estimate - exact):.6f}", f"{allowed:.6f}", work, nanos]
 
 
 def _checkpoint_steps(ops, check_every: int) -> list[int]:
@@ -210,35 +221,34 @@ def _checkpoint_steps(ops, check_every: int) -> list[int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.check_every < 0:
-        raise ValueError(f"--check-every must be >= 0, got {args.check_every}")
+    every = args.check_every
+    if every < 0:
+        raise ValueError(f"--check-every must be >= 0, got {every}")
     stream = streams.read_stream(args.stream)
-    replay = _Replay(args.algo, stream, args.eps, args.p, args.seed)
-    if args.algo in ("cc-exact", "cc-random"):
-        k = replay.struct.k if args.algo == "cc-exact" else replay.n
-        steps = _checkpoint_steps(stream.ops, args.check_every)
-        replay.exact_cc = oracles.small_component_counts(replay.n, stream.ops, k, steps)
-    rows: list[dict] = []
+    replay = _Replay(args.algo, stream, args.eps, args.p, args.seed, check_every=every)
+    rows: list[list] = []
     step = 0
     for op in stream.ops:
         if op.kind == "q":
             rows.append(replay.checkpoint(step, "q", 0, 0))
-            continue
-        step += 1
-        work, nanos = replay.timed_apply(step, op)
-        replay.shadow_apply(op)
-        if args.check_every and step % args.check_every == 0:
+        else:
+            step += 1
+            work, nanos = replay.timed_apply(step, op)
+            if replay.shadow is not None:
+                replay.mirror(op)
+            if not (every and step % every == 0):
+                continue
             rows.append(replay.checkpoint(step, op.kind, work, nanos))
-            if replay.hard_violation:
-                break
-    _write_rows(args.out, rows, CSV_COLUMNS)
+        if replay.hard_violation:
+            break
+    _write_rows(args.out, CSV_COLUMNS, rows)
     if replay.hard_violation:
         print(f"guarantee violation at step {step}: {replay.context}", file=sys.stderr)
         return 1
     if replay.checkpoints:
         rate = replay.soft_violations / replay.checkpoints
         print(f"checkpoints={replay.checkpoints} "
-              f"envelope_violations={replay.soft_violations} rate={rate:.4f}")
+              f"envelope_violations={replay.soft_violations} rate={rate:.4f}", file=sys.stderr)
     return 0
 
 
@@ -249,30 +259,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in args.stream:
         stream = streams.read_stream(path)
         h = stream.header
-        if all(op.kind == "q" for op in stream.ops):
+        updates = [op for op in stream.ops if op.kind != "q"]
+        if not updates:
             raise ValueError(f"{path}: stream has no updates to time")
         for rep in range(args.repeats):
-            replay = _Replay(args.algo, stream, args.eps, args.p, args.seed)
-            nanos_all = []
-            work_total = 0
-            updates = 0
-            for op in stream.ops:
-                if op.kind == "q":
-                    continue
-                updates += 1
-                work, nanos = replay.timed_apply(updates, op)
-                work_total += work
-                nanos_all.append(nanos)
-            arr = np.array(nanos_all, dtype=np.int64)
-            rows.append({
-                "stream": path, "delta": h.delta, "W": h.W, "eps": args.eps,
-                "repeat": rep, "ops": updates,
-                "mean_ns": f"{arr.mean():.1f}",
-                "p50_ns": int(np.percentile(arr, 50)),
-                "p99_ns": int(np.percentile(arr, 99)),
-                "mean_work": f"{work_total / max(1, updates):.4f}",
-            })
-    _write_rows(args.out, rows, list(rows[0]))
+            timed_apply = _Replay(args.algo, stream, args.eps, args.p, args.seed).timed_apply
+            cost = [timed_apply(step, op) for step, op in enumerate(updates, start=1)]
+            work, nanos = (np.array(col, dtype=np.int64) for col in zip(*cost))
+            rows.append([
+                path, h.delta, h.W, args.eps, rep, len(updates),
+                f"{nanos.mean():.1f}",
+                int(np.percentile(nanos, 50)),
+                int(np.percentile(nanos, 99)),
+                f"{work.sum() / len(updates):.4f}",
+                # nearest rank: a work count some update really did
+                int(np.percentile(work, 99, method="inverted_cdf")),
+                int(work.max()),
+            ])
+    _write_rows(args.out, BENCH_COLUMNS, rows)
     return 0
 
 

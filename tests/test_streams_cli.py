@@ -150,6 +150,34 @@ def test_cli_exit_code_one_on_guarantee_violation(tmp_path, monkeypatch, capsys)
     assert "guarantee violation at step 10: " in capsys.readouterr().err
 
 
+def test_cli_run_stops_at_a_hard_violation_found_at_a_query(tmp_path, monkeypatch, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=0 W=1.0 mode=cc\ni 0 1\nq\ni 1 2\ni 2 3\n")
+    monkeypatch.setattr(cli.SmallCcCounter, "estimate", lambda self: -1)
+    rc = _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path),
+                   "--check-every", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("guarantee violation at step 1: ")
+    assert list(csv.reader(captured.out.splitlines())) == [
+        cli.CSV_COLUMNS, ["1", "q", "-1.000000", "3.000000", "4.000000", "0.000000", "0", "0"]]
+
+
+def test_cli_run_summary_goes_to_stderr(tmp_path, capsys):
+    stream_path = str(tmp_path / "s.txt")
+    assert _run_cli(["gen", "random-churn", "--n", "20", "--ops", "12", "--target-m", "6",
+                     "--mode", "cc", "--seed", "1", "--out", stream_path]) == 0
+    queries = sum(op.kind == "q" for op in streams.read_stream(stream_path).ops)
+    capsys.readouterr()
+    assert _run_cli(["run", "--algo", "cc-random", "--stream", stream_path,
+                     "--check-every", "4"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert len(rows) == 12 // 4 + queries
+    assert all(row["step"].isdigit() and row["nanos"] is not None for row in rows)
+    assert captured.err.startswith(f"checkpoints={len(rows)} envelope_violations=")
+
+
 def test_cli_run_rejects_negative_check_every(tmp_path, capsys):
     stream_path = tmp_path / "s.txt"
     stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\ni 0 1\ni 1 2\nd 0 1\nd 1 2\n")
@@ -170,10 +198,26 @@ def test_cli_bench_work_column_reproducible(tmp_path):
     rc = _run_cli(["bench", "--algo", "coloring", "--stream", stream_path,
                    "--repeats", "3", "--seed", "4", "--out", out_path])
     assert rc == 0
-    rows = open(out_path).read().strip().splitlines()
-    assert len(rows) == 4  # header + one row per repeat
-    works = [row.split(",")[-1] for row in rows[1:]]
-    assert len(set(works)) == 1  # equal seed -> identical work column
+    rows = list(csv.DictReader(open(out_path)))
+    assert len(rows) == 3  # one row per repeat
+    works = {(row["mean_work"], row["p99_work"], row["max_work"]) for row in rows}
+    assert len(works) == 1  # equal seed -> identical work columns
+
+
+def test_cli_bench_max_work_is_runs_largest_work(tmp_path):
+    stream_path = str(tmp_path / "s.txt")
+    assert _run_cli(["gen", "sliding-window", "--window", "30", "--mode", "msf", "--W", "4",
+                     "--n", "40", "--ops", "300", "--seed", "6", "--out", stream_path]) == 0
+    argv = ["--algo", "msf-det", "--stream", stream_path, "--eps", "0.3", "--seed", "2"]
+    assert _run_cli(["run", *argv, "--check-every", "1",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+    assert _run_cli(["bench", *argv, "--out", str(tmp_path / "bench.csv")]) == 0
+    works = sorted(int(row["work"]) for row in csv.DictReader(open(tmp_path / "run.csv")))
+    (bench,) = csv.DictReader(open(tmp_path / "bench.csv"))
+    assert len(works) == int(bench["ops"]) == 300
+    assert int(bench["max_work"]) == works[-1] > works[0]
+    assert int(bench["p99_work"]) == works[-(-99 * len(works) // 100) - 1]  # nearest rank
+    assert float(bench["mean_work"]) == pytest.approx(sum(works) / len(works), abs=1e-4)
 
 
 def test_replay_coloring_reports_zero_recolorings_on_conflict_free_stream():
@@ -382,10 +426,51 @@ def test_parse_rejects_non_finite_weight_bound(W):
 def test_timed_apply_leaves_the_shadow_store_alone(algo):
     mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
     stream = streams.parse_stream(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\ni 1 2\nd 0 1\n")
-    replay = cli._Replay(algo, stream, 0.5, 0.2, 0)
+    replay = cli._Replay(algo, stream, 0.5, 0.2, 0, check_every=1)
     for step, op in enumerate(stream.ops, start=1):
         replay.timed_apply(step, op)
-    assert replay.shadow.m == 0 and not replay.weights
+    if algo in ("cc-exact", "cc-random"):
+        assert replay.shadow is None  # their checkpoints read the offline pass
+    else:
+        assert replay.shadow.m == 0 and not replay.weights
+
+
+def _spy_on_replays(monkeypatch):
+    """Record every ``_Replay`` the cli builds and every shadow-store write it makes."""
+    replays, mirrored = [], []
+    init, mirror = cli._Replay.__init__, cli._Replay.mirror
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        replays.append(self)
+
+    def recording_mirror(self, op):
+        mirrored.append(op)
+        mirror(self, op)
+
+    monkeypatch.setattr(cli._Replay, "__init__", recording_init)
+    monkeypatch.setattr(cli._Replay, "mirror", recording_mirror)
+    return replays, mirrored
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_only_coloring_and_msf_runs_keep_a_shadow_store(tmp_path, monkeypatch, algo):
+    mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\nq\ni 1 2\nd 0 1\n")
+    replays, mirrored = _spy_on_replays(monkeypatch)
+    assert _run_cli(["run", "--algo", algo, "--stream", str(stream_path), "--check-every", "1",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+    if algo in ("cc-exact", "cc-random"):
+        assert replays[0].shadow is None and not replays[0].weights and not mirrored
+    else:
+        assert replays[0].shadow.m == 1 and len(mirrored) == 3
+    # bench never checks, so no algorithm keeps a shadow store there
+    del mirrored[:]
+    assert _run_cli(["bench", "--algo", algo, "--stream", str(stream_path), "--repeats", "2",
+                     "--out", str(tmp_path / "bench.csv")]) == 0
+    assert len(replays) == 3
+    assert all(r.shadow is None and not r.weights for r in replays[1:]) and not mirrored
 
 
 @pytest.mark.parametrize("algo,gen_argv,run_argv,outputs,work", [
