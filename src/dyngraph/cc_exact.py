@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .graph_core import DynamicGraph
+from .graph_core import DynamicGraph, check_edge
 from .oracles import fast_nscc
 
 
@@ -63,10 +63,12 @@ class SmallCcCounter:
 
     def on_insert(self, u: int, v: int, below: SmallCcCounter | None = None) -> bool:
         """Insert (u, v) and update the count; a present edge is a no-op returning False."""
-        if self.graph.has_edge(u, v):
+        g = self.graph
+        check_edge(u, v, g.n)
+        if v in g.adj[u]:
             return False
         self.c_bar -= self._joined(u, v, below)
-        self.graph.insert_edge(u, v)
+        g.insert_edge(u, v)
         return True
 
     def on_delete(self, u: int, v: int, below: SmallCcCounter | None = None) -> bool:

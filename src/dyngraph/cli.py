@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 import time
+from operator import attrgetter
 
 import numpy as np
 
@@ -111,10 +112,12 @@ class _Replay:
         elif algo in ("msf-det", "msf-rand"):
             if algo == "msf-det":
                 s = DeterministicMsfEstimator(h.n, eps, h.W)
-                work = lambda: sum(lv.bfs_calls for lv in s.levels)
+                count = attrgetter("bfs_calls")
             else:
                 s = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed)
-                work = lambda: sum(lv.samples for lv in s.levels)
+                count = attrgetter("samples")
+            levels = s.levels
+            work = lambda: sum(map(count, levels))
             insert = lambda op: s.insert(op.u, op.v, op.w)
             delete = lambda op: s.delete(op.u, op.v)
             check = self._check_msf

@@ -2,9 +2,11 @@
 
 The graph supports constant-expected-time edge insertion/deletion and keeps
 running counters (edge count, per-vertex degree, number of non-isolated
-vertices) exactly in sync with the edge set.  ``bfs_limited`` explores a
-component from a start vertex but never discovers more than ``vertex_cap``
-vertices, which is the primitive the component-count estimators are built on.
+vertices) exactly in sync with the edge set.  The flat edge store is a pair of
+``array("q")`` buffers, read through zero-copy numpy ``frombuffer`` views and
+never resized in place.  ``bfs_limited`` explores a component from a start
+vertex but never discovers more than ``vertex_cap`` vertices, which is the
+primitive the component-count estimators are built on.
 ``check_edge`` is the one pair rule every structure applies before any state
 change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``;
 ``check_vertex`` is its one-vertex form for reads.
@@ -12,6 +14,7 @@ change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +61,8 @@ class DynamicGraph:
     Adjacency is one hash set per vertex.  Besides the sets, flat edge
     arrays (with swap-delete and a position index) are maintained so that
     the current edge list can be handed to vectorized checkers in O(1).
+    They are ``array("q")``, so a swap-delete moves Python ints; growing builds
+    a new array, as resizing in place raises BufferError under an edge_view.
     """
 
     def __init__(self, n: int):
@@ -68,9 +73,8 @@ class DynamicGraph:
         self.m = 0
         self.nis = 0  # number of vertices with degree >= 1
         # flat edge store: (u, v) with u < v, swap-delete on removal
-        cap = 16
-        self._eu = np.zeros(cap, dtype=np.int64)
-        self._ev = np.zeros(cap, dtype=np.int64)
+        self._eu = array("q", bytes(8 * 16))
+        self._ev = array("q", bytes(8 * 16))
         self._epos: dict[tuple[int, int], int] = {}
         # scratch marks for bfs_limited; epoch trick avoids O(n) clears, -1 is no epoch
         self._mark = [-1] * n
@@ -106,8 +110,8 @@ class DynamicGraph:
             u, v = v, u
         i = self.m
         if i == len(self._eu):
-            self._eu = np.resize(self._eu, 2 * i)
-            self._ev = np.resize(self._ev, 2 * i)
+            self._eu = self._eu + array("q", bytes(8 * i))
+            self._ev = self._ev + array("q", bytes(8 * i))
         self._eu[i] = u
         self._ev[i] = v
         self._epos[(u, v)] = i
@@ -132,21 +136,21 @@ class DynamicGraph:
         i = self._epos.pop((u, v))
         last = self.m - 1
         if i != last:
-            lu = int(self._eu[last])
-            lv = int(self._ev[last])
-            self._eu[i] = lu
-            self._ev[i] = lv
+            eu, ev = self._eu, self._ev
+            lu = eu[i] = eu[last]
+            lv = ev[i] = ev[last]
             self._epos[(lu, lv)] = i
         self.m = last
         return True
 
     def edge_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Live views of the current edge endpoints (read-only by convention)."""
-        return self._eu[: self.m], self._ev[: self.m]
+        """Live int64 views of the current edge endpoints (read-only by convention)."""
+        m = self.m
+        return np.frombuffer(self._eu, np.int64, m), np.frombuffer(self._ev, np.int64, m)
 
     def edges(self) -> list[tuple[int, int]]:
         """Snapshot of the edge list as (u, v) pairs with u < v."""
-        return list(zip(self._eu[: self.m].tolist(), self._ev[: self.m].tolist()))
+        return list(zip(self._eu[: self.m], self._ev[: self.m]))
 
     def bfs_limited(self, start: int, vertex_cap: int) -> tuple[int, bool]:
         """Explore the component of ``start``, discovering at most ``vertex_cap`` vertices.
@@ -154,22 +158,20 @@ class DynamicGraph:
         Returns ``(reached, closed)`` where ``reached`` is
         ``min(component size, vertex_cap)`` and ``closed`` is True iff the
         whole component was exhausted.  Only edges among the discovered
-        vertices are ever scanned.
+        vertices are ever scanned.  Discovery is in FIFO queue order, each
+        ``adj[x]`` in set iteration order, so which vertices a capped call
+        marks, and with them the callers' BFS work counters, depend on it.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:
             raise ValueError("vertex_cap must be >= 1")
-        self._epoch += 1
-        epoch = self._epoch
+        epoch = self._epoch = self._epoch + 1
         mark = self._mark
         adj = self.adj
         mark[start] = epoch
         queue = [start]
         discovered = 1
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        for x in queue:  # appending while iterating is defined for lists
             for w in adj[x]:
                 if mark[w] != epoch:
                     if discovered == vertex_cap:

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,39 @@ def test_bfs_limited_matches_truncated_full_bfs():
             assert start in marked and marked <= component and len(marked) == reached
 
 
+def _reference_discovered(adj, start, cap):
+    """Sequential BFS: FIFO queue, ``adj[x]`` in set order, stop at the cap."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w in adj[x]:
+            if w not in seen:
+                if len(seen) == cap:
+                    return seen
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_bfs_limited_discovers_in_fifo_queue_order(seed):
+    # which vertices a capped call marks is what the BFS work counters (bfs_calls)
+    # are built on: a rewrite that discovers in another order moves them
+    rng = np.random.default_rng(seed)
+    g = DynamicGraph(40)
+    for _ in range(70):
+        u, v = int(rng.integers(0, 40)), int(rng.integers(0, 40))
+        if u != v:
+            g.insert_edge(u, v)
+    for start in range(40):
+        for cap in range(1, 9):
+            expected = _reference_discovered(g.adj, start, cap)
+            reached, _ = g.bfs_limited(start, cap)
+            assert {x for x in range(40) if g.bfs_reached(x)} == expected
+            assert reached == len(expected)
+
+
 def test_bfs_limited_rejects_bad_cap():
     g = DynamicGraph(2)
     with pytest.raises(ValueError):
@@ -177,5 +212,39 @@ def test_counters_always_match_recomputation(pairs):
     assert g.nis == sum(1 for d in degree if d)
     for v in range(10):
         assert g.degree(v) == degree[v]
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int
+               for e in g.edges())
     eu, ev = g.edge_view()
     assert set(zip(eu.tolist(), ev.tolist())) == shadow
+
+
+def test_edge_view_taken_before_growth_keeps_its_contents():
+    g = DynamicGraph(20)
+    for v in range(1, 11):
+        g.insert_edge(0, v)
+    eu, ev = g.edge_view()
+    before = list(zip(eu.tolist(), ev.tolist()))
+    for v in range(1, 20):  # grows the store past 16 and 32 edges while the view is held
+        for w in range(v + 1, min(v + 3, 20)):
+            assert g.insert_edge(v, w)
+    assert g.m > 32
+    assert list(zip(eu.tolist(), ev.tolist())) == before
+    assert g.delete_edge(0, 1)  # a swap-delete writes in place, also under a view
+    eu, ev = g.edge_view()
+    assert set(zip(eu.tolist(), ev.tolist())) == set(g.edges())
+
+
+def test_edge_view_is_int64_of_length_m_and_edges_are_python_ints():
+    g = DynamicGraph(5)
+    assert g.edges() == []
+    for view in g.edge_view():
+        assert view.dtype == np.int64 and len(view) == 0
+    g.insert_edge(4, 0)
+    g.insert_edge(3, 1)
+    g.insert_edge(1, 2)
+    g.delete_edge(1, 3)
+    eu, ev = g.edge_view()
+    assert eu.dtype == ev.dtype == np.int64 and len(eu) == len(ev) == g.m == 2
+    assert (eu.tolist(), ev.tolist()) == ([0, 1], [4, 2])
+    assert g.edges() == [(0, 4), (1, 2)]
+    assert all(type(x) is int for e in g.edges() for x in e)
