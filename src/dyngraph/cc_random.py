@@ -141,14 +141,18 @@ class PhasedCcEstimator:
         """Apply one insert or delete to the graph and advance the phase.
 
         A duplicate insert or an absent delete is a no-op: it returns False
-        and changes nothing.
+        and changes nothing.  The graph checks the pair; any kind other than
+        ``"i"`` or ``"d"`` raises ValueError.
         """
-        if op.kind not in ("i", "d"):
-            raise ValueError("queries are not updates")
         thr = self.enclosing.nis
-        g = self.graph
-        insert = op.kind == "i"
-        if not (g.insert_edge(op.u, op.v) if insert else g.delete_edge(op.u, op.v)):
+        kind = op.kind
+        if kind == "i":
+            applied = self.graph.insert_edge(op.u, op.v)
+        elif kind == "d":
+            applied = self.graph.delete_edge(op.u, op.v)
+        else:
+            raise ValueError(f"op kind {kind!r} is not an insert or a delete")
+        if not applied:
             return False
         self._advance(thr)
         return True

@@ -37,9 +37,8 @@ class RecolorStats:
 
     path_length: int = 0
     total_work: int = 0  # sum over the path of (1 + |L_v|)
-    good_steps: int = 0
+    good_steps: int = 0  # a low-degree step is neither good nor bad
     bad_steps: int = 0
-    low_degree_terminations: int = 0
 
 
 class Coloring:
@@ -152,16 +151,17 @@ class Coloring:
             return RecolorStats()
         return self._recolor(u if (self.tau[u], u) > (self.tau[v], v) else v)
 
-    def delete(self, u: int, v: int) -> None:
-        """Delete edge (u, v); never recolors. Absent edge is a no-op."""
+    def delete(self, u: int, v: int) -> bool:
+        """Delete edge (u, v); never recolors. An absent edge is a no-op returning False."""
         check_edge(u, v, self.n)
         if u not in self._posL[v] and u not in self._posH[v]:
-            return
+            return False
         self.updates += 1
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
         self._list_remove(self.L[hi], self._posL[hi], lo)
         self._list_remove(self.H[lo], self._posH[lo], hi)
         self._book_remove(lo, self._chi[hi])
+        return True
 
     def rebuild(self, new_delta: int) -> "Coloring":
         """Fresh structure over the current edge set with palette [1, new_delta+1]."""
@@ -221,11 +221,9 @@ class Coloring:
             new_color, next_v, branch = self._set_color(v, marked)
             stats.path_length += 1
             stats.total_work += 1 + len(self.L[v])
-            if branch == 0:
-                stats.low_degree_terminations += 1
-            elif branch == 1:
+            if branch == 1:
                 stats.good_steps += 1
-            else:
+            elif branch == 2:
                 stats.bad_steps += 1
             old = chi[v]
             chi[v] = new_color

@@ -7,15 +7,15 @@ vertices) exactly in sync with the edge set.  The flat edge store is a pair of
 never resized in place.  ``bfs_limited`` explores a component from a start
 vertex but never discovers more than ``vertex_cap`` vertices, which is the
 primitive the component-count estimators are built on.
-``check_edge`` is the one pair rule every structure applies before any state
-change: ``self-loop (u, u) rejected`` or ``vertex out of range: (u, v) for n=N``;
-``check_vertex`` is its one-vertex form for reads.
+``check_edge`` is the one pair rule every structure and ``parse_stream`` apply
+before any state change: ``self-loop (u, u) rejected`` or ``vertex out of range:
+(u, v) for n=N``; ``check_vertex`` is its one-vertex form for reads.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,25 +34,19 @@ def check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex out of range: {v} for n={n}")
 
 
-@dataclass(frozen=True)
-class UpdateOp:
-    """One operation of an update stream.
+class UpdateOp(NamedTuple):
+    """One operation of an update stream: an immutable record, equal by value.
 
     ``kind`` is ``"i"`` (insert), ``"d"`` (delete) or ``"q"`` (query).
     ``w`` is the edge weight for weighted insertions; unweighted streams
-    always carry weight 1.
+    always carry weight 1.  Nothing is checked here: ``parse_stream`` checks
+    each line's kind, pair and weight, and a structure checks what it applies.
     """
 
     kind: str
     u: int = -1
     v: int = -1
     w: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("i", "d", "q"):
-            raise ValueError(f"unknown op kind {self.kind!r}")
-        if self.kind != "q" and self.u == self.v:
-            raise ValueError(f"self-loop ({self.u}, {self.u}) rejected")
 
 
 class DynamicGraph:

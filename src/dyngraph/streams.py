@@ -8,6 +8,9 @@ A stream is UTF-8 text: one header line, then one operation per line.
     q
 
 Weights appear only in msf mode; unweighted insertions carry weight 1.
+``StreamHeader`` checks the header (n >= 0, a known mode, 1 <= W < inf);
+``parse_stream`` checks each line's kind, arity, pair (``check_edge``) and
+weight, and names the line in its ``StreamFormatError``.
 Generators are seeded and deterministic; the conflict-heavy and adaptive
 generators co-simulate the structure under test (with its declared seed),
 so the emitted file is an ordinary static stream that reproduces the
@@ -23,7 +26,7 @@ import numpy as np
 
 from .cc_random import PhasedCcEstimator
 from .coloring import Coloring
-from .graph_core import DynamicGraph, UpdateOp
+from .graph_core import DynamicGraph, UpdateOp, check_edge
 from .oracles import fast_component_labels, fast_ncc
 
 MODES = ("coloring", "cc", "msf")
@@ -44,6 +47,14 @@ class StreamHeader:
     delta: int = 0
     W: float = 1.0
     mode: str = "cc"
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 1 <= self.W < math.inf:  # the bound MsfConfig accepts
+            raise ValueError(f"W must be finite and >= 1, got {self.W}")
 
 
 @dataclass
@@ -82,10 +93,7 @@ def parse_stream(text: str) -> Stream:
         )
     except (KeyError, ValueError) as exc:
         raise StreamFormatError(1, f"bad header: {exc}") from exc
-    if header.mode not in MODES:
-        raise StreamFormatError(1, f"unknown mode {header.mode!r}")
-    if not math.isfinite(header.W):
-        raise StreamFormatError(1, f"W must be finite, got {header.W}")
+    n, W = header.n, header.W
     ops: list[UpdateOp] = []
     for idx, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -100,25 +108,21 @@ def parse_stream(text: str) -> Stream:
                 ops.append(UpdateOp("q"))
                 continue
             if kind == "i":
-                if len(parts) == 4:
-                    op = UpdateOp("i", int(parts[1]), int(parts[2]), float(parts[3]))
-                elif len(parts) == 3:
-                    op = UpdateOp("i", int(parts[1]), int(parts[2]))
-                else:
+                if len(parts) not in (3, 4):
                     raise ValueError("insert takes 2 or 3 arguments")
             elif kind == "d":
                 if len(parts) != 3:
                     raise ValueError("delete takes 2 arguments")
-                op = UpdateOp("d", int(parts[1]), int(parts[2]))
             else:
                 raise ValueError(f"unknown op {kind!r}")
+            u, v = int(parts[1]), int(parts[2])
+            w = float(parts[3]) if len(parts) == 4 else 1.0
+            check_edge(u, v, n)
+            if not 1.0 <= w <= W:
+                raise ValueError(f"weight {w} outside [1, {W}]")
         except ValueError as exc:
             raise StreamFormatError(idx, str(exc)) from exc
-        if not (0 <= op.u < header.n and 0 <= op.v < header.n):
-            raise StreamFormatError(idx, f"vertex out of range on {line!r}")
-        if op.kind == "i" and not 1.0 <= op.w <= header.W:
-            raise StreamFormatError(idx, f"weight {op.w} outside [1, {header.W}]")
-        ops.append(op)
+        ops.append(UpdateOp(kind, u, v, w))
     return Stream(header, ops)
 
 
@@ -185,10 +189,7 @@ def gen_random_churn(
     seed: int | None = None,
 ) -> Stream:
     """Insert up to target_m edges, then mix inserts and deletes 50/50."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= W < math.inf:  # the bound MsfConfig and run accept
-        raise ValueError(f"W must be finite and >= 1, got {W}")
+    header = StreamHeader(n=n, delta=delta, W=W, mode=mode)
     bound = delta if mode == "coloring" else None
     _check_density(n, target_m, bound)
     rng = np.random.default_rng(seed)
@@ -215,7 +216,7 @@ def gen_random_churn(
             ops.append(UpdateOp("d", u, v))
         else:
             ops.append(UpdateOp("q"))
-    return Stream(StreamHeader(n=n, delta=delta, W=W, mode=mode), ops)
+    return Stream(header, ops)
 
 
 def gen_sliding_window(
@@ -229,10 +230,7 @@ def gen_sliding_window(
     seed: int | None = None,
 ) -> Stream:
     """Each step inserts a fresh edge; past the window, the oldest is deleted first."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= W < math.inf:  # the bound MsfConfig and run accept
-        raise ValueError(f"W must be finite and >= 1, got {W}")
+    header = StreamHeader(n=n, delta=delta, W=W, mode=mode)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     bound = delta if mode == "coloring" else None
@@ -256,7 +254,7 @@ def gen_sliding_window(
         graph.insert_edge(u, v)
         fifo.append(key)
         ops.append(UpdateOp("i", u, v, _draw_weight(rng, W, integer_weights)))
-    return Stream(StreamHeader(n=n, delta=delta, W=W, mode=mode), ops)
+    return Stream(header, ops)
 
 
 def gen_conflict_heavy(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_thr_contract_violations_raise():
     est = PhasedCcEstimator(DynamicGraph(10), 0.5, 0.1, seed=6)
     with pytest.raises(ValueError):
         est.on_update(UpdateOp("q"))
+
+
+def test_on_update_rejects_another_kind_and_a_self_loop():
+    g = DynamicGraph(4)
+    est = PhasedCcEstimator(g, 0.5, 0.1, seed=8)
+    est.on_update(UpdateOp("i", 0, 1))
+    before = (g.edges(), est.i, est.estimate())
+    for op, message in [(UpdateOp("x", 0, 1), "op kind 'x' is not an insert or a delete"),
+                        (UpdateOp("i", 1, 1), "self-loop (1, 1) rejected")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            est.on_update(op)
+        assert (g.edges(), est.i, est.estimate()) == before
 
 
 def test_duplicate_insert_and_absent_delete_are_noops():

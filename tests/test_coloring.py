@@ -143,6 +143,20 @@ def test_insert_then_delete_restores_books():
     assert [None if b is None else set(b) for b in c.cl] == cl_before
 
 
+def test_delete_returns_whether_it_removed_an_edge():
+    c = Coloring(4, 3, seed=2)
+    c.insert(0, 1)
+    c.insert(1, 2)
+    books = lambda: ([list(x) for x in c.L], [list(x) for x in c.H],
+                     [dict(m) for m in c.mu], c.updates)
+    before = books()
+    assert c.delete(0, 2) is False  # absent
+    assert books() == before
+    assert c.delete(1, 0) is True
+    assert c.updates == before[3] + 1 and not c.has_edge(0, 1)
+    audit(c)
+
+
 def test_multiplicity_decrement_keeps_color_in_book():
     c = Coloring(3, 6, seed=0)
     force_ranks(c, [0, 1, 2])  # vertex 0 lowest: 1 and 2 land in H_0
@@ -343,7 +357,8 @@ def test_recolor_work_accounting():
     stats = c.insert(0, 1)
     assert stats.path_length == 1
     assert stats.total_work == 1 + len(c.L[1])
-    assert stats.good_steps + stats.bad_steps + stats.low_degree_terminations == 1
+    # degree 1 < delta/2: a low-degree step, which counts as neither good nor bad
+    assert (stats.good_steps, stats.bad_steps) == (0, 0)
 
 
 # -- rebuild -------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_duplicate_insert_and_absent_delete_change_nothing(name):
     before = state(s)
     insert(s, 0, 1)  # duplicate
     insert(s, 2, 1)  # duplicate, reversed
-    delete(s, 3, 4)  # absent
+    assert delete(s, 3, 4) is False  # absent
     assert state(s) == before
-    delete(s, 0, 1)  # the structure still takes valid updates
+    assert delete(s, 0, 1) is True  # the structure still takes valid updates
     assert state(s) != before

@@ -54,11 +54,15 @@ def test_out_of_range_vertex_rejected_before_any_state_change(bad):
     assert [g.bfs_reached(x) for x in range(5)] == [False, False, True, False, True]
 
 
-def test_update_op_validation():
-    with pytest.raises(ValueError, match="self-loop"):
-        UpdateOp("i", 1, 1)
-    with pytest.raises(ValueError):
-        UpdateOp("x", 0, 1)
+def test_update_op_is_an_immutable_value_record():
+    op = UpdateOp("i", 0, 1)
+    assert op == UpdateOp("i", 0, 1, 1.0) and hash(op) == hash(UpdateOp("i", 0, 1, 1.0))
+    assert op != UpdateOp("d", 0, 1)
+    assert repr(UpdateOp("q")) == "UpdateOp(kind='q', u=-1, v=-1, w=1.0)"
+    with pytest.raises(AttributeError):
+        op.u = 2
+    # no rule lives in the record: parse_stream and the structures check ops
+    assert UpdateOp("x", 1, 1).kind == "x"
 
 
 def test_nis_matches_recount_after_random_sequence():

@@ -91,9 +91,15 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(streams.StreamFormatError) as exc:
         streams.parse_stream(good + "i 0 1\nz 1 2\n")
     assert exc.value.line_no == 3
-    with pytest.raises(streams.StreamFormatError):
-        streams.parse_stream(good + "i 0 9\n")  # vertex out of range
-    with pytest.raises(streams.StreamFormatError):
+    # the pair errors are check_edge's, at the line that holds the pair
+    for body, message in [("i 1 1\n", "self-loop (1, 1) rejected"),
+                          ("d 0 9\n", "vertex out of range: (0, 9) for n=5")]:
+        with pytest.raises(streams.StreamFormatError) as exc:
+            streams.parse_stream(good + "i 0 1\n" + body)
+        assert exc.value.line_no == 3 and str(exc.value) == f"line 3: {message}"
+    with pytest.raises(streams.StreamFormatError, match=r"line 2: vertex out of range: \(0, 9\)"):
+        streams.parse_stream(good + "i 0 9\n")
+    with pytest.raises(streams.StreamFormatError, match=r"line 2: weight 5.0 outside \[1, 2.0\]"):
         streams.parse_stream("# n=5 delta=0 W=2.0 mode=msf\ni 0 1 5.0\n")
 
 
@@ -420,6 +426,21 @@ def test_parse_rejects_non_finite_weight_bound(W):
     with pytest.raises(streams.StreamFormatError, match="W must be finite") as exc:
         streams.parse_stream(f"# n=3 delta=0 W={W} mode=msf\ni 0 1 1.0\n")
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("header,message", [
+    ("# n=-3 delta=0 W=1.0 mode=cc", "vertex count must be non-negative, got -3"),
+    ("# n=3 delta=0 W=0.5 mode=msf", "W must be finite and >= 1, got 0.5"),
+    ("# n=3 delta=0 W=1.0 mode=x", "unknown mode 'x'"),
+], ids=["n-negative", "W-below-one", "mode-unknown"])
+def test_parse_rejects_a_bad_header_at_line_one(tmp_path, capsys, header, message):
+    with pytest.raises(streams.StreamFormatError) as exc:
+        streams.parse_stream(header + "\nq\n")
+    assert exc.value.line_no == 1 and str(exc.value) == f"line 1: bad header: {message}"
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text(header + "\nq\n")
+    assert _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path)]) == 2
+    assert capsys.readouterr().err == f"error: line 1: bad header: {message}\n"
 
 
 @pytest.mark.parametrize("algo", cli.ALGOS)
