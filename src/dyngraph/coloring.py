@@ -9,14 +9,17 @@ recolored with a color sampled from a restricted set of blank and
 singly-used-below colors, which may cascade along a path of strictly
 decreasing ranks until a blank color is drawn.
 
-Rank ties are broken by vertex id: the stored rank is a 64-bit uniform
-integer shifted left 32 bits with the id packed into the low bits, so ranks
-are distinct and totally ordered.
+Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
+(r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
+vertex id, ranks are distinct and totally ordered, and each is a small int.
+Each recoloring step marks the vertices it visits, so that the next step can
+split its L list into seen and fresh neighbors.  A low-degree step
+(2*deg < delta) always ends the path, so it marks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +34,16 @@ class InvariantError(RuntimeError):
     """A runtime-checked internal invariant failed."""
 
 
-@dataclass
-class RecolorStats:
-    """Work accounting for one update's recoloring cascade (zeros if none)."""
+class RecolorStats(NamedTuple):
+    """Work accounting for one update's recoloring cascade: an immutable record, zeros if none."""
 
     path_length: int = 0
     total_work: int = 0  # sum over the path of (1 + |L_v|)
     good_steps: int = 0  # a low-degree step is neither good nor bad
     bad_steps: int = 0
+
+
+_NO_RECOLOR = RecolorStats()  # what every insert without a cascade returns
 
 
 class Coloring:
@@ -61,8 +66,8 @@ class Coloring:
         seed: int | None = None,
         strict: bool = True,
     ):
-        if n < 1 or n >= 2**32:
-            raise ValueError("need 1 <= n < 2**32")
+        if n < 1:
+            raise ValueError("need n >= 1")
         if delta < 1:
             raise ValueError("delta must be >= 1")
         if not strict:  # the keyword stays while perfbench/workloads.py passes it
@@ -73,7 +78,9 @@ class Coloring:
         self.rng = np.random.default_rng(seed)
 
         r64 = self.rng.integers(0, 2**64, size=n, dtype=np.uint64)
-        self.rank: list[int] = [(int(r64[v]) << 32) | v for v in range(n)]
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(r64, kind="stable")] = np.arange(n)  # stable: ties keep id order
+        self.rank: list[int] = rank.tolist()
         self._chi: list[int] = self.rng.integers(
             1, self.palette + 1, size=n, dtype=np.int64).tolist()
         self.tau: list[int] = [0] * n  # update count at each vertex's last recolor
@@ -130,37 +137,76 @@ class Coloring:
         is a no-op returning empty stats.
         """
         check_edge(u, v, self.n)
-        if u in self._posL[v] or u in self._posH[v]:
-            return RecolorStats()
-        if len(self.L[u]) + len(self.H[u]) >= self.delta:
-            raise DeltaBoundError(f"degree of {u} would exceed delta={self.delta}")
-        if len(self.L[v]) + len(self.H[v]) >= self.delta:
-            raise DeltaBoundError(f"degree of {v} would exceed delta={self.delta}")
-        self.updates += 1
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
-        lst = self.L[hi]
-        self._posL[hi][lo] = len(lst)
+        pos_l = self._posL[hi]
+        if lo in pos_l:
+            return _NO_RECOLOR
+        L, H, delta = self.L, self.H, self.delta
+        du = len(L[u]) + len(H[u])
+        if du >= delta:
+            raise DeltaBoundError(f"degree of {u} would exceed delta={delta}")
+        dv = len(L[v]) + len(H[v])
+        if dv >= delta:
+            raise DeltaBoundError(f"degree of {v} would exceed delta={delta}")
+        self.updates += 1
+        lst = L[hi]
+        pos_l[lo] = len(lst)
         lst.append(lo)
-        lst = self.H[lo]
+        lst = H[lo]
         self._posH[lo][hi] = len(lst)
         lst.append(hi)
-        self._book_add(lo, self._chi[hi])
-        self._maybe_materialize(u)
-        self._maybe_materialize(v)
-        if self._chi[u] != self._chi[v]:
-            return RecolorStats()
-        return self._recolor(u if (self.tau[u], u) > (self.tau[v], v) else v)
+        chi, cl = self._chi, self.cl
+        c = chi[hi]
+        mu = self.mu[lo]
+        count = mu.get(c)
+        if count is None:
+            mu[c] = 1
+            book = cl[lo]
+            if book is not None:
+                del book[c]
+        else:
+            mu[c] = count + 1
+        # C_L is built once, when the degree first reaches delta/2
+        if cl[u] is None and 2 * du + 2 >= delta:
+            self._materialize(u)
+        if cl[v] is None and 2 * dv + 2 >= delta:
+            self._materialize(v)
+        if chi[u] != chi[v]:
+            return _NO_RECOLOR
+        tu, tv = self.tau[u], self.tau[v]
+        return self._recolor(u if tu > tv or (tu == tv and u > v) else v)
 
     def delete(self, u: int, v: int) -> bool:
         """Delete edge (u, v); never recolors. An absent edge is a no-op returning False."""
         check_edge(u, v, self.n)
-        if u not in self._posL[v] and u not in self._posH[v]:
+        lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
+        pos = self._posL[hi]
+        i = pos.pop(lo, None)
+        if i is None:
             return False
         self.updates += 1
-        lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
-        self._list_remove(self.L[hi], self._posL[hi], lo)
-        self._list_remove(self.H[lo], self._posH[lo], hi)
-        self._book_remove(lo, self._chi[hi])
+        lst = self.L[hi]
+        last = lst.pop()
+        if i < len(lst):
+            lst[i] = last
+            pos[last] = i
+        pos = self._posH[lo]
+        i = pos.pop(hi)
+        lst = self.H[lo]
+        last = lst.pop()
+        if i < len(lst):
+            lst[i] = last
+            pos[last] = i
+        c = self._chi[hi]
+        mu = self.mu[lo]
+        count = mu[c]
+        if count == 1:
+            del mu[c]
+            book = self.cl[lo]
+            if book is not None:
+                book[c] = None
+        else:
+            mu[c] = count - 1
         return True
 
     def rebuild(self, new_delta: int) -> "Coloring":
@@ -176,89 +222,93 @@ class Coloring:
 
     # -- internals ----------------------------------------------------------
 
-    @staticmethod
-    def _list_remove(lst: list[int], pos: dict[int, int], x: int) -> None:
-        i = pos.pop(x)
-        last = lst.pop()
-        if i < len(lst):
-            lst[i] = last
-            pos[last] = i
-
-    def _book_add(self, w: int, c: int) -> None:
-        mu = self.mu[w]
-        count = mu.get(c)
-        if count is None:
-            mu[c] = 1
-            clw = self.cl[w]
-            if clw is not None:
-                del clw[c]
-        else:
-            mu[c] = count + 1
-
-    def _book_remove(self, w: int, c: int) -> None:
-        mu = self.mu[w]
-        count = mu[c]
-        if count == 1:
-            del mu[c]
-            clw = self.cl[w]
-            if clw is not None:
-                clw[c] = None
-        else:
-            mu[c] = count - 1
-
-    def _maybe_materialize(self, x: int) -> None:
-        if self.cl[x] is None and 2 * (len(self.L[x]) + len(self.H[x])) >= self.delta:
-            mu = self.mu[x]
-            self.cl[x] = dict.fromkeys(c for c in range(1, self.palette + 1) if c not in mu)
+    def _materialize(self, x: int) -> None:
+        mu = self.mu[x]
+        self.cl[x] = dict.fromkeys(c for c in range(1, self.palette + 1) if c not in mu)
 
     def _recolor(self, v0: int) -> RecolorStats:
         """Recoloring cascade starting at v0; ranks strictly decrease along it."""
         marked: list[int] = []
-        stats = RecolorStats()
-        chi = self._chi
+        chi, tau, rank, L, mus, cl = self._chi, self.tau, self.rank, self.L, self.mu, self.cl
+        now = self.updates
+        length = work = good = bad = 0
         v = v0
         while True:
-            new_color, next_v, branch = self._set_color(v, marked)
-            stats.path_length += 1
-            stats.total_work += 1 + len(self.L[v])
+            new, next_v, branch = self._set_color(v, marked)
+            Lv = L[v]
+            length += 1
+            work += 1 + len(Lv)
             if branch == 1:
-                stats.good_steps += 1
+                good += 1
             elif branch == 2:
-                stats.bad_steps += 1
+                bad += 1
             old = chi[v]
-            chi[v] = new_color
-            self.tau[v] = self.updates
-            if new_color != old:
-                for w in self.L[v]:
-                    self._book_remove(w, old)
-                    self._book_add(w, new_color)
+            chi[v] = new
+            tau[v] = now
+            if new != old:
+                for w in Lv:  # v's colour moves from old to new in each C_H(w) book
+                    mu = mus[w]
+                    count = mu[old]
+                    if count == 1:
+                        del mu[old]
+                        book = cl[w]
+                        if book is not None:
+                            book[old] = None
+                    else:
+                        mu[old] = count - 1
+                    count = mu.get(new)
+                    if count is None:
+                        mu[new] = 1
+                        book = cl[w]
+                        if book is not None:
+                            del book[new]
+                    else:
+                        mu[new] = count + 1
             if next_v is None:
                 break
-            if self.rank[next_v] >= self.rank[v]:
+            if rank[next_v] >= rank[v]:
                 raise InvariantError("recoloring path must descend in rank")
             v = next_v
         vis = self._vis
         for x in marked:
             vis[x] = 0
         self.recolor_events += 1
-        self.total_recolor_work += stats.total_work
-        return stats
+        self.total_recolor_work += work
+        return RecolorStats(length, work, good, bad)
 
     def _set_color(self, v: int, marked: list[int]) -> tuple[int, int | None, int]:
         """Pick a new color for v; returns (color, next path vertex or None, branch).
 
         branch: 0 = low-degree blank sampling, 1 = fresh-neighbor branch,
         2 = seen-neighbor branch.  The caller still holds v's old color.
+        Only branches 1 and 2 mark v and L_v in ``marked``: a low-degree step
+        ends the path, so no later step reads its marks.
         """
         self.setcolor_calls += 1
+        Lv = self.L[v]
+        len_l = len(Lv)
+        chi = self._chi
+        mu_v = self.mu[v]
+        if 2 * (len_l + len(self.H[v])) < self.delta:
+            used = {chi[u] for u in Lv}
+            rng = self.rng
+            palette = self.palette
+            while True:
+                c = int(rng.integers(1, palette + 1))
+                if c not in used and c not in mu_v:
+                    break
+            blanks = palette - len(mu_v) - len(used.difference(mu_v))
+            self._check_sample_size(blanks, len_l, True)
+            return c, None, 0
         vis = self._vis
         if not vis[v]:
             vis[v] = 1
             marked.append(v)
-        Lv = self.L[v]
-        len_l = len(Lv)
+        cnt = self._cnt
+        touched: list[int] = []  # the colors of L_v, each once
         l_old: list[int] = []
         l_new: list[int] = []
+        l_only = 0  # colors used in L_v and not in H_v
         for u in Lv:
             if vis[u]:
                 l_old.append(u)
@@ -266,27 +316,14 @@ class Coloring:
                 vis[u] = 1
                 marked.append(u)
                 l_new.append(u)
-        chi = self._chi
-        cnt = self._cnt
-        touched: list[int] = []
-        for u in Lv:
             c = chi[u]
-            if cnt[c] == 0:
+            k = cnt[c]
+            if not k:
                 touched.append(c)
-            cnt[c] += 1
-        mu_v = self.mu[v]
-        degree = len_l + len(self.H[v])
+                if c not in mu_v:
+                    l_only += 1
+            cnt[c] = k + 1
         try:
-            if 2 * degree < self.delta:
-                rng = self.rng
-                palette = self.palette
-                while True:
-                    c = int(rng.integers(1, palette + 1))
-                    if cnt[c] == 0 and c not in mu_v:
-                        break
-                blanks = palette - len(mu_v) - sum(1 for t in touched if t not in mu_v)
-                self._check_sample_size(blanks, len_l, True)
-                return c, None, 0
             if 10 * len(l_new) >= len_l:
                 chosen = l_new
                 branch = 1
@@ -295,7 +332,7 @@ class Coloring:
                 branch = 2
             if chosen:
                 rank = self.rank
-                ranks = sorted(rank[u] for u in chosen)
+                ranks = sorted([rank[u] for u in chosen])
                 median = ranks[(len(ranks) - 1) // 2]
                 sub = [u for u in chosen if rank[u] <= median]
             else:
@@ -303,7 +340,7 @@ class Coloring:
             # unique colors: used by exactly one vertex of L_v, by no vertex
             # of H_v, with that vertex inside sub
             uniq = [u for u in sub if cnt[chi[u]] == 1 and chi[u] not in mu_v]
-            blanks = self.palette - len(mu_v) - sum(1 for t in touched if t not in mu_v)
+            blanks = self.palette - len(mu_v) - l_only
             s = min(blanks + len(uniq), len(sub) + 1)
             self._check_sample_size(s, len_l, False)
             j = int(self.rng.integers(0, s))
@@ -313,7 +350,8 @@ class Coloring:
             # j-th color of C_L(v) not used by any L_v neighbor
             clv = self.cl[v]
             if clv is None:
-                raise InvariantError(f"C_L not materialized for vertex {v} at degree {degree}")
+                raise InvariantError(f"C_L not materialized for vertex {v} at degree "
+                                     f"{len_l + len(self.H[v])}")
             i = 0
             for c in clv:
                 if cnt[c]:

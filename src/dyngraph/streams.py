@@ -8,9 +8,9 @@ A stream is UTF-8 text: one header line, then one operation per line.
     q
 
 Weights appear only in msf mode; unweighted insertions carry weight 1.
-``StreamHeader`` checks the header (n >= 0, a known mode, 1 <= W < inf);
-``parse_stream`` checks each line's kind, arity, pair (``check_edge``) and
-weight, and names the line in its ``StreamFormatError``.
+``StreamHeader`` checks the header (n >= 0, delta >= 0, a known mode,
+1 <= W < inf); ``parse_stream`` checks each line's kind, arity, pair
+(``check_edge``) and weight, and names the line in its ``StreamFormatError``.
 Generators are seeded and deterministic; the conflict-heavy and adaptive
 generators co-simulate the structure under test (with its declared seed),
 so the emitted file is an ordinary static stream that reproduces the
@@ -51,6 +51,8 @@ class StreamHeader:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        if self.delta < 0:
+            raise ValueError(f"delta must be non-negative, got {self.delta}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.W < math.inf:  # the bound MsfConfig accepts

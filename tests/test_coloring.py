@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from collections import Counter
@@ -7,13 +8,14 @@ import pytest
 
 from dyngraph.coloring import Coloring, DeltaBoundError, InvariantError, RecolorStats
 from dyngraph.oracles import is_proper_coloring
+from dyngraph.streams import gen_conflict_heavy
 
 
 def force_ranks(c: Coloring, order):
     """Assign ranks so that order[0] is the lowest-ranked vertex. Empty graph only."""
     assert all(not c.L[v] and not c.H[v] for v in range(c.n))
     for pos, v in enumerate(order):
-        c.rank[v] = (pos << 32) | v
+        c.rank[v] = pos
 
 
 def force_colors(c: Coloring, cols):
@@ -110,9 +112,11 @@ def test_duplicate_insert_returns_noop_stats():
     c = Coloring(4, 3, seed=1)
     c.insert(0, 1)
     before = list(c._chi)
-    assert c.insert(0, 1) == RecolorStats()
-    assert c.insert(1, 0) == RecolorStats()
+    stats = c.insert(0, 1)
+    assert stats == RecolorStats() and c.insert(1, 0) == stats
     assert c._chi == before
+    with pytest.raises(AttributeError):  # an immutable record
+        stats.path_length = 1
 
 
 def test_delta_bound_violation_rejected():
@@ -346,6 +350,31 @@ def test_dense_fuzz_produces_cascades_and_stays_proper():
                 deep += 1
             assert stats.total_work >= stats.path_length
     assert deep > 0  # recursion actually exercised
+    audit(c)
+
+
+def test_conflict_heavy_replay_is_bit_identical():
+    """Every insert's stats, the final colors and the counters of one seeded replay.
+
+    The digest pins the colors drawn, so any change to the rng calls made or
+    to their order shows here; gen_conflict_heavy co-simulates Coloring, so
+    the stream itself is pinned too.
+    """
+    s = gen_conflict_heavy(300, 6000, 2200, 16, seed=3, struct_seed=5)
+    c = Coloring(300, 16, seed=5)
+    stats = []
+    for op in s.ops:
+        if op.kind == "i":
+            r = c.insert(op.u, op.v)
+            stats.append((r.path_length, r.total_work, r.good_steps, r.bad_steps))
+        elif op.kind == "d":
+            c.delete(op.u, op.v)
+    steps, fresh, seen = (sum(r[i] for r in stats) for i in (0, 2, 3))
+    assert (steps - fresh - seen, fresh, seen) == (553, 1742, 1)  # every branch occurs
+    out = (stats, c._chi, (c.recolor_events, c.total_recolor_work, c.setcolor_calls))
+    assert out[2] == (2192, 14530, 2296)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "84961e5abacccf21e731a5ff8d0662b790c0a64bb37437c3ffb397383d38e7d2")
     audit(c)
 
 

@@ -432,7 +432,8 @@ def test_parse_rejects_non_finite_weight_bound(W):
     ("# n=-3 delta=0 W=1.0 mode=cc", "vertex count must be non-negative, got -3"),
     ("# n=3 delta=0 W=0.5 mode=msf", "W must be finite and >= 1, got 0.5"),
     ("# n=3 delta=0 W=1.0 mode=x", "unknown mode 'x'"),
-], ids=["n-negative", "W-below-one", "mode-unknown"])
+    ("# n=5 delta=-1 W=1.0 mode=coloring", "delta must be non-negative, got -1"),
+], ids=["n-negative", "W-below-one", "mode-unknown", "delta-negative"])
 def test_parse_rejects_a_bad_header_at_line_one(tmp_path, capsys, header, message):
     with pytest.raises(streams.StreamFormatError) as exc:
         streams.parse_stream(header + "\nq\n")
@@ -454,6 +455,26 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
         assert replay.shadow is None  # their checkpoints read the offline pass
     else:
         assert replay.shadow.m == 0 and not replay.weights
+
+
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_timed_apply_times_the_structures_own_method(algo):
+    mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
+    stream = streams.parse_stream(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\nd 0 1\n")
+    replay = cli._Replay(algo, stream, 0.5, 0.2, 0)
+    ins, dele = stream.ops
+    msf = (("insert", (0, 1, 1.0)), ("delete", (0, 1)))
+    want = {
+        "coloring": (("insert", (0, 1)), ("delete", (0, 1))),
+        "cc-exact": (("on_insert", (0, 1)), ("on_delete", (0, 1))),
+        "cc-random": (("on_update", (ins,)), ("on_update", (dele,))),
+        "msf-det": msf,
+        "msf-rand": msf,
+    }[algo]
+    # the clock wraps the bound method alone; its arguments are read from the op before
+    for op, (name, args) in zip(stream.ops, want):
+        timed, args_of = replay.update[op.kind]
+        assert timed == getattr(replay.struct, name) and args_of(op) == args
 
 
 def _spy_on_replays(monkeypatch):
