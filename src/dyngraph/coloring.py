@@ -1,13 +1,13 @@
 """Fully dynamic proper (delta+1)-vertex coloring in expected amortized constant time.
 
-Every vertex gets a static random rank; neighbor lists are split into
-lower-ranked (L) and higher-ranked (H) halves.  Only the colors used on the
-H side are tracked persistently (a multiplicity book per vertex); everything
-about the L side is recomputed on demand in time O(|L_v|).  When an inserted
-edge joins two same-colored endpoints, the more recently colored one is
-recolored with a color sampled from a restricted set of blank and
-singly-used-below colors, which may cascade along a path of strictly
-decreasing ranks until a blank color is drawn.
+Every vertex gets a static random rank, and each edge is stored once, in the
+list L of its higher-ranked end.  A vertex's higher-ranked side H_v is kept
+only as a color multiplicity book (C_H) and a count |H_v|; everything about
+the L side is recomputed on demand in time O(|L_v|).  When an inserted edge
+joins two same-colored endpoints, the more recently colored one is recolored
+with a color sampled from a restricted set of blank and singly-used-below
+colors, which may cascade along a path of strictly decreasing ranks until a
+blank color is drawn.
 
 Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
 (r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
@@ -49,8 +49,9 @@ _NO_RECOLOR = RecolorStats()  # what every insert without a cascade returns
 class Coloring:
     """Proper (delta+1)-coloring of a delta-bounded dynamic graph.
 
-    The structure owns its adjacency (as the L/H lists), so it is driven
-    directly with ``insert``/``delete`` and not attached to a DynamicGraph.
+    It owns its adjacency and is driven directly with ``insert``/``delete``.
+    Each edge sits once, in ``L`` of its higher-ranked end; the lower end
+    keeps only a count (``hdeg``) and the edge's color in its book ``mu``.
     The per-vertex list of colors unused on the H side is only materialized
     once a vertex's degree first reaches ceil(delta/2), keeping
     initialization O(n).  Every color draw checks that its sample set is
@@ -86,9 +87,8 @@ class Coloring:
         self.tau: list[int] = [0] * n  # update count at each vertex's last recolor
 
         self.L: list[list[int]] = [[] for _ in range(n)]
-        self.H: list[list[int]] = [[] for _ in range(n)]
         self._posL: list[dict[int, int]] = [{} for _ in range(n)]
-        self._posH: list[dict[int, int]] = [{} for _ in range(n)]
+        self.hdeg: list[int] = [0] * n  # |H_v|: neighbors ranked above v
         # mu[v]: color -> number of H_v neighbors using it (the C_H book);
         # cl[v]: ordered set of the remaining palette colors (C_L), or None
         # while not yet materialized.
@@ -107,7 +107,7 @@ class Coloring:
 
     def degree(self, v: int) -> int:
         check_vertex(v, self.n)
-        return len(self.L[v]) + len(self.H[v])
+        return len(self.L[v]) + self.hdeg[v]
 
     def color_of(self, v: int) -> int:
         check_vertex(v, self.n)
@@ -119,11 +119,11 @@ class Coloring:
 
     def has_edge(self, u: int, v: int) -> bool:
         check_edge(u, v, self.n)
-        return u in self._posL[v] or u in self._posH[v]
+        return u in self._posL[v] if self.rank[u] < self.rank[v] else v in self._posL[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Current edge set, each edge once as (min id, max id)."""
-        return [(u, w) if u < w else (w, u) for u in range(self.n) for w in self.H[u]]
+        return [(u, w) if u < w else (w, u) for w in range(self.n) for u in self.L[w]]
 
     def max_degree(self) -> int:
         return max(map(self.degree, range(self.n)), default=0)
@@ -141,20 +141,17 @@ class Coloring:
         pos_l = self._posL[hi]
         if lo in pos_l:
             return _NO_RECOLOR
-        L, H, delta = self.L, self.H, self.delta
-        du = len(L[u]) + len(H[u])
+        L, hdeg, delta = self.L, self.hdeg, self.delta
+        du = len(L[u]) + hdeg[u]
         if du >= delta:
             raise DeltaBoundError(f"degree of {u} would exceed delta={delta}")
-        dv = len(L[v]) + len(H[v])
+        dv = len(L[v]) + hdeg[v]
         if dv >= delta:
             raise DeltaBoundError(f"degree of {v} would exceed delta={delta}")
         self.updates += 1
-        lst = L[hi]
-        pos_l[lo] = len(lst)
-        lst.append(lo)
-        lst = H[lo]
-        self._posH[lo][hi] = len(lst)
-        lst.append(hi)
+        pos_l[lo] = len(L[hi])
+        L[hi].append(lo)
+        hdeg[lo] += 1
         chi, cl = self._chi, self.cl
         c = chi[hi]
         mu = self.mu[lo]
@@ -190,13 +187,7 @@ class Coloring:
         if i < len(lst):
             lst[i] = last
             pos[last] = i
-        pos = self._posH[lo]
-        i = pos.pop(hi)
-        lst = self.H[lo]
-        last = lst.pop()
-        if i < len(lst):
-            lst[i] = last
-            pos[last] = i
+        self.hdeg[lo] -= 1
         c = self._chi[hi]
         mu = self.mu[lo]
         count = mu[c]
@@ -289,7 +280,7 @@ class Coloring:
         len_l = len(Lv)
         chi = self._chi
         mu_v = self.mu[v]
-        if 2 * (len_l + len(self.H[v])) < self.delta:
+        if 2 * (len_l + self.hdeg[v]) < self.delta:
             used = {chi[u] for u in Lv}
             rng = self.rng
             palette = self.palette
@@ -351,7 +342,7 @@ class Coloring:
             clv = self.cl[v]
             if clv is None:
                 raise InvariantError(f"C_L not materialized for vertex {v} at degree "
-                                     f"{len_l + len(self.H[v])}")
+                                     f"{len_l + self.hdeg[v]}")
             i = 0
             for c in clv:
                 if cnt[c]:

@@ -178,6 +178,8 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         # with the next change to the benchmark
         if not use_fast_sizes:
             raise ValueError("use_fast_sizes=False: the per-sample boundary route was removed")
+        if not 0 < p_prime < 1:
+            raise ValueError(f"p_prime must be in (0, 1), got {p_prime}")
         super().__init__(n, eps, W, initial_edges)
         rng = np.random.default_rng(seed)
         self.levels = [

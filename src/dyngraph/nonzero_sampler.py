@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph_core import check_vertex
+
 
 class NonZeroSampler:
     def __init__(self, n: int):
@@ -27,6 +29,7 @@ class NonZeroSampler:
 
     def update(self, u: int, delta: int) -> int:
         """Add ``delta`` to the value of ``u`` and return the new value (must stay >= 0)."""
+        check_vertex(u, self.n)
         pos = self._pos
         i = int(pos[u])  # touch 1
         if i >= 0:

@@ -142,12 +142,15 @@ def read_stream(path: str) -> Stream:
 # Generators
 
 
-def _check_density(n: int, target_m: int, delta: int | None) -> None:
+def _check_sizes(num_ops: int, n: int, delta: int | None, name: str, m: int, spare: int = 0):
+    """Reject num_ops < 0, and a ``name`` of m edges that cannot fit with ``spare`` more."""
+    if num_ops < 0:
+        raise ValueError(f"num_ops must be non-negative, got {num_ops}")
     limit = n * (n - 1) // 2
     if delta is not None:
         limit = min(limit, n * delta // 2)
-    if target_m > limit:
-        raise ValueError(f"target_m={target_m} infeasible (limit {limit})")
+    if m > limit - spare:
+        raise ValueError(f"{name}={m} infeasible (limit {limit - spare})")
 
 
 def _draw_weight(rng: np.random.Generator, W: float, integer_weights: bool) -> float:
@@ -193,7 +196,7 @@ def gen_random_churn(
     """Insert up to target_m edges, then mix inserts and deletes 50/50."""
     header = StreamHeader(n=n, delta=delta, W=W, mode=mode)
     bound = delta if mode == "coloring" else None
-    _check_density(n, target_m, bound)
+    _check_sizes(num_ops, n, bound, "target_m", target_m)
     rng = np.random.default_rng(seed)
     graph = DynamicGraph(n)
     ops: list[UpdateOp] = []
@@ -236,7 +239,7 @@ def gen_sliding_window(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     bound = delta if mode == "coloring" else None
-    _check_density(n, window + 1, bound)
+    _check_sizes(num_ops, n, bound, "window", window, spare=1)
     rng = np.random.default_rng(seed)
     graph = DynamicGraph(n)
     fifo: list[tuple[int, int]] = []
@@ -272,7 +275,7 @@ def gen_conflict_heavy(
     Co-simulates the coloring structure with ``struct_seed`` (the seed the
     replay must use) so the bias tracks the actual colors.
     """
-    _check_density(n, target_m, delta)
+    _check_sizes(num_ops, n, delta, "target_m", target_m)
     rng = np.random.default_rng(seed)
     struct = Coloring(n, delta, seed=struct_seed)
     graph = DynamicGraph(n)
@@ -361,6 +364,7 @@ def gen_adaptive_script(
     The replay must run the estimator with ``struct_seed`` to reproduce the
     interaction the adversary saw.
     """
+    _check_sizes(num_ops, n, None, "target_m", target_m)
     rng = np.random.default_rng(seed)
     # the estimator runs from the empty graph, exactly as a replay will
     est = PhasedCcEstimator(DynamicGraph(n), eps_prime, p, seed=struct_seed)

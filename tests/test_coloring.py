@@ -11,9 +11,18 @@ from dyngraph.oracles import is_proper_coloring
 from dyngraph.streams import gen_conflict_heavy
 
 
+def higher(c: Coloring) -> list[list[int]]:
+    """H_v for every v, derived as {w : v in L_w}: the structure stores each edge once, in L."""
+    H = [[] for _ in range(c.n)]
+    for w in range(c.n):
+        for v in c.L[w]:
+            H[v].append(w)
+    return H
+
+
 def force_ranks(c: Coloring, order):
     """Assign ranks so that order[0] is the lowest-ranked vertex. Empty graph only."""
-    assert all(not c.L[v] and not c.H[v] for v in range(c.n))
+    assert not any(c.L) and not any(c.hdeg)  # H_v = {w : v in L_w} is empty too
     for pos, v in enumerate(order):
         c.rank[v] = pos
 
@@ -24,11 +33,15 @@ def force_colors(c: Coloring, cols):
 
 def audit(c: Coloring):
     """Every documented structural invariant, recomputed from scratch."""
+    H = higher(c)
+    stored = [frozenset((u, w)) for w in range(c.n) for u in c.L[w]]
+    assert len(stored) == len(set(stored))  # each edge sits in exactly one L list
     for v in range(c.n):
-        assert all(c.rank[u] < c.rank[v] for u in c.L[v])
-        assert all(c.rank[u] > c.rank[v] for u in c.H[v])
-        assert len(c.L[v]) + len(c.H[v]) == c.degree(v)
-        want = Counter(c._chi[u] for u in c.H[v])
+        assert all(c.rank[u] < c.rank[v] for u in c.L[v])  # the higher-ranked end's
+        assert c._posL[v] == {u: i for i, u in enumerate(c.L[v])}
+        assert c.hdeg[v] == len(H[v])
+        assert len(c.L[v]) + len(H[v]) == c.degree(v)
+        want = Counter(c._chi[u] for u in H[v])
         assert dict(want) == c.mu[v]
         if c.cl[v] is not None:
             palette = set(range(1, c.palette + 1))
@@ -45,7 +58,7 @@ def audit(c: Coloring):
 def test_new_single_vertex():
     c = Coloring(1, 3, seed=0)
     assert 1 <= c.color_of(0) <= 4
-    assert c.L[0] == [] and c.H[0] == []
+    assert c.L[0] == [] and c.hdeg[0] == 0 and higher(c)[0] == []
 
 
 def test_lazy_init_defers_color_lists():
@@ -151,13 +164,13 @@ def test_delete_returns_whether_it_removed_an_edge():
     c = Coloring(4, 3, seed=2)
     c.insert(0, 1)
     c.insert(1, 2)
-    books = lambda: ([list(x) for x in c.L], [list(x) for x in c.H],
+    books = lambda: ([list(x) for x in c.L], higher(c), list(c.hdeg),
                      [dict(m) for m in c.mu], c.updates)
     before = books()
     assert c.delete(0, 2) is False  # absent
     assert books() == before
     assert c.delete(1, 0) is True
-    assert c.updates == before[3] + 1 and not c.has_edge(0, 1)
+    assert c.updates == before[-1] + 1 and not c.has_edge(0, 1)
     audit(c)
 
 
@@ -217,7 +230,7 @@ def test_full_branch_with_empty_lower_list_takes_first_blank():
     c.insert(0, 1)
     c.insert(0, 2)
     # vertex 2: degree 1 (so 2*deg >= delta), L_2 empty (0 ranks above it)
-    assert len(c.L[2]) == 0 and len(c.H[2]) == 1
+    assert len(c.L[2]) == 0 and higher(c)[2] == [0] and c.hdeg[2] == 1
     color, nxt, branch = _probe_set_color(c, 2)
     assert branch == 1 and nxt is None
     # sample set is the first min(|B|, 0+1) = 1 element of B: the first color
@@ -325,6 +338,36 @@ def test_mixed_fuzz_books_match_recount():
                 edges.add(key)
         assert set(c.edges()) == edges
         audit(c)
+
+
+def test_has_edge_matches_shadow_set_under_churn():
+    n, delta = 25, 6
+    c = Coloring(n, delta, seed=17)
+    rng = np.random.default_rng(17)
+    edges = set()
+    deletes = 0
+    for _ in range(3000):
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            assert c.delete(u, v) is True
+            edges.discard(key)
+            deletes += 1
+        elif c.degree(u) < delta and c.degree(v) < delta:
+            c.insert(u, v)
+            edges.add(key)
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+        for x, y in ((u, v), (a, b)):
+            if x != y:
+                want = (min(x, y), max(x, y)) in edges
+                assert c.has_edge(x, y) is want and c.has_edge(y, x) is want
+    assert deletes > 300
+    for x, y in itertools.combinations(range(n), 2):
+        assert c.has_edge(x, y) is c.has_edge(y, x) is ((x, y) in edges)
+    assert sorted(c.edges()) == sorted(edges)
+    audit(c)
 
 
 def test_dense_fuzz_produces_cascades_and_stays_proper():

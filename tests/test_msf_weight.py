@@ -393,3 +393,10 @@ def test_randomized_rejects_the_removed_per_sample_route():
     with pytest.raises(ValueError, match="per-sample boundary route"):
         RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=False)
     assert RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=True).levels
+
+
+@pytest.mark.parametrize("p_prime", [5.0, 50, 1.0, 0.0, -0.1, float("nan")])
+def test_randomized_rejects_p_prime_outside_the_unit_interval(p_prime):
+    # 5.0 once built 8 levels with p = 0.625 each; 50 failed naming the per-level p
+    with pytest.raises(ValueError, match=re.escape(f"p_prime must be in (0, 1), got {p_prime}")):
+        RandomizedMsfEstimator(10, 0.5, 4.0, p_prime, seed=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,16 @@ def test_negative_result_rejected():
         s.update(1, -2)
     with pytest.raises(ValueError):
         s.update(2, -1)
+
+
+@pytest.mark.parametrize("bad", [-1, 7], ids=["negative", "past-the-end"])
+def test_update_rejects_an_out_of_range_vertex_and_changes_nothing(bad):
+    s = NonZeroSampler(5)
+    with pytest.raises(ValueError, match=re.escape(f"vertex out of range: {bad} for n=5")):
+        s.update(bad, 1)
+    assert s.nis == 0 and (s._pos == -1).all()
+    # a negative id must not wrap onto vertex 4's slot
+    assert s.update(4, 1) == 1 and s.sample(np.random.default_rng(0)) == 4
 
 
 def test_random_unit_updates_match_rebuild():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 
 import pytest
 
@@ -78,6 +79,24 @@ def test_infeasible_density_rejected():
         streams.gen_random_churn(10, 50, 100, mode="coloring", delta=3, seed=0)
     with pytest.raises(ValueError):
         streams.gen_random_churn(4, 50, 10, mode="cc", seed=0)
+
+
+def test_sliding_window_infeasible_window_is_named():
+    with pytest.raises(ValueError, match=re.escape("window=45 infeasible (limit 44)")):
+        streams.gen_sliding_window(10, 5, 45, seed=0)
+    assert len(streams.gen_sliding_window(10, 5, 44, seed=0).ops) == 5
+
+
+@pytest.mark.parametrize("gen", [
+    lambda ops: streams.gen_random_churn(10, ops, 3, seed=0),
+    lambda ops: streams.gen_sliding_window(10, ops, 3, seed=0),
+    lambda ops: streams.gen_conflict_heavy(10, ops, 3, 4, seed=0, struct_seed=0),
+    lambda ops: streams.gen_adaptive_script(10, ops, 3, 0.3, 0.1, seed=0, struct_seed=0),
+], ids=["random-churn", "sliding-window", "conflict-heavy", "adaptive-script"])
+def test_generators_reject_negative_num_ops(gen):
+    with pytest.raises(ValueError, match=re.escape("num_ops must be non-negative, got -5")):
+        gen(-5)
+    gen(0)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -404,6 +423,28 @@ def test_cli_gen_sliding_window_rejects_window_below_one(tmp_path, capsys, windo
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"window must be >= 1, got {window}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sliding-window", "--window", "100"], "window=100 infeasible (limit 44)"),
+    (["random-churn", "--ops", "-5", "--target-m", "3"], "num_ops must be non-negative, got -5"),
+], ids=["window-infeasible", "ops-negative"])
+def test_cli_gen_names_the_bad_argument(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.txt"
+    rc = _run_cli(["gen", argv[0], "--n", "10", "--ops", "5", *argv[1:], "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "target_m=" not in err
+    assert not out.exists()
+
+
+def test_cli_run_msf_rand_rejects_p_prime_of_one_or_more(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    assert _run_cli(["gen", "random-churn", "--n", "10", "--ops", "20", "--target-m", "5",
+                     "--mode", "msf", "--W", "4", "--seed", "1", "--out", str(stream)]) == 0
+    rc = _run_cli(["run", "--algo", "msf-rand", "--p", "5", "--stream", str(stream)])
+    assert rc == 2
+    assert "error: p_prime must be in (0, 1), got 5.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,argv", [
