@@ -125,9 +125,6 @@ class Coloring:
         """Current edge set, each edge once as (min id, max id)."""
         return [(u, w) if u < w else (w, u) for w in range(self.n) for u in self.L[w]]
 
-    def max_degree(self) -> int:
-        return max(map(self.degree, range(self.n)), default=0)
-
     # -- updates ------------------------------------------------------------
 
     def insert(self, u: int, v: int) -> RecolorStats:
@@ -203,7 +200,7 @@ class Coloring:
     def rebuild(self, new_delta: int) -> "Coloring":
         """Fresh structure over the current edge set with palette [1, new_delta+1]."""
         edges = self.edges()
-        if self.max_degree() > new_delta:
+        if any(self.degree(v) > new_delta for v in range(self.n)):
             raise DeltaBoundError("current max degree exceeds new_delta")
         child_seed = int(self.rng.integers(0, 2**63))
         fresh = Coloring(self.n, new_delta, seed=child_seed)

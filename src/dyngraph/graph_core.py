@@ -138,9 +138,11 @@ class DynamicGraph:
         return True
 
     def edge_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Live int64 views of the current edge endpoints (read-only by convention)."""
+        """Live, read-only int64 views of the current edge endpoints."""
         m = self.m
-        return np.frombuffer(self._eu, np.int64, m), np.frombuffer(self._ev, np.int64, m)
+        eu, ev = np.frombuffer(self._eu, np.int64, m), np.frombuffer(self._ev, np.int64, m)
+        eu.flags.writeable = ev.flags.writeable = False
+        return eu, ev
 
     def edges(self) -> list[tuple[int, int]]:
         """Snapshot of the edge list as (u, v) pairs with u < v."""

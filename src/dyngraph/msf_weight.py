@@ -135,22 +135,18 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in self._graphs]
 
     def insert(self, u: int, v: int, w: float) -> bool:
-        first = self._admits(u, v, w)
-        if first is None:
-            return False
-        below = None
-        for level in self.levels[first:]:
-            level.on_insert(u, v, below=below)
-            below = level
-        return True
+        return self._walk(SmallCcCounter.on_insert, self._admits(u, v, w), u, v)
 
     def delete(self, u: int, v: int) -> bool:
-        first = self._holds(u, v)
+        return self._walk(SmallCcCounter.on_delete, self._holds(u, v), u, v)
+
+    def _walk(self, update, first: int | None, u: int, v: int) -> bool:
+        """Apply ``update`` to each level from ``first`` up, handing it the level below."""
         if first is None:
             return False
         below = None
         for level in self.levels[first:]:
-            level.on_delete(u, v, below=below)
+            update(level, u, v, below=below)
             below = level
         return True
 

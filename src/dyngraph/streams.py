@@ -371,6 +371,8 @@ def gen_adaptive_script(
     ops: list[UpdateOp] = []
     warm = gen_random_churn(n, target_m, target_m, mode="cc", seed=seed)
     for op in warm.ops:
+        if len(ops) == num_ops:
+            break
         if op.kind == "i" and est.on_update(op):
             ops.append(op)
     while len(ops) < num_ops:

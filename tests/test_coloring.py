@@ -447,7 +447,7 @@ def test_rebuild_empty_graph_equivalent_to_new():
 def test_rebuild_with_smaller_delta():
     c = Coloring(30, 8, seed=6)
     rng = np.random.default_rng(6)
-    while c.max_degree() < 4:
+    while max(map(c.degree, range(30))) < 4:
         u, v = int(rng.integers(0, 30)), int(rng.integers(0, 30))
         if u != v and not c.has_edge(u, v) and c.degree(u) < 4 and c.degree(v) < 4:
             c.insert(u, v)

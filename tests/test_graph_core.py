@@ -252,3 +252,13 @@ def test_edge_view_is_int64_of_length_m_and_edges_are_python_ints():
     assert (eu.tolist(), ev.tolist()) == ([0, 1], [4, 2])
     assert g.edges() == [(0, 4), (1, 2)]
     assert all(type(x) is int for e in g.edges() for x in e)
+
+
+def test_edge_view_is_read_only():
+    g = DynamicGraph(4)
+    g.insert_edge(0, 1)
+    g.insert_edge(2, 3)
+    for view in g.edge_view():
+        with pytest.raises(ValueError):
+            view[0] = 3
+    assert g.edges() == [(0, 1), (2, 3)]

@@ -99,6 +99,33 @@ def test_generators_reject_negative_num_ops(gen):
     gen(0)
 
 
+@pytest.mark.parametrize("num_ops", [0, 2, 5])
+@pytest.mark.parametrize("gen", [
+    lambda ops: streams.gen_random_churn(10, ops, 10, seed=0),
+    lambda ops: streams.gen_sliding_window(10, ops, 10, seed=0),
+    lambda ops: streams.gen_conflict_heavy(10, ops, 10, 4, seed=0, struct_seed=0),
+    lambda ops: streams.gen_adaptive_script(10, ops, 10, 0.3, 0.1, seed=0, struct_seed=0),
+], ids=["random-churn", "sliding-window", "conflict-heavy", "adaptive-script"])
+def test_generators_write_exactly_num_ops_below_target(gen, num_ops):
+    # target_m and window exceed num_ops, so a warm-up must stop at num_ops too
+    assert len(gen(num_ops).ops) == num_ops
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("conflict-heavy", ["--target-m", "40", "--delta", "4"]),
+    ("adaptive-script", ["--target-m", "30", "--eps", "0.4", "--p", "0.2"]),
+], ids=["conflict-heavy", "adaptive-script"])
+def test_cli_gen_struct_seed_defaults_to_zero(tmp_path, kind, argv):
+    # the co-simulated structure's seed must be fixed, or no run --seed can replay it
+    texts = []
+    for i, extra in enumerate([[], [], ["--struct-seed", "0"]]):
+        path = tmp_path / f"{i}.txt"
+        assert _run_cli(["gen", kind, "--n", "30", "--ops", "120", "--seed", "7", *argv,
+                         *extra, "--out", str(path)]) == 0
+        texts.append(path.read_text())
+    assert texts[0] == texts[1] == texts[2]
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(streams.StreamFormatError) as exc:
         streams.parse_stream("not a header\n")
@@ -201,6 +228,35 @@ def test_cli_run_summary_goes_to_stderr(tmp_path, capsys):
     assert len(rows) == 12 // 4 + queries
     assert all(row["step"].isdigit() and row["nanos"] is not None for row in rows)
     assert captured.err.startswith(f"checkpoints={len(rows)} envelope_violations=")
+
+
+def test_cli_run_checks_a_query_right_after_a_checked_update(tmp_path, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=0 W=1.0 mode=cc\ni 0 1\ni 1 2\nq\ni 2 3\nq\n")
+    assert _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path),
+                     "--check-every", "2"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    # step 2 is checked twice, as an update and as the query after it
+    assert [(row["step"], row["op"]) for row in rows] == [("2", "i"), ("2", "q"), ("3", "q")]
+    assert captured.err == f"checkpoints={len(rows)} envelope_violations=0 rate=0.0000\n"
+
+
+def test_cli_run_counts_cc_random_misses_without_stopping(tmp_path, monkeypatch, capsys):
+    stream_path = str(tmp_path / "s.txt")
+    assert _run_cli(["gen", "random-churn", "--n", "20", "--ops", "60", "--target-m", "25",
+                     "--mode", "cc", "--seed", "5", "--out", stream_path]) == 0
+    queries = sum(op.kind == "q" for op in streams.read_stream(stream_path).ops)
+    capsys.readouterr()
+    # an estimate this far off misses the eps * psi envelope at every checkpoint
+    monkeypatch.setattr(cli.PhasedCcEstimator, "estimate", lambda self: -1000.0)
+    assert _run_cli(["run", "--algo", "cc-random", "--stream", stream_path,
+                     "--check-every", "10"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert len(rows) == 60 // 10 + queries
+    assert all(float(row["abs_err"]) > float(row["allowed_err"]) for row in rows)
+    assert captured.err == f"checkpoints={len(rows)} envelope_violations={len(rows)} rate=1.0000\n"
 
 
 def test_cli_run_rejects_negative_check_every(tmp_path, capsys):
