@@ -17,7 +17,7 @@ import numpy as np
 from .cc_exact import SmallCcCounter
 from .cc_random import PhasedCcEstimator
 from .coloring import Coloring, InvariantError
-from .graph_core import DynamicGraph
+from .graph_core import DynamicGraph, UpdateOp
 from .msf_weight import DeterministicMsfEstimator, RandomizedMsfEstimator
 from . import oracles, streams
 
@@ -71,12 +71,13 @@ class _Replay:
     read its arguments from an op (``update``, by op kind), its cumulative work
     counter (``work``) and its checkpoint check.  The arguments are read before
     the clock starts, so ``nanos`` times the structure's method alone.  Given
-    ``check_every`` (``run``) it also builds what the checkpoints read: for
-    cc-exact and cc-random the exact count at each step ``_schedule`` checks,
-    from one offline pass over the stream; for coloring and msf a shadow edge
-    store and its weights, which ``mirror`` writes outside the timed call.
-    ``bench`` keeps neither.  A checkpoint miss sets ``violation``, which ends
-    the run, or for cc-random and msf-rand (``soft``) counts in ``soft_violations``.
+    ``check_every`` (``run``) it lists ``_schedule`` once (``schedule``, which
+    the replay loop walks) and builds what the checkpoints read: for cc-exact
+    and cc-random the exact count at each checked step, from one offline pass
+    over the stream; for coloring and msf a shadow edge store and its weights,
+    which ``mirror`` writes outside the timed call; ``bench`` keeps none of
+    these.  A checkpoint miss sets ``violation``, which ends the run, or for
+    cc-random and msf-rand (``soft``) counts in ``soft_violations``.
     """
 
     def __init__(self, algo: str, stream: streams.Stream, eps: float, p: float,
@@ -90,6 +91,7 @@ class _Replay:
         self.shadow: DynamicGraph | None = None
         self.weights: dict[tuple[int, int], float] = {}
         self.exact_cc: dict[int, int] = {}
+        self.schedule: list[tuple[int, UpdateOp, bool]] = []
         k = None  # the size cap of the cc checkpoints' exact count
         pair = attrgetter("u", "v")
         if algo == "coloring":
@@ -128,10 +130,11 @@ class _Replay:
         self._check = check
         if check_every is None:
             return
+        self.schedule = list(_schedule(stream.ops, check_every))
         if k is None:
             self.shadow = DynamicGraph(h.n)
         else:
-            steps = [step for step, _, checked in _schedule(stream.ops, check_every) if checked]
+            steps = [step for step, _, checked in self.schedule if checked]
             self.exact_cc = oracles.small_component_counts(h.n, stream.ops, k, steps)
 
     def timed_apply(self, step: int, op) -> tuple[int, int]:
@@ -164,15 +167,16 @@ class _Replay:
             self.violation = message
 
     def _check_coloring(self, step: int) -> tuple[float, float, float]:
+        colors, palette = self.struct.colors, self.struct.palette
         eu, ev = self.shadow.edge_view()
-        colors = self.struct.colors
-        ok = bool((colors >= 1).all() and (colors <= self.struct.palette).all())
-        if ok and self.shadow.m:
-            ok = bool((colors[eu] != colors[ev]).all())
-        if not ok:
-            bad = np.nonzero(colors[eu] == colors[ev])[0]
-            self._violation(f"monochromatic edges at indices {bad[:5].tolist()}")
-        return float(ok), 1.0, 0.0
+        off = np.flatnonzero((colors < 1) | (colors > palette))
+        same = np.flatnonzero(colors[eu] == colors[ev])[:5]
+        if off.size:
+            self._violation(f"vertex {off[0]} has color {colors[off[0]]} outside [1, {palette}]")
+        elif same.size:
+            pairs = list(zip(eu[same].tolist(), ev[same].tolist()))
+            self._violation(f"monochromatic edges {pairs}")
+        return float(not (off.size or same.size)), 1.0, 0.0
 
     def _check_cc(self, step: int) -> tuple[float, float, float]:
         """cc-exact must match the oracle; cc-random may miss it by eps * psi."""
@@ -220,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stream = streams.read_stream(args.stream)
     replay = _Replay(args.algo, stream, args.eps, args.p, args.seed, check_every=every)
     rows: list[list] = []
-    for step, op, checked in _schedule(stream.ops, every):
+    for step, op, checked in replay.schedule:
         work = nanos = 0
         if op.kind != "q":
             work, nanos = replay.timed_apply(step, op)

@@ -1,19 +1,20 @@
 """Fully dynamic proper (delta+1)-vertex coloring in expected amortized constant time.
 
 Every vertex gets a static random rank, and each edge is stored once, in the
-list L of its higher-ranked end.  A vertex's higher-ranked side H_v is kept
-only as a color multiplicity book (C_H) and a count |H_v|; everything about
-the L side is recomputed on demand in time O(|L_v|).  When an inserted edge
-joins two same-colored endpoints, the more recently colored one is recolored
-with a color sampled from a restricted set of blank and singly-used-below
-colors, which may cascade along a path of strictly decreasing ranks until a
-blank color is drawn.
+insertion-ordered set L of its higher-ranked end (a dict of None values).  A
+vertex's higher-ranked side H_v is kept only as a color multiplicity book
+(C_H) and a count |H_v|; everything about the L side is recomputed on demand
+in time O(|L_v|).  When an inserted edge joins two same-colored endpoints, the
+more recently colored one is recolored with a color sampled from a restricted
+set of blank and singly-used-below colors, which may cascade along a path of
+strictly decreasing ranks until a blank color is drawn.  The order of L_v
+decides which vertex a drawn index names, not the draw's law.
 
 Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
 (r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
 vertex id, ranks are distinct and totally ordered, and each is a small int.
 Each recoloring step marks the vertices it visits, so that the next step can
-split its L list into seen and fresh neighbors.  A low-degree step
+split its L set into seen and fresh neighbors.  A low-degree step
 (2*deg < delta) always ends the path, so it marks nothing.
 """
 
@@ -50,14 +51,15 @@ class Coloring:
     """Proper (delta+1)-coloring of a delta-bounded dynamic graph.
 
     It owns its adjacency and is driven directly with ``insert``/``delete``.
-    Each edge sits once, in ``L`` of its higher-ranked end; the lower end
-    keeps only a count (``hdeg``) and the edge's color in its book ``mu``.
-    The per-vertex list of colors unused on the H side is only materialized
-    once a vertex's degree first reaches ceil(delta/2), keeping
-    initialization O(n).  Every color draw checks that its sample set is
-    large enough and raises ``InvariantError`` if not; ``strict`` accepts
-    only True.  ``colors`` is a numpy snapshot of the current colors, built
-    on each access; ``color_of`` reads one vertex without a copy.
+    Each edge sits once, in the ordered set ``L`` of its higher-ranked end,
+    whose order decides which vertex a color draw names; the lower end keeps
+    only a count (``hdeg``) and the edge's color in its book ``mu``.  The
+    per-vertex list of colors unused on the H side is only materialized once
+    a vertex's degree first reaches ceil(delta/2), keeping initialization
+    O(n).  Every color draw checks that its sample set is large enough and
+    raises ``InvariantError`` if not; ``strict`` accepts only True.
+    ``colors`` is a numpy snapshot of the current colors, built on each
+    access; ``color_of`` reads one vertex without a copy.
     """
 
     def __init__(
@@ -86,8 +88,7 @@ class Coloring:
             1, self.palette + 1, size=n, dtype=np.int64).tolist()
         self.tau: list[int] = [0] * n  # update count at each vertex's last recolor
 
-        self.L: list[list[int]] = [[] for _ in range(n)]
-        self._posL: list[dict[int, int]] = [{} for _ in range(n)]
+        self.L: list[dict[int, None]] = [{} for _ in range(n)]  # insertion-ordered sets
         self.hdeg: list[int] = [0] * n  # |H_v|: neighbors ranked above v
         # mu[v]: color -> number of H_v neighbors using it (the C_H book);
         # cl[v]: ordered set of the remaining palette colors (C_L), or None
@@ -119,7 +120,7 @@ class Coloring:
 
     def has_edge(self, u: int, v: int) -> bool:
         check_edge(u, v, self.n)
-        return u in self._posL[v] if self.rank[u] < self.rank[v] else v in self._posL[u]
+        return u in self.L[v] if self.rank[u] < self.rank[v] else v in self.L[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Current edge set, each edge once as (min id, max id)."""
@@ -135,10 +136,9 @@ class Coloring:
         """
         check_edge(u, v, self.n)
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
-        pos_l = self._posL[hi]
-        if lo in pos_l:
-            return _NO_RECOLOR
         L, hdeg, delta = self.L, self.hdeg, self.delta
+        if lo in L[hi]:
+            return _NO_RECOLOR
         du = len(L[u]) + hdeg[u]
         if du >= delta:
             raise DeltaBoundError(f"degree of {u} would exceed delta={delta}")
@@ -146,8 +146,7 @@ class Coloring:
         if dv >= delta:
             raise DeltaBoundError(f"degree of {v} would exceed delta={delta}")
         self.updates += 1
-        pos_l[lo] = len(L[hi])
-        L[hi].append(lo)
+        L[hi][lo] = None
         hdeg[lo] += 1
         chi, cl = self._chi, self.cl
         c = chi[hi]
@@ -174,16 +173,11 @@ class Coloring:
         """Delete edge (u, v); never recolors. An absent edge is a no-op returning False."""
         check_edge(u, v, self.n)
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
-        pos = self._posL[hi]
-        i = pos.pop(lo, None)
-        if i is None:
+        l_hi = self.L[hi]
+        if lo not in l_hi:
             return False
         self.updates += 1
-        lst = self.L[hi]
-        last = lst.pop()
-        if i < len(lst):
-            lst[i] = last
-            pos[last] = i
+        del l_hi[lo]
         self.hdeg[lo] -= 1
         c = self._chi[hi]
         mu = self.mu[lo]

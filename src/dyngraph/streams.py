@@ -20,6 +20,7 @@ adversarial interaction byte for byte.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,11 +243,11 @@ def gen_sliding_window(
     _check_sizes(num_ops, n, bound, "window", window, spare=1)
     rng = np.random.default_rng(seed)
     graph = DynamicGraph(n)
-    fifo: list[tuple[int, int]] = []
+    fifo: deque[tuple[int, int]] = deque()
     ops: list[UpdateOp] = []
     while len(ops) < num_ops:
         if len(fifo) >= window:
-            u, v = fifo.pop(0)
+            u, v = fifo.popleft()
             graph.delete_edge(u, v)
             ops.append(UpdateOp("d", u, v))
             if len(ops) == num_ops:
@@ -268,7 +269,7 @@ def gen_conflict_heavy(
     target_m: int,
     delta: int,
     seed: int | None = None,
-    struct_seed: int | None = None,
+    struct_seed: int = 0,
 ) -> Stream:
     """Coloring stream biasing insertions toward currently same-colored endpoints.
 
@@ -357,7 +358,7 @@ def gen_adaptive_script(
     eps_prime: float,
     p: float,
     seed: int | None = None,
-    struct_seed: int | None = None,
+    struct_seed: int = 0,
 ) -> Stream:
     """CC stream from the adaptive adversary co-simulated against the phased estimator.
 

@@ -39,6 +39,17 @@ def test_generators_deterministic_byte_for_byte():
     assert streams.render_stream(c) == streams.render_stream(d)
 
 
+def test_co_simulating_generators_default_struct_seed_to_zero():
+    """A library caller that gives only ``seed`` gets a reproducible stream, as from ``gen``."""
+    a = streams.gen_conflict_heavy(30, 120, 40, delta=4, seed=7)
+    b = streams.gen_conflict_heavy(30, 120, 40, delta=4, seed=7)
+    assert a.ops == b.ops
+    assert a.ops == streams.gen_conflict_heavy(30, 120, 40, delta=4, seed=7, struct_seed=0).ops
+    c = streams.gen_adaptive_script(30, 120, 30, 0.3, 0.1, seed=7)
+    d = streams.gen_adaptive_script(30, 120, 30, 0.3, 0.1, seed=7)
+    assert c.ops == d.ops
+
+
 def test_sliding_window_holds_edge_count_near_target():
     window = 50
     stream = streams.gen_sliding_window(60, 600, window, mode="cc", seed=11)
@@ -200,6 +211,40 @@ def test_cli_exit_code_one_on_guarantee_violation(tmp_path, monkeypatch, capsys)
                    "--eps", "0.5", "--check-every", "10"])
     assert rc == 1
     assert "guarantee violation at step 10: " in capsys.readouterr().err
+
+
+def _force_colors_after_each_insert(monkeypatch, forced: dict[int, int]):
+    """Simulate a broken coloring: after every insert, overwrite the given vertices' colors."""
+    insert = cli.Coloring.insert
+
+    def corrupting(self, u, v):
+        stats = insert(self, u, v)
+        for x, color in forced.items():
+            self._chi[x] = color
+        return stats
+
+    monkeypatch.setattr(cli.Coloring, "insert", corrupting)
+
+
+def test_cli_coloring_violation_names_the_off_palette_vertex(tmp_path, monkeypatch, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=2 W=1.0 mode=coloring\ni 0 1\ni 1 2\n")
+    _force_colors_after_each_insert(monkeypatch, {2: 99})
+    assert _run_cli(["run", "--algo", "coloring", "--stream", str(stream_path),
+                     "--check-every", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "guarantee violation at step 1: vertex 2 has color 99 outside [1, 3]\n")
+
+
+def test_cli_coloring_violation_names_monochromatic_edges_by_endpoints(
+        tmp_path, monkeypatch, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=4 delta=2 W=1.0 mode=coloring\ni 0 1\ni 3 2\ni 1 2\n")
+    _force_colors_after_each_insert(monkeypatch, dict.fromkeys(range(4), 1))
+    assert _run_cli(["run", "--algo", "coloring", "--stream", str(stream_path),
+                     "--check-every", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "guarantee violation at step 3: monochromatic edges [(0, 1), (2, 3), (1, 2)]\n")
 
 
 def test_cli_run_stops_at_a_hard_violation_found_at_a_query(tmp_path, monkeypatch, capsys):
