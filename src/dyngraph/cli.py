@@ -74,10 +74,10 @@ class _Replay:
     ``check_every`` (``run``) it lists ``_schedule`` once (``schedule``, which
     the replay loop walks) and builds what the checkpoints read: for cc-exact
     and cc-random the exact count at each checked step, from one offline pass
-    over the stream; for coloring and msf a shadow edge store and its weights,
-    which ``mirror`` writes outside the timed call; ``bench`` keeps none of
-    these.  A checkpoint miss sets ``violation``, which ends the run, or for
-    cc-random and msf-rand (``soft``) counts in ``soft_violations``.
+    over the stream; for coloring and msf a shadow edge store, and for msf its
+    weights, which ``mirror`` writes outside the timed call; ``bench`` keeps
+    none of these.  A checkpoint miss sets ``violation``, which ends the run,
+    or for cc-random and msf-rand (``soft``) counts in ``soft_violations``.
     """
 
     def __init__(self, algo: str, stream: streams.Stream, eps: float, p: float,
@@ -89,7 +89,7 @@ class _Replay:
         self.soft_violations = 0
         self.violation = ""
         self.shadow: DynamicGraph | None = None
-        self.weights: dict[tuple[int, int], float] = {}
+        self.weights: dict[tuple[int, int], float] | None = None  # msf runs only
         self.exact_cc: dict[int, int] = {}
         self.schedule: list[tuple[int, UpdateOp, bool]] = []
         k = None  # the size cap of the cc checkpoints' exact count
@@ -133,6 +133,8 @@ class _Replay:
         self.schedule = list(_schedule(stream.ops, check_every))
         if k is None:
             self.shadow = DynamicGraph(h.n)
+            if algo != "coloring":
+                self.weights = {}
         else:
             steps = [step for step, _, checked in self.schedule if checked]
             self.exact_cc = oracles.small_component_counts(h.n, stream.ops, k, steps)
@@ -151,13 +153,15 @@ class _Replay:
         return self.work() - before, nanos
 
     def mirror(self, op) -> None:
-        """Apply one update to the shadow store; the shadow graph decides what is a no-op."""
+        """Apply one update to the shadow store, and on msf runs to its weights;
+        the shadow graph decides what is a no-op."""
+        weights = self.weights
         key = (op.u, op.v) if op.u < op.v else (op.v, op.u)
         if op.kind == "i":
-            if self.shadow.insert_edge(op.u, op.v):
-                self.weights[key] = op.w
-        elif self.shadow.delete_edge(op.u, op.v):
-            del self.weights[key]
+            if self.shadow.insert_edge(op.u, op.v) and weights is not None:
+                weights[key] = op.w
+        elif self.shadow.delete_edge(op.u, op.v) and weights is not None:
+            del weights[key]
 
     def _violation(self, message: str) -> None:
         """Count a soft (randomized) miss, or record a hard guarantee violation."""

@@ -280,7 +280,9 @@ class Coloring:
                 if c not in used and c not in mu_v:
                     break
             blanks = palette - len(mu_v) - len(used.difference(mu_v))
-            self._check_sample_size(blanks, len_l, True)
+            if 2 * blanks < self.delta + 2:
+                raise InvariantError(
+                    f"sample set of size {blanks} below delta/2+1 (delta={self.delta})")
             return c, None, 0
         vis = self._vis
         if not vis[v]:
@@ -324,7 +326,8 @@ class Coloring:
             uniq = [u for u in sub if cnt[chi[u]] == 1 and chi[u] not in mu_v]
             blanks = self.palette - len(mu_v) - l_only
             s = min(blanks + len(uniq), len(sub) + 1)
-            self._check_sample_size(s, len_l, False)
+            if 100 * (s - 1) < len_l:
+                raise InvariantError(f"sample set of size {s} below |L_v|/100+1 (|L_v|={len_l})")
             j = int(self.rng.integers(0, s))
             if j >= blanks:
                 w = uniq[j - blanks]
@@ -345,12 +348,3 @@ class Coloring:
         finally:
             for c in touched:
                 cnt[c] = 0
-
-    def _check_sample_size(self, s: int, len_l: int, low_degree: bool) -> None:
-        if low_degree:
-            if 2 * s < self.delta + 2:
-                raise InvariantError(
-                    f"sample set of size {s} below delta/2+1 (delta={self.delta})"
-                )
-        elif 100 * (s - 1) < len_l:
-            raise InvariantError(f"sample set of size {s} below |L_v|/100+1 (|L_v|={len_l})")

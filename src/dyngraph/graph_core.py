@@ -2,11 +2,12 @@
 
 The graph supports constant-expected-time edge insertion/deletion and keeps
 running counters (edge count, per-vertex degree, number of non-isolated
-vertices) exactly in sync with the edge set.  The flat edge store is a pair of
-``array("q")`` buffers, read through zero-copy numpy ``frombuffer`` views and
-never resized in place.  ``bfs_limited`` explores a component from a start
-vertex but never discovers more than ``vertex_cap`` vertices, which is the
-primitive the component-count estimators are built on.
+vertices) exactly in sync with the edge set.  Each vertex's adjacency maps a
+neighbour to the edge's slot in the flat edge store, a pair of ``array("q")``
+buffers read through zero-copy numpy ``frombuffer`` views and never resized
+in place.  ``bfs_limited`` explores a component from a start vertex but never
+discovers more than ``vertex_cap`` vertices, which is the primitive the
+component-count estimators are built on.
 ``check_edge`` is the one pair rule every structure and ``parse_stream`` apply
 before any state change: ``self-loop (u, u) rejected`` or ``vertex out of range:
 (u, v) for n=N``; ``check_vertex`` is its one-vertex form for reads.
@@ -52,24 +53,23 @@ class UpdateOp(NamedTuple):
 class DynamicGraph:
     """Undirected simple graph on a fixed vertex set {0, ..., n-1}.
 
-    Adjacency is one hash set per vertex.  Besides the sets, flat edge
-    arrays (with swap-delete and a position index) are maintained so that
-    the current edge list can be handed to vectorized checkers in O(1).
-    They are ``array("q")``, so a swap-delete moves Python ints; growing builds
-    a new array, as resizing in place raises BufferError under an edge_view.
+    ``adj[u]`` maps each neighbour ``v`` to the slot of (u, v) in the flat
+    edge arrays, which hand the edge list to vectorized checkers in O(1).  A
+    delete moves the last edge into the gap and re-points its two entries.
+    The arrays are ``array("q")``; growing builds a new array, as resizing in
+    place raises BufferError under an edge_view.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.adj: list[dict[int, int]] = [{} for _ in range(n)]
         self.m = 0
         self.nis = 0  # number of vertices with degree >= 1
-        # flat edge store: (u, v) with u < v, swap-delete on removal
+        # flat edge store: (u, v) with u < v at slot adj[u][v], swap-delete on removal
         self._eu = array("q", bytes(8 * 16))
         self._ev = array("q", bytes(8 * 16))
-        self._epos: dict[tuple[int, int], int] = {}
         # scratch marks for bfs_limited; epoch trick avoids O(n) clears, -1 is no epoch
         self._mark = [-1] * n
         self._epoch = 0
@@ -93,47 +93,44 @@ class DynamicGraph:
         au = self.adj[u]
         if v in au:
             return False
-        au.add(v)
+        i = self.m
+        au[v] = i
         av = self.adj[v]
-        av.add(u)
+        av[u] = i
         if len(au) == 1:
             self.nis += 1
         if len(av) == 1:
             self.nis += 1
         if u > v:
             u, v = v, u
-        i = self.m
         if i == len(self._eu):
             self._eu = self._eu + array("q", bytes(8 * i))
             self._ev = self._ev + array("q", bytes(8 * i))
         self._eu[i] = u
         self._ev[i] = v
-        self._epos[(u, v)] = i
         self.m = i + 1
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete (u, v); returns False if the edge was absent."""
         check_edge(u, v, self.n)
-        au = self.adj[u]
+        adj = self.adj
+        au = adj[u]
         if v not in au:
             return False
-        au.discard(v)
-        av = self.adj[v]
-        av.discard(u)
+        i = au.pop(v)
+        av = adj[v]
+        del av[u]
         if not au:
             self.nis -= 1
         if not av:
             self.nis -= 1
-        if u > v:
-            u, v = v, u
-        i = self._epos.pop((u, v))
         last = self.m - 1
         if i != last:
             eu, ev = self._eu, self._ev
             lu = eu[i] = eu[last]
             lv = ev[i] = ev[last]
-            self._epos[(lu, lv)] = i
+            adj[lu][lv] = adj[lv][lu] = i
         self.m = last
         return True
 
@@ -155,8 +152,9 @@ class DynamicGraph:
         ``min(component size, vertex_cap)`` and ``closed`` is True iff the
         whole component was exhausted.  Only edges among the discovered
         vertices are ever scanned.  Discovery is in FIFO queue order, each
-        ``adj[x]`` in set iteration order, so which vertices a capped call
-        marks, and with them the callers' BFS work counters, depend on it.
+        ``adj[x]`` in insertion order (a re-inserted neighbour comes last), so
+        which vertices a capped call marks, and with them the callers' BFS
+        work counters, depend on it.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:

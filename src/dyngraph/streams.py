@@ -9,8 +9,9 @@ A stream is UTF-8 text: one header line, then one operation per line.
 
 Weights appear only in msf mode; unweighted insertions carry weight 1.
 ``StreamHeader`` checks the header (n >= 0, delta >= 0, a known mode,
-1 <= W < inf); ``parse_stream`` checks each line's kind, arity, pair
-(``check_edge``) and weight, and names the line in its ``StreamFormatError``.
+1 <= W < inf); ``parse_stream`` checks each line's kind, arity (a weight
+outside msf mode is an error, not dropped), pair (``check_edge``) and weight,
+and names the line in its ``StreamFormatError``.
 Generators are seeded and deterministic; the conflict-heavy and adaptive
 generators co-simulate the structure under test (with its declared seed),
 so the emitted file is an ordinary static stream that reproduces the
@@ -113,6 +114,8 @@ def parse_stream(text: str) -> Stream:
             if kind == "i":
                 if len(parts) not in (3, 4):
                     raise ValueError("insert takes 2 or 3 arguments")
+                if len(parts) == 4 and header.mode != "msf":
+                    raise ValueError(f"weights appear only in msf mode, not {header.mode}")
             elif kind == "d":
                 if len(parts) != 3:
                     raise ValueError("delete takes 2 arguments")

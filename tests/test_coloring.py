@@ -83,8 +83,9 @@ def test_sample_size_check_cannot_be_switched_off():
     with pytest.raises(ValueError, match="strict=False"):
         Coloring(4, 3, strict=False)
     c = Coloring(4, 3, strict=True)
-    with pytest.raises(InvariantError):  # the check runs on every instance
-        c._check_sample_size(1, 0, True)
+    c.mu[0] = {1: 1, 2: 1}  # a corrupt book leaves 2 blanks of 4, below delta/2+1
+    with pytest.raises(InvariantError, match="below delta/2"):  # checked on every instance
+        _probe_set_color(c, 0)
 
 
 # -- insert / delete ----------------------------------------------------------
@@ -285,13 +286,25 @@ def test_singleton_fresh_list_median_is_itself():
     assert nxt is None and color in {1, 3}
 
 
+def _with_blanks(c, v, blanks):
+    """Corrupt v's colour book so that exactly ``blanks`` colours look free of H_v."""
+    c.mu[v] = {col: 1 for col in range(1, c.palette + 1 - blanks)}
+    return c
+
+
 def test_sample_size_checker_raises_on_violation():
-    c = Coloring(4, 8, seed=0)
-    with pytest.raises(InvariantError):
-        c._check_sample_size(2, 0, True)  # low-degree branch needs >= delta/2+1
-    with pytest.raises(InvariantError):
-        c._check_sample_size(1, 150, False)  # needs >= |L|/100 + 1
-    c._check_sample_size(5, 400, False)  # 100*(5-1) >= 400: boundary passes
+    # low-degree branch (no edges, delta 8, palette 9) needs >= delta/2+1 = 5 blanks
+    with pytest.raises(InvariantError, match=r"size 4 below delta/2\+1 \(delta=8\)"):
+        _probe_set_color(_with_blanks(Coloring(4, 8, seed=0), 0, 4), 0)
+    assert _probe_set_color(_with_blanks(Coloring(4, 8, seed=0), 0, 5), 0)[2] == 0
+    # fresh-neighbour branch (L_0 = {1}, delta 2) needs >= |L_v|/100+1 sample colours
+    c = Coloring(3, 2, seed=0)
+    force_ranks(c, [1, 2, 0])
+    c.insert(0, 1)
+    with pytest.raises(InvariantError, match=r"size 1 below \|L_v\|/100\+1 \(\|L_v\|=1\)"):
+        _probe_set_color(_with_blanks(c, 0, 1), 0)
+    c._vis = [0] * 3  # the raise left its marks behind
+    assert _probe_set_color(_with_blanks(c, 0, 2), 0)[2] == 1
 
 
 # -- recoloring paths ----------------------------------------------------------

@@ -154,7 +154,7 @@ def test_bfs_limited_matches_truncated_full_bfs():
 
 
 def _reference_discovered(adj, start, cap):
-    """Sequential BFS: FIFO queue, ``adj[x]`` in set order, stop at the cap."""
+    """Sequential BFS: FIFO queue, ``adj[x]`` in insertion order, stop at the cap."""
     seen = {start}
     queue = deque([start])
     while queue:
@@ -184,6 +184,50 @@ def test_bfs_limited_discovers_in_fifo_queue_order(seed):
             reached, _ = g.bfs_limited(start, cap)
             assert {x for x in range(40) if g.bfs_reached(x)} == expected
             assert reached == len(expected)
+
+
+def test_adjacency_keeps_insertion_order_across_deletes():
+    """adj[x] is insertion-ordered: a delete from the middle keeps the other
+    neighbours in order, a re-insert goes to the end, and BFS discovers so."""
+    g = DynamicGraph(6)
+    for v in (5, 1, 4, 2, 3):  # not sorted, so a small-int set order would differ
+        g.insert_edge(0, v)
+    assert list(g.adj[0]) == [5, 1, 4, 2, 3]
+    assert g.delete_edge(4, 0)
+    assert list(g.adj[0]) == [5, 1, 2, 3]
+    assert g.insert_edge(4, 0)
+    assert list(g.adj[0]) == [5, 1, 2, 3, 4]
+    for cap in range(1, 7):
+        assert g.bfs_limited(0, cap) == (cap, cap == 6)
+        assert {x for x in range(6) if g.bfs_reached(x)} == set([0, 5, 1, 2, 3, 4][:cap])
+
+
+def _assert_slots_match_adjacency(g):
+    eu, ev = g.edge_view()
+    for i, (u, v) in enumerate(zip(eu.tolist(), ev.tolist())):
+        assert g.adj[u][v] == g.adj[v][u] == i
+    for u, nbrs in enumerate(g.adj):
+        for v, i in nbrs.items():  # every entry names a live slot holding its edge
+            assert i < g.m and {eu[i], ev[i]} == {u, v}
+
+
+def test_churn_keeps_each_adjacency_entry_on_its_edge_slot():
+    rng = np.random.default_rng(11)
+    g = DynamicGraph(20)
+    live: list[tuple[int, int]] = []
+    deletes = 0
+    for _ in range(900):
+        if live and rng.random() < 0.45:
+            u, v = live.pop(int(rng.integers(0, len(live))))
+            assert g.delete_edge(v, u)
+            deletes += 1
+        else:
+            u, v = (int(x) for x in rng.choice(20, 2, replace=False))
+            if g.insert_edge(u, v):
+                live.append((u, v))
+        _assert_slots_match_adjacency(g)
+    assert deletes >= 300 and g.m == len(live)
+    assert set(g.edges()) == {(min(e), max(e)) for e in live}
 
 
 def test_bfs_limited_rejects_bad_cap():

@@ -379,7 +379,7 @@ def test_deterministic_from_initial_edges_pinned():
         "a5ee7532c1425b8344e4c147e0ebc0cb8570d6057d3de94ca5fca1b1270c2313"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "fdd67fc3d6bcaa3f61a534b1576f3d4db3dc9d281ff280ab29784d529ffde874"
+        "5fd43b68708e3df48fe8bbc4cc4418ba920c599ae0fa6d083f385a2b4839fbf4"
 
 
 def test_randomized_from_initial_edges_pinned():

@@ -586,6 +586,22 @@ def test_parse_rejects_a_bad_header_at_line_one(tmp_path, capsys, header, messag
     assert capsys.readouterr().err == f"error: line 1: bad header: {message}\n"
 
 
+@pytest.mark.parametrize("mode,algo", [("cc", "cc-exact"), ("coloring", "coloring")])
+def test_parse_rejects_a_weight_outside_msf_mode(tmp_path, capsys, mode, algo):
+    # render_stream writes no weight outside msf mode, so it would not round-trip
+    text = f"# n=4 delta=3 W=4.0 mode={mode}\ni 0 1\ni 1 2 3.5\n"
+    message = f"line 3: weights appear only in msf mode, not {mode}"
+    with pytest.raises(streams.StreamFormatError) as exc:
+        streams.parse_stream(text)
+    assert exc.value.line_no == 3 and str(exc.value) == message
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text(text)
+    for run_algo in (algo, "msf-det"):  # msf-det used to read the weight
+        assert _run_cli(["run", "--algo", run_algo, "--stream", str(stream_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert streams.parse_stream(text.replace(f"mode={mode}", "mode=msf")).ops[1].w == 3.5
+
+
 @pytest.mark.parametrize("algo", cli.ALGOS)
 def test_timed_apply_leaves_the_shadow_store_alone(algo):
     mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
@@ -657,6 +673,21 @@ def test_only_coloring_and_msf_runs_keep_a_shadow_store(tmp_path, monkeypatch, a
     assert all(r.shadow is None and not r.weights for r in replays[1:]) and not mirrored
 
 
+@pytest.mark.parametrize("algo", ["coloring", "msf-det", "msf-rand"])
+def test_only_msf_runs_keep_shadow_weights(algo):
+    mode = "coloring" if algo == "coloring" else "msf"
+    stream = streams.parse_stream(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\ni 2 1\nd 0 1\n")
+    replay = cli._Replay(algo, stream, 0.5, 0.2, 0, check_every=1)
+    for op in stream.ops[:2]:
+        replay.mirror(op)
+    msf = algo != "coloring"  # no coloring check reads a weight
+    assert replay.shadow.edges() == [(0, 1), (1, 2)]
+    assert replay.weights == ({(0, 1): 1.0, (1, 2): 1.0} if msf else None)
+    replay.mirror(stream.ops[2])
+    assert replay.shadow.edges() == [(1, 2)]
+    assert replay.weights == ({(1, 2): 1.0} if msf else None)
+
+
 @pytest.mark.parametrize("algo,gen_argv,run_argv,outputs,work", [
     ("coloring",
      ["conflict-heavy", "--target-m", "100", "--delta", "6", "--struct-seed", "5"],
@@ -667,7 +698,7 @@ def test_only_coloring_and_msf_runs_keep_a_shadow_store(tmp_path, monkeypatch, a
      ["random-churn", "--target-m", "100", "--mode", "cc"],
      ["--eps", "0.34"],
      "397a2a084d96bca1837dcae6b29fe265c2267dc2a65ad5db41a0f3608da0c7b2",
-     "a441375a44e7299c71f61b18e15f8733513efded2568e197957911a7ea5ada9f"),
+     "98b65ad2f257d554fc9a6b5693c35a353e806480b9bb90892947343e6f4251ea"),
     ("cc-random",
      ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
       "--struct-seed", "5"],
@@ -678,7 +709,7 @@ def test_only_coloring_and_msf_runs_keep_a_shadow_store(tmp_path, monkeypatch, a
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
      "6a4aef18fd101c999388bcb68fa65855ee993f0d516b8b08bbdc0770b3d96487",
-     "ad9322abf162b43838b8af674de198734fcbbcd71fd960177e38c173ca8003a9"),
+     "731353ba8ebd4920840c2cd34c77ce1b5e2bd1b1e4c1bc1d77623916f3dee809"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
