@@ -155,13 +155,12 @@ class _Replay:
     def mirror(self, op) -> None:
         """Apply one update to the shadow store, and on msf runs to its weights;
         the shadow graph decides what is a no-op."""
-        weights = self.weights
-        key = (op.u, op.v) if op.u < op.v else (op.v, op.u)
+        u, v, weights = op.u, op.v, self.weights
         if op.kind == "i":
-            if self.shadow.insert_edge(op.u, op.v) and weights is not None:
-                weights[key] = op.w
-        elif self.shadow.delete_edge(op.u, op.v) and weights is not None:
-            del weights[key]
+            if self.shadow.insert_edge(u, v) and weights is not None:
+                weights[min(u, v), max(u, v)] = op.w
+        elif self.shadow.delete_edge(u, v) and weights is not None:
+            del weights[min(u, v), max(u, v)]
 
     def _violation(self, message: str) -> None:
         """Count a soft (randomized) miss, or record a hard guarantee violation."""

@@ -297,13 +297,16 @@ def test_sample_size_checker_raises_on_violation():
     with pytest.raises(InvariantError, match=r"size 4 below delta/2\+1 \(delta=8\)"):
         _probe_set_color(_with_blanks(Coloring(4, 8, seed=0), 0, 4), 0)
     assert _probe_set_color(_with_blanks(Coloring(4, 8, seed=0), 0, 5), 0)[2] == 0
-    # fresh-neighbour branch (L_0 = {1}, delta 2) needs >= |L_v|/100+1 sample colours
-    c = Coloring(3, 2, seed=0)
-    force_ranks(c, [1, 2, 0])
-    c.insert(0, 1)
-    with pytest.raises(InvariantError, match=r"size 1 below \|L_v\|/100\+1 \(\|L_v\|=1\)"):
+    # fresh-neighbour branch (|L_0| = 100, delta 100) needs >= |L_v|/100+1 = 2 sample
+    # colours: s = 2 sits on the boundary 100*(s-1) == |L_v| and passes
+    c = Coloring(102, 100, seed=0)
+    force_ranks(c, list(range(1, 102)) + [0])  # vertex 0 ranked highest
+    for v in range(1, 101):
+        c.insert(0, v)
+    force_colors(c, [101] + [1] * 101)  # one shared colour on L_0: no unique colours
+    with pytest.raises(InvariantError, match=r"size 1 below \|L_v\|/100\+1 \(\|L_v\|=100\)"):
         _probe_set_color(_with_blanks(c, 0, 1), 0)
-    c._vis = [0] * 3  # the raise left its marks behind
+    c._vis = [0] * c.n  # the raise left its marks behind
     assert _probe_set_color(_with_blanks(c, 0, 2), 0)[2] == 1
 
 
