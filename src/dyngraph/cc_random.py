@@ -4,15 +4,39 @@ The static estimator samples non-isolated vertices, sizes each one's
 component with a capped BFS, and averages inverse sizes; components larger
 than the cap are treated as contributing zero, which biases the estimate by
 at most eps*nis/2 while Hoeffding bounds the sampling error by the same
-amount.  The dynamic estimator re-estimates at phase boundaries and relies
-on the fact that one update changes the component count by at most one in
-between; its error scale Thr is the nis of an enclosing graph (by default
-its own) read before each update.  Given every component's size, a boundary
-takes one multinomial draw over the component sizes 2..cap and "above cap"
-instead of one draw per sample: the estimate depends only on how many
-samples land in each size class, so the draw has the distribution of the
-per-sample loop (the inverse-size estimator of Chazelle, Rubinfeld and
-Trevisan, SICOMP 2005).
+amount.  Given every component's size, a boundary takes one multinomial
+draw over the component sizes 2..cap and "above cap" instead of one draw
+per sample: the estimate depends only on how many samples land in each size
+class, so the draw has the distribution of the per-sample loop (the
+inverse-size estimator of Chazelle, Rubinfeld and Trevisan, SICOMP 2005).
+
+The dynamic estimator re-estimates at phase boundaries and keeps the
+estimate frozen in between.  Its allowance is eps'*Thr, where Thr is the
+nis of an enclosing graph (by default its own) read before each update.
+Let psi be Thr before the update that fires a boundary and L the phase
+length set there; the next boundary fires L updates later.  k updates
+after the boundary (0 <= k <= L - 1) the error is at most the sum of:
+
+- the static estimate's error, (eps'/4)*nis of the graph after the boundary
+  update, with probability 1 - p.  That nis is at most psi + 2: the update
+  adds at most two non-isolated vertices, and the graph lies in the
+  enclosing one;
+- a drift of at most 1 per applied update, since one insert or delete moves
+  the component count by at most one.  A ``tick`` counts as two updates and
+  moves nothing.
+
+Thr falls by at most 2 per update, so the allowance k updates on is at
+least eps'*(psi - 2k).  Both sides are worst at k = L - 1, so the budget is
+
+    eps'*(psi + 2)/4 + (L - 1) <= eps'*(psi - 2*(L - 1)),
+
+and ``_phase_len`` takes the largest L that meets it,
+L = 1 + floor(eps'*(3*psi - 2) / (4*(1 + 2*eps'))), which is at least 1
+for psi >= 1.  At psi = 0 the boundary graph has at most one edge, whose
+count the static estimate gets exactly.  The first phase starts from the
+exact count, so it spends less than a later one.  This length spends the
+whole allowance: anything else that lets the published value lag the graph
+must be paid for out of L.
 """
 
 from __future__ import annotations
@@ -89,6 +113,11 @@ def _size_class_estimate(
     return nis * total / cfg.samples
 
 
+def _phase_len(eps_prime: float, psi: int) -> int:
+    """The longest phase the error budget (module docstring) allows at Thr = psi."""
+    return max(1, 1 + math.floor(eps_prime * (3 * psi - 2) / (4.0 * (1.0 + 2.0 * eps_prime))))
+
+
 class PhasedCcEstimator:
     """Dynamic component-count estimator, re-sampled at phase boundaries.
 
@@ -99,13 +128,16 @@ class PhasedCcEstimator:
     in, which changes by one edge per update.  The estimate stays within
     eps' * Thr of the truth with probability 1 - p per phase and is frozen
     between boundaries, so queries leak no randomness mid-phase and an
-    adaptive adversary gains nothing.  A boundary draws cfg.samples vertices
-    of the graph's nis: it numbers the non-isolated vertices 0..nis-1 from the
-    edge view, labels their components once (O(n) for the numbering, O(nis +
-    m) for the labelling), and draws how many samples land in each size
-    class, in one multinomial draw.  Everything is read from ``graph``; no
-    second copy of its degrees is kept.  ``samples`` counts every vertex drawn
-    at a boundary since construction.
+    adaptive adversary gains nothing.  A phase that starts at Thr = psi lasts
+    ``phase_len`` = 1 + floor(eps'(3 psi - 2) / (4 (1 + 2 eps'))) updates,
+    the longest the error budget in the module docstring allows: about
+    (3/4) eps' psi for small eps', and psi/4 at eps' = 1.  A boundary draws
+    cfg.samples vertices of the graph's nis: it numbers the non-isolated
+    vertices 0..nis-1 from the edge view, labels their components once (O(n)
+    for the numbering, O(nis + m) for the labelling), and draws how many
+    samples land in each size class, in one multinomial draw.  Everything is
+    read from ``graph``; no second copy of its degrees is kept.  ``samples``
+    counts every vertex drawn at a boundary since construction.
     """
 
     def __init__(
@@ -131,7 +163,7 @@ class PhasedCcEstimator:
         self.psi = enclosing.nis
         self.i = 0
         self.samples = 0
-        self.phase_len = max(1, math.ceil(eps_prime * self.psi / 4.0))
+        self.phase_len = _phase_len(eps_prime, self.psi)
         self._until_boundary = self.phase_len
 
     def estimate(self) -> float:
@@ -187,5 +219,5 @@ class PhasedCcEstimator:
             b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
         self.c_bar = b + g.n - nis
         self.psi = thr
-        self.phase_len = max(1, math.ceil(self.eps_prime * self.psi / 4.0))
+        self.phase_len = _phase_len(self.eps_prime, thr)
         self._until_boundary = self.phase_len

@@ -161,7 +161,9 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
     probability p_prime/(r+1) on its own threshold graph, all drawing from
     one generator.  Every level reads Thr from the top level's graph, which
     ``_route`` updates last, so each sees the full graph's nis before the update.
-    A level boundary draws per component-size class from its own graph (see
+    By the error budget in ``cc_random`` at eps' = eps/(4W), a level's phase
+    lasts about (3/4) eps' Thr updates, a tick counting two.  A level
+    boundary draws per component-size class from its own graph (see
     ``PhasedCcEstimator``); ``use_fast_sizes`` accepts only True, the route
     every boundary takes.
     """

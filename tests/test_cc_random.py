@@ -3,17 +3,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyngraph import cc_random
 from dyngraph.cc_random import (
     PhasedCcEstimator,
     StaticEstimateConfig,
+    _phase_len,
     _size_class_estimate,
     static_estimate_nis,
 )
 from dyngraph.graph_core import DynamicGraph, UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 from dyngraph.oracles import fast_component_sizes, fast_ncc
+from dyngraph.streams import adaptive_adversary_step
 
 
 def sampler_for(g):
@@ -171,8 +175,12 @@ def test_boundary_on_non_isolated_vertices_matches_labelling_all_n(monkeypatch):
         if rng.random() < 0.7:
             g.insert_edge(int(a), int(b))
     est = PhasedCcEstimator(g, 0.1, 0.1, seed=9)
-    assert est.phase_len == 1 and est.cfg.cap == 80
+    assert est.phase_len == 3 and est.cfg.cap == 80
     u, v = int(used[0]), int(used[-1])
+    kind, back = ("d", "i") if g.has_edge(u, v) else ("i", "d")
+    for k in (kind, back):  # two updates that leave the graph as it was, short of the boundary
+        assert est.on_update(UpdateOp(k, u, v))
+    assert est.samples == 0
     rng_all_n = np.random.default_rng(0)
     rng_all_n.bit_generator.state = est.rng.bit_generator.state
     sizes_seen = []
@@ -182,7 +190,7 @@ def test_boundary_on_non_isolated_vertices_matches_labelling_all_n(monkeypatch):
         return sizes_seen[-1]
 
     monkeypatch.setattr(cc_random, "fast_component_sizes", recording_sizes)
-    assert est.on_update(UpdateOp("d" if g.has_edge(u, v) else "i", u, v))
+    assert est.on_update(UpdateOp(kind, u, v))
 
     (compact,) = sizes_seen  # the boundary labelled the nis non-isolated vertices only
     assert len(compact) == g.nis <= len(used)
@@ -230,7 +238,7 @@ def test_estimate_frozen_between_boundaries():
     for i in range(0, 100, 2):
         g.insert_edge(i, i + 1)
     est = PhasedCcEstimator(g, 0.5, 0.2, seed=2)
-    assert est.phase_len == math.ceil(0.5 * 100 / 4)
+    assert est.phase_len == 1 + math.floor(0.5 * (3 * 100 - 2) / (4 * (1 + 2 * 0.5))) == 19
     values = []
     for step in range(est.phase_len):
         u, v = 100 + 2 * step, 101 + 2 * step
@@ -238,6 +246,46 @@ def test_estimate_frozen_between_boundaries():
         values.append(est.estimate())
     # constant strictly inside the phase, refreshed exactly at the boundary
     assert len(set(values[:-1])) == 1
+
+
+def budget_overrun(eps_p, psi, L):
+    """Static error at nis <= psi + 2 plus L - 1 updates of drift, minus the allowance then."""
+    return eps_p * (psi + 2) / 4 + (L - 1) - eps_p * (psi - 2 * (L - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0, max_value=1, exclude_min=True), st.integers(1, 10**9))
+def test_phase_len_is_the_longest_phase_the_budget_allows(eps_p, psi):
+    L = _phase_len(eps_p, psi)
+    slack = 1e-9 * (1 + eps_p * psi)  # float rounding in the formula and in this check
+    assert L >= 1
+    assert budget_overrun(eps_p, psi, L) <= slack
+    assert budget_overrun(eps_p, psi, L + 1) > -slack
+
+
+@pytest.mark.parametrize("eps_p", [1 / 8, 1 / 4, 1 / 2, 1.0])
+def test_adaptive_adversary_stays_inside_eps_thr_at_every_step(eps_p):
+    n, m0, steps = 600, 480, 1000
+    rng = np.random.default_rng(21)
+    g = DynamicGraph(n)
+    while g.m < m0:
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if u != v:
+            g.insert_edge(u, v)
+    est = PhasedCcEstimator(g, eps_p, 0.01, seed=22)
+    longest = est.phase_len
+    outside = checks = 0
+    for _ in range(steps):
+        thr = g.nis
+        op = adaptive_adversary_step(g, est.estimate(), rng)
+        if op is None:
+            continue
+        assert est.on_update(op)
+        longest = max(longest, est.phase_len)
+        checks += 1
+        outside += abs(est.estimate() - fast_ncc(*g.edge_view(), n)) > eps_p * thr
+    assert longest > 1 and checks >= steps // 2  # frozen stretches were checked
+    assert outside == 0
 
 
 def test_phase_len_one_recomputes_every_update():
@@ -255,7 +303,7 @@ def test_deleting_everything_resets_estimate_to_n():
     for u, v in pairs:
         g.insert_edge(u, v)
     est = PhasedCcEstimator(g, 1.0, 0.2, seed=4)
-    # phase_len = ceil(1.0 * 8 / 4) = 2: boundary fires on the last deletion
+    # phase_len = 1 + floor(1.0 * (3 * 8 - 2) / (4 * 3)) = 2: boundary fires on the last deletion
     for u, v in pairs:
         est.on_update(UpdateOp("d", u, v))
     assert est.estimate() == 8.0  # b=0 plus n - nis with nis = 0

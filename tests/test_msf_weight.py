@@ -386,7 +386,7 @@ def test_randomized_from_initial_edges_pinned():
     digest = _window_from_initial_edges(
         lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init),
         lambda est: (est.estimate(), [(level.i, level.psi) for level in est.levels]))
-    assert digest == "8beae71cdf04ba1b7ec5887560d56cf9b43ef4e63c01dfc4cf1c215ad5768113"
+    assert digest == "ddbfb5bd7506bf38cb8f8afd19408dbae9005ce4bec34ab4b086bdc1329b7b7a"
 
 
 def test_randomized_rejects_the_removed_per_sample_route():

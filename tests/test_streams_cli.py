@@ -384,7 +384,7 @@ def test_generators_pinned_digests():
         "4985d2e2742ea0c5dc5e71a3584d6b9298e97ae7630e5bb91d55884084efeeff"
     assert digest(streams.gen_adaptive_script(40, 200, 30, 0.4, 0.2, seed=3,
                                               struct_seed=5)) == \
-        "2b4c230835d8248d1845f945629b47e991b4eb480137b491d16f6991305258c6"
+        "7019877581abbb5c0a44cdc3ca4d389e16d81d203feb1ed868efdd9a6c8b7f62"
 
 
 def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
@@ -703,8 +703,8 @@ def test_only_msf_runs_keep_shadow_weights(algo):
      ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
       "--struct-seed", "5"],
      ["--eps", "0.4", "--p", "0.2", "--seed", "5"],
-     "b2668f5de0421cd8b550d9ed2ce86e7e9c86f4ed2d06760b9a31e5d0d6c8839a",
-     "22b183f2e0c9a79d835d074bdff716f3d76d45f56d5acfabce412ee0f573d6d0"),
+     "be7d8b77ab6c88966d3743c53123e12d20c22890e66ea639a85a52e5c1ebd2b2",
+     "dda8095dc60a7074ef640aff2cd14186807f8ed2ae59d5f3fc4ee9e35fb29dbc"),
     ("msf-det",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
@@ -713,8 +713,8 @@ def test_only_msf_runs_keep_shadow_weights(algo):
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
-     "f54a6f6889f40722fc36738eaef1d190d689179b99ebb6165166a6a1df9c1fb1",
-     "f82ca1e3b48a3960eba799c35a3364092f0f37214588b0145827ec109b79e109"),
+     "c50ec5febd7ff2e95dc57052eb2c81e591b91153c6914ed9d54656ab40dca34c",
+     "6b01238095fdc35dbb000f94de3eaba02bbbdc3a6598dec98d533866a2df38cd"),
 ], ids=list(cli.ALGOS))
 def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, outputs, work):
     # one row per op, hashed twice: every CSV column but the wall-clock ``nanos``
