@@ -72,27 +72,27 @@ class _Replay:
     counter (``work``) and its checkpoint check.  The arguments are read before
     the clock starts, so ``nanos`` times the structure's method alone.  Given
     ``check_every`` (``run``) it lists ``_schedule`` once (``schedule``, which
-    the replay loop walks) and builds what the checkpoints read: for cc-exact
-    and cc-random the exact count at each checked step, from one offline pass
-    over the stream; for coloring and msf a shadow edge store, and for msf its
-    weights, which ``mirror`` writes outside the timed call; ``bench`` keeps
-    none of these.  A checkpoint miss sets ``violation``, which ends the run,
-    or for cc-random and msf-rand (``soft``) counts in ``soft_violations``.
+    the replay loop walks) and builds what the checkpoints read: for cc-exact,
+    cc-random, msf-det and msf-rand the exact value at each checked step
+    (``exact``), from one offline pass over the stream
+    (``oracles.small_component_counts`` or ``oracles.msf_weights``); for
+    coloring a shadow edge store, which ``mirror`` writes outside the timed
+    call; ``bench`` keeps neither.  A checkpoint miss sets ``violation``,
+    which ends the run, or for cc-random and msf-rand (``soft``) counts in
+    ``soft_violations``.
     """
 
     def __init__(self, algo: str, stream: streams.Stream, eps: float, p: float,
                  seed: int | None, check_every: int | None = None):
         h = stream.header
-        self.n = h.n
         self.eps = eps
         self.soft = algo in ("cc-random", "msf-rand")
         self.soft_violations = 0
         self.violation = ""
         self.shadow: DynamicGraph | None = None
-        self.weights: dict[tuple[int, int], float] | None = None  # msf runs only
-        self.exact_cc: dict[int, int] = {}
+        self.exact: dict[int, float] = {}
         self.schedule: list[tuple[int, UpdateOp, bool]] = []
-        k = None  # the size cap of the cc checkpoints' exact count
+        exact = None  # the offline pass: steps -> exact value at each step
         pair = attrgetter("u", "v")
         if algo == "coloring":
             if h.mode != "coloring" or h.delta < 1:
@@ -105,12 +105,14 @@ class _Replay:
             s = SmallCcCounter(DynamicGraph(h.n), eps)
             insert, delete = (s.on_insert, pair), (s.on_delete, pair)
             work = lambda: s.bfs_calls
-            check, k = self._check_cc, s.k
+            check = self._check_cc
+            exact = lambda steps: oracles.small_component_counts(h.n, stream.ops, s.k, steps)
         elif algo == "cc-random":
             s = PhasedCcEstimator(DynamicGraph(h.n), eps, p, seed=seed)
             insert = delete = (s.on_update, lambda op: (op,))
             work = lambda: s.samples
-            check, k = self._check_cc, h.n
+            check = self._check_cc
+            exact = lambda steps: oracles.small_component_counts(h.n, stream.ops, h.n, steps)
         elif algo in ("msf-det", "msf-rand"):
             if algo == "msf-det":
                 s = DeterministicMsfEstimator(h.n, eps, h.W)
@@ -122,6 +124,7 @@ class _Replay:
             work = lambda: sum(map(count, levels))
             insert, delete = (s.insert, attrgetter("u", "v", "w")), (s.delete, pair)
             check = self._check_msf
+            exact = lambda steps: oracles.msf_weights(h.n, stream.ops, steps)
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
         self.struct = s
@@ -131,13 +134,10 @@ class _Replay:
         if check_every is None:
             return
         self.schedule = list(_schedule(stream.ops, check_every))
-        if k is None:
+        if exact is None:
             self.shadow = DynamicGraph(h.n)
-            if algo != "coloring":
-                self.weights = {}
         else:
-            steps = [step for step, _, checked in self.schedule if checked]
-            self.exact_cc = oracles.small_component_counts(h.n, stream.ops, k, steps)
+            self.exact = exact([step for step, _, checked in self.schedule if checked])
 
     def timed_apply(self, step: int, op) -> tuple[int, int]:
         """Apply one update; returns (work, nanos), timing the structure call alone."""
@@ -153,14 +153,12 @@ class _Replay:
         return self.work() - before, nanos
 
     def mirror(self, op) -> None:
-        """Apply one update to the shadow store, and on msf runs to its weights;
-        the shadow graph decides what is a no-op."""
-        u, v, weights = op.u, op.v, self.weights
+        """Apply one update to the shadow store, where a duplicate insert or an
+        absent delete is a no-op."""
         if op.kind == "i":
-            if self.shadow.insert_edge(u, v) and weights is not None:
-                weights[min(u, v), max(u, v)] = op.w
-        elif self.shadow.delete_edge(u, v) and weights is not None:
-            del weights[min(u, v), max(u, v)]
+            self.shadow.insert_edge(op.u, op.v)
+        else:
+            self.shadow.delete_edge(op.u, op.v)
 
     def _violation(self, message: str) -> None:
         """Count a soft (randomized) miss, or record a hard guarantee violation."""
@@ -184,7 +182,7 @@ class _Replay:
     def _check_cc(self, step: int) -> tuple[float, float, float]:
         """cc-exact must match the oracle; cc-random may miss it by eps * psi."""
         estimate = float(self.struct.estimate())
-        exact = float(self.exact_cc[step])
+        exact = float(self.exact[step])
         allowed = self.eps * self.struct.psi if self.soft else 0.0
         if abs(estimate - exact) > allowed:
             self._violation(f"count {estimate} differs from oracle {exact} by more than {allowed}")
@@ -192,9 +190,7 @@ class _Replay:
 
     def _check_msf(self, step: int) -> tuple[float, float, float]:
         estimate = self.struct.estimate()
-        eu, ev = self.shadow.edge_view()
-        w = np.array([self.weights[k] for k in zip(eu.tolist(), ev.tolist())])
-        exact = oracles.fast_msf_weight(eu, ev, w, self.n)
+        exact = self.exact[step]
         allowed = self.eps * exact
         # 1e-9: round-off of combine's telescoping sum, 2.2e-16 on an empty graph
         if abs(estimate - exact) > allowed + 1e-9:

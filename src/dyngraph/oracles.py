@@ -3,15 +3,18 @@
 Everything here recomputes from scratch on plain edge lists and is kept
 independent of the maintained structures.  ``exact_ncc`` has two routes
 (union-find and BFS) so the oracles can cross-check each other.
-``small_component_counts`` answers every checkpoint of a whole update stream
-in one offline pass (a segment tree over the checkpoint steps and a union-find
-with rollback); ``dyngraph run`` takes its cc-exact and cc-random checkpoint
-values from it.  The ``fast_*`` helpers are vectorized equivalents that check
-one graph at a time: ``run``'s coloring and msf checkpoints on its shadow
-store, the counters' starting values, ``cc_random`` phase boundaries and
-the adaptive stream generator.  Component labels come from a numpy
-hook-and-jump kernel, the MSF weight from scipy's MST.  All of them are
-asserted against the pure routes in the tests.
+Two offline passes answer every checkpoint of a whole update stream at
+once: ``small_component_counts`` (a segment tree over the checkpoint steps
+and a union-find with rollback) gives ``dyngraph run`` its cc-exact and
+cc-random checkpoint values, and ``msf_weights`` (Eppstein's divide and
+conquer over the checkpoint steps) its msf-det and msf-rand ones.  The
+``fast_*`` helpers are vectorized equivalents that check one graph at a
+time: the counters' starting values, ``cc_random`` phase boundaries and the
+adaptive stream generator.  Their component labels come from a numpy
+hook-and-jump kernel.  ``fast_msf_weight`` is only the array form of
+``exact_msf_weight``, kept because perfbench's msf workloads call it.
+Nothing here needs more than numpy.  All of them are asserted against the
+pure routes in the tests.
 """
 
 from __future__ import annotations
@@ -216,10 +219,87 @@ def small_component_counts(n: int, ops, k: int, steps) -> dict[int, int]:
     return out
 
 
+def msf_weights(n: int, ops, steps) -> dict[int, float]:
+    """Minimum spanning forest weight after each of ``steps`` updates.
+
+    Offline dynamic MSF (D. Eppstein, J. Algorithms 17, 1994) with the step
+    rules of ``small_component_counts``; a duplicate insert keeps the first
+    weight.  Each edge key is one slot whose weight is +inf while the edge is
+    absent.  The recursion halves the sorted distinct ``steps``; a node's
+    dynamic edges change weight between two of its steps, its static ones
+    do not.  Kruskal with the dynamic edges taken first finds the static
+    edges that every MSF of the node uses: they are contracted into its base
+    weight.  Kruskal on the other static edges alone finds those that none
+    uses: they are dropped, as is every absent static edge.  Relabelling only
+    the vertices a remaining edge touches keeps a node's graph O(its dynamic
+    edges).  A leaf has no dynamic edge, so its base is the answer.
+    """
+    leaves = sorted(set(steps))
+    inf = float("inf")
+    key_of: dict[Edge, int] = {}
+    changes: list[dict[int, float]] = [{} for _ in leaves]  # key -> weight, since the leaf before
+    live: dict[Edge, float] = {}
+    step = 0
+    for op in ops:
+        if op.kind == "q":
+            continue
+        step += 1
+        leaf = bisect_left(leaves, step)  # the first leaf that sees this update
+        if leaf == len(leaves):
+            break
+        edge = (op.u, op.v) if op.u < op.v else (op.v, op.u)
+        if op.kind == "i" and edge not in live:
+            live[edge] = op.w
+        elif op.kind == "d" and edge in live:
+            del live[edge]
+        else:
+            continue  # a duplicate insert or an absent delete
+        changes[leaf][key_of.setdefault(edge, len(key_of))] = live.get(edge, inf)
+    weight = [inf] * len(key_of)  # each key's weight at the leaf the walk is at
+    out: dict[int, float] = {}
+
+    def solve(lo: int, hi: int, edges: list[tuple[int, int, int]], base: float) -> None:
+        for key, w in changes[lo].items():  # a no-op on a left child
+            weight[key] = w
+        ids: dict[int, int] = {}
+        edges = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)), key)
+                 for a, b, key in edges]
+        dynamic = set().union(*changes[lo + 1:hi])
+        static = sorted((e for e in edges if e[2] not in dynamic and weight[e[2]] < inf),
+                        key=lambda e: weight[e[2]])
+        joined, contracted = _UnionFind(len(ids)), _UnionFind(len(ids))
+        for a, b, key in edges:
+            if key in dynamic:
+                joined.union(a, b)
+        rest = []
+        for a, b, key in static:
+            if joined.union(a, b):
+                contracted.union(a, b)
+                base += weight[key]
+            else:
+                rest.append((a, b, key))
+        if hi - lo == 1:
+            out[leaves[lo]] = base
+            return
+        label = [contracted.find(x) for x in range(len(ids))]
+        kept = [(label[a], label[b], key) for a, b, key in edges if key in dynamic]
+        forest = _UnionFind(len(ids))
+        for a, b, key in rest:
+            if forest.union(label[a], label[b]):
+                kept.append((label[a], label[b], key))
+        mid = (lo + hi) // 2
+        solve(lo, mid, kept, base)
+        solve(mid, hi, kept, base)
+
+    if leaves:
+        solve(0, len(leaves), [(u, v, key) for (u, v), key in key_of.items()], 0.0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Vectorized fast paths (per-step verification loops).  Same mathematical
-# functions as above, computed with numpy (the MST with scipy.sparse.csgraph);
-# cross-validated against the pure routes in tests/test_oracles.py.
+# functions as above, computed with numpy; cross-validated against the pure
+# routes in tests/test_oracles.py.
 
 
 def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
@@ -270,10 +350,4 @@ def fast_nscc(eu: np.ndarray, ev: np.ndarray, n: int, k: int) -> int:
 
 
 def fast_msf_weight(eu: np.ndarray, ev: np.ndarray, w: np.ndarray, n: int) -> float:
-    if len(eu) == 0:
-        return 0.0
-    from scipy.sparse import coo_matrix  # scipy serves only this oracle
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    g = coo_matrix((w, (eu, ev)), shape=(n, n))
-    return float(minimum_spanning_tree(g).sum())
+    return exact_msf_weight(list(zip(eu.tolist(), ev.tolist(), w.tolist())), n)

@@ -123,10 +123,12 @@ def test_proper_coloring_checks():
 
 @st.composite
 def op_lists(draw):
-    """(n, ops) on few vertices, so duplicate inserts, absent deletes and reinserts are common."""
+    """(n, ops) on few vertices, so duplicate inserts, absent deletes and reinserts are common;
+    a reinsert may bring another weight, integer or real."""
     n = draw(st.integers(2, 7))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    update = st.builds(lambda kind, e: UpdateOp(kind, *e), st.sampled_from("id"), pair)
+    weight = st.one_of(st.integers(1, 4).map(float), st.floats(1, 4))
+    update = st.builds(lambda kind, e, w: UpdateOp(kind, *e, w), st.sampled_from("id"), pair, weight)
     return n, draw(st.lists(st.one_of(update, st.just(UpdateOp("q"))), max_size=40))
 
 
@@ -164,6 +166,48 @@ def test_small_component_counts_cases():
     ops = [UpdateOp("i", 0, 1), UpdateOp("i", 1, 0), UpdateOp("d", 0, 1), UpdateOp("d", 0, 1)]
     assert oracles.small_component_counts(2, ops, 2, range(5)) == {
         0: 2, 1: 1, 2: 1, 3: 2, 4: 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_lists())
+def test_msf_weights_match_kruskal_after_every_step(case):
+    n, ops = case
+    live: dict[tuple[int, int], float] = {}
+    want = [0.0]  # the MSF weight after 0, 1, 2, ... updates
+    for op in ops:
+        if op.kind == "q":
+            continue
+        edge = (min(op.u, op.v), max(op.u, op.v))
+        if op.kind == "i":
+            live.setdefault(edge, op.w)  # a duplicate insert keeps the first weight
+        else:
+            live.pop(edge, None)
+        want.append(oracles.exact_msf_weight([(u, v, w) for (u, v), w in live.items()], n))
+    steps = range(len(want) + 2)  # the last two steps are past the end
+    got = oracles.msf_weights(n, ops, steps)
+    assert got.keys() == set(steps)
+    for s in steps:
+        assert got[s] == pytest.approx(want[min(s, len(want) - 1)], abs=1e-9)
+
+
+def test_msf_weights_cases():
+    path = [UpdateOp("i", v, v + 1, v + 1.0) for v in range(5)]  # step s adds weight s
+    assert oracles.msf_weights(6, [], [0]) == {0: 0.0}
+    assert oracles.msf_weights(6, path, []) == {}
+    # a subset of the steps, out of order, repeated and past the end
+    assert oracles.msf_weights(6, path, [5, 2, 2, 9]) == {2: 3.0, 5: 15.0, 9: 15.0}
+    # step 0: a query before any update sees the empty graph
+    ops = [UpdateOp("q"), UpdateOp("i", 0, 1, 2.5), UpdateOp("q"), UpdateOp("d", 1, 0)]
+    assert oracles.msf_weights(2, ops, [0, 1, 2]) == {0: 0.0, 1: 2.5, 2: 0.0}
+    # a duplicate insert keeps the first weight, an absent delete is a no-op,
+    # and a reinsert brings its own weight
+    ops = [UpdateOp("i", 0, 1, 3.0), UpdateOp("i", 1, 0, 1.0), UpdateOp("d", 0, 1),
+           UpdateOp("d", 0, 1), UpdateOp("i", 0, 1, 1.0)]
+    assert oracles.msf_weights(2, ops, range(6)) == {0: 0.0, 1: 3.0, 2: 3.0, 3: 0.0, 4: 0.0, 5: 1.0}
+    # a heavy edge leaves the forest when a light path closes its cycle, and returns when it breaks
+    ops = [UpdateOp("i", 0, 1, 5.0), UpdateOp("i", 1, 2, 1.0), UpdateOp("i", 0, 2, 1.0),
+           UpdateOp("d", 1, 2)]
+    assert oracles.msf_weights(3, ops, range(5)) == {0: 0.0, 1: 5.0, 2: 6.0, 3: 2.0, 4: 6.0}
 
 
 def test_fast_paths_agree_with_pure_routes():

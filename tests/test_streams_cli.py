@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -609,10 +612,10 @@ def test_timed_apply_leaves_the_shadow_store_alone(algo):
     replay = cli._Replay(algo, stream, 0.5, 0.2, 0, check_every=1)
     for step, op in enumerate(stream.ops, start=1):
         replay.timed_apply(step, op)
-    if algo in ("cc-exact", "cc-random"):
-        assert replay.shadow is None  # their checkpoints read the offline pass
+    if algo == "coloring":
+        assert replay.shadow.m == 0
     else:
-        assert replay.shadow.m == 0 and not replay.weights
+        assert replay.shadow is None  # their checkpoints read an offline pass
 
 
 @pytest.mark.parametrize("algo", cli.ALGOS)
@@ -654,38 +657,45 @@ def _spy_on_replays(monkeypatch):
 
 
 @pytest.mark.parametrize("algo", cli.ALGOS)
-def test_only_coloring_and_msf_runs_keep_a_shadow_store(tmp_path, monkeypatch, algo):
+def test_only_coloring_runs_keep_a_shadow_store(tmp_path, monkeypatch, algo):
     mode = {"coloring": "coloring", "msf-det": "msf", "msf-rand": "msf"}.get(algo, "cc")
     stream_path = tmp_path / "s.txt"
-    stream_path.write_text(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\nq\ni 1 2\nd 0 1\n")
+    stream_path.write_text(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\nq\ni 2 1\nd 0 1\n")
     replays, mirrored = _spy_on_replays(monkeypatch)
     assert _run_cli(["run", "--algo", algo, "--stream", str(stream_path), "--check-every", "1",
                      "--out", str(tmp_path / "run.csv")]) == 0
-    if algo in ("cc-exact", "cc-random"):
-        assert replays[0].shadow is None and not replays[0].weights and not mirrored
+    if algo == "coloring":
+        assert replays[0].shadow.edges() == [(1, 2)] and len(mirrored) == 3
     else:
-        assert replays[0].shadow.m == 1 and len(mirrored) == 3
+        assert replays[0].shadow is None and not mirrored
     # bench never checks, so no algorithm keeps a shadow store there
     del mirrored[:]
     assert _run_cli(["bench", "--algo", algo, "--stream", str(stream_path), "--repeats", "2",
                      "--out", str(tmp_path / "bench.csv")]) == 0
     assert len(replays) == 3
-    assert all(r.shadow is None and not r.weights for r in replays[1:]) and not mirrored
+    assert all(r.shadow is None for r in replays[1:]) and not mirrored
 
 
-@pytest.mark.parametrize("algo", ["coloring", "msf-det", "msf-rand"])
-def test_only_msf_runs_keep_shadow_weights(algo):
-    mode = "coloring" if algo == "coloring" else "msf"
-    stream = streams.parse_stream(f"# n=4 delta=3 W=2.0 mode={mode}\ni 0 1\ni 2 1\nd 0 1\n")
-    replay = cli._Replay(algo, stream, 0.5, 0.2, 0, check_every=1)
-    for op in stream.ops[:2]:
-        replay.mirror(op)
-    msf = algo != "coloring"  # no coloring check reads a weight
-    assert replay.shadow.edges() == [(0, 1), (1, 2)]
-    assert replay.weights == ({(0, 1): 1.0, (1, 2): 1.0} if msf else None)
-    replay.mirror(stream.ops[2])
-    assert replay.shadow.edges() == [(1, 2)]
-    assert replay.weights == ({(1, 2): 1.0} if msf else None)
+def test_msf_runs_leave_scipy_unimported(tmp_path):
+    stream_path = tmp_path / "s.txt"
+    streams.write_stream(streams.gen_sliding_window(40, 200, 30, mode="msf", W=4.0, seed=1),
+                         str(stream_path))
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    script = "\n".join([
+        "import sys",
+        "from dyngraph import cli",
+        scipy_modules,
+        "for algo in ('msf-det', 'msf-rand'):",
+        f"    assert cli.main(['run', '--algo', algo, '--stream', {str(stream_path)!r},"
+        f" '--check-every', '1', '--out', {os.devnull!r}]) == 0",
+        scipy_modules,
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
 
 
 @pytest.mark.parametrize("algo,gen_argv,run_argv,outputs,work", [
