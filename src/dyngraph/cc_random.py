@@ -22,11 +22,13 @@ after the boundary (0 <= k <= L - 1) the error is at most the sum of:
   adds at most two non-isolated vertices, and the graph lies in the
   enclosing one;
 - a drift of at most 1 per applied update, since one insert or delete moves
-  the component count by at most one.  A ``tick`` counts as two updates and
-  moves nothing.
+  the component count by at most one.  A ``tick`` is an update of the
+  enclosing graph that misses this graph: it counts as one update, with
+  drift 0.
 
-Thr falls by at most 2 per update, so the allowance k updates on is at
-least eps'*(psi - 2k).  Both sides are worst at k = L - 1, so the budget is
+Thr falls by at most 2 per update of the enclosing graph, ticks included,
+so the allowance k updates on is at least eps'*(psi - 2k).  Both sides are
+worst at k = L - 1, so the budget is
 
     eps'*(psi + 2)/4 + (L - 1) <= eps'*(psi - 2*(L - 1)),
 
@@ -190,21 +192,26 @@ class PhasedCcEstimator:
         return True
 
     def tick(self) -> None:
-        """Advance the update counter by two without a graph change.
+        """Count one update of the enclosing graph that misses this graph.
 
-        Keeps estimators on threshold subgraphs in lockstep with the full
-        update sequence, standing in for a same-vertex insert/delete pair;
-        boundaries fire exactly as for real updates.
+        Call it before the enclosing graph changes.  It moves Thr by at most
+        2 and the count by 0, so it spends one update of the budget (module
+        docstring), and boundaries fire exactly as for applied updates.
         """
-        thr = self.enclosing.nis
-        self._advance(thr)
-        self._advance(thr)
+        self._advance(self.enclosing.nis)
 
     def _advance(self, thr: int) -> None:
         self.i += 1
         self._until_boundary -= 1
-        if self._until_boundary > 0:
-            return
+        if self._until_boundary <= 0:
+            self.resample(thr)
+
+    def resample(self, thr: int) -> None:
+        """Fire a boundary: re-estimate from the graph, then start a phase at Thr = thr.
+
+        ``thr`` is the enclosing graph's nis before the update that fires it;
+        estimators on one shared clock each call this at the same update.
+        """
         b = 0.0
         g = self.graph
         nis = g.nis

@@ -3,12 +3,13 @@
 The MSF weight of a graph with weights in [1, W] is sandwiched by a weighted
 sum of component counts of threshold subgraphs (edges of weight <= l_i for
 geometrically spaced l_i).  Each threshold subgraph carries its own dynamic
-component-count estimator, which applies every update to that subgraph: the
-deterministic variant uses the exact small-component counter, the randomized
-variant the phased sampling estimator.  Estimators of subgraphs untouched by
-an update advance their update counters by two anyway, standing in for a
-same-vertex insert/delete pair, so all phase schedules stay aligned with the
-full update sequence.
+component-count estimator: the deterministic variant uses the exact
+small-component counter, the randomized variant the phased sampling
+estimator.  An update reaches only the subgraphs that admit or hold its edge.
+The randomized levels share one phase clock over the full update sequence:
+an update a level misses moves its Thr by at most 2 and its count by 0, so
+by the budget in ``cc_random`` it counts as one update there too, and every
+level re-samples at the same update.
 
 The threshold subgraphs are the only edge store: the top one (l_r = W) holds
 every edge.  They nest, so an update hits one level and every level above
@@ -35,7 +36,7 @@ import numpy as np
 
 from .cc_exact import SmallCcCounter
 from .cc_random import PhasedCcEstimator
-from .graph_core import DynamicGraph, UpdateOp, check_edge
+from .graph_core import DynamicGraph, check_edge
 
 WeightedEdge = tuple[int, int, float]
 
@@ -159,13 +160,13 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
 
     Each level runs the phased estimator with error eps/(4W) and failure
     probability p_prime/(r+1) on its own threshold graph, all drawing from
-    one generator.  Every level reads Thr from the top level's graph, which
-    ``_route`` updates last, so each sees the full graph's nis before the update.
-    By the error budget in ``cc_random`` at eps' = eps/(4W), a level's phase
-    lasts about (3/4) eps' Thr updates, a tick counting two.  A level
-    boundary draws per component-size class from its own graph (see
-    ``PhasedCcEstimator``); ``use_fast_sizes`` accepts only True, the route
-    every boundary takes.
+    one generator, and Thr is the full graph's nis before the update.  The
+    levels share one phase clock, ``i`` updates old (module docstring): an
+    update edits only the graphs that admit or hold its edge, and when the
+    phase runs out every level re-samples, bottom-up and with the same psi
+    (``PhasedCcEstimator.resample``).  At eps' = eps/(4W) a phase lasts about
+    (3/4) eps' Thr updates.
+    ``use_fast_sizes`` accepts only True, the route every boundary takes.
     """
 
     def __init__(self, n: int, eps: float, W: float, p_prime: float,
@@ -185,21 +186,28 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
                               enclosing=self._full)
             for g in self._graphs
         ]
+        self.i = 0
+        self._until_boundary = self.levels[-1].phase_len
 
     def insert(self, u: int, v: int, w: float) -> bool:
-        return self._route(UpdateOp("i", u, v, w), self._admits(u, v, w))
+        return self._apply(DynamicGraph.insert_edge, self._admits(u, v, w), u, v)
 
     def delete(self, u: int, v: int) -> bool:
-        return self._route(UpdateOp("d", u, v), self._holds(u, v))
+        return self._apply(DynamicGraph.delete_edge, self._holds(u, v), u, v)
 
-    def _route(self, op: UpdateOp, first: int | None) -> bool:
-        """Tick the levels below ``first``, then apply op from ``first`` up to the top."""
+    def _apply(self, edit, first: int | None, u: int, v: int) -> bool:
+        """Edit (u, v) in the graphs from ``first`` up, then advance the shared clock."""
         if first is None:
             return False
-        for level in self.levels[:first]:
-            level.tick()
-        for level in self.levels[first:]:
-            level.on_update(op)
+        thr = self._full.nis
+        for g in self._graphs[first:]:
+            edit(g, u, v)
+        self.i += 1
+        self._until_boundary -= 1
+        if self._until_boundary <= 0:
+            for level in self.levels:
+                level.resample(thr)
+            self._until_boundary = self.levels[-1].phase_len
         return True
 
     def estimate(self) -> float:

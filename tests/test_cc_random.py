@@ -288,6 +288,46 @@ def test_adaptive_adversary_stays_inside_eps_thr_at_every_step(eps_p):
     assert outside == 0
 
 
+@pytest.mark.parametrize("eps_p", [1 / 8, 1 / 4, 1 / 2, 1.0])
+def test_ticks_counted_once_stay_inside_eps_thr_at_every_step(eps_p):
+    # The estimator runs on g inside the enclosing graph e = g + a matching.
+    # Five of every six steps delete from e a matching edge that g lacks and
+    # whose ends have no other edge: a tick, and Thr falls by 2, the most one
+    # update can.  The sixth is the adaptive adversary's update of g (and e).
+    n, steps = 600, 1000
+    rng = np.random.default_rng(23)
+    g, e = DynamicGraph(n), DynamicGraph(n)
+    while g.m < 80:
+        u, v = int(rng.integers(0, 100)), int(rng.integers(0, 100))
+        if u != v and g.insert_edge(u, v):
+            e.insert_edge(u, v)
+    spare = [(v, v + 1) for v in range(100, n, 2)]
+    for u, v in spare:
+        e.insert_edge(u, v)
+    est = PhasedCcEstimator(g, eps_p, 0.01, seed=24, enclosing=e)
+    outside = checks = ticks = 0
+    for step in range(steps):
+        thr = e.nis
+        spare = [(u, v) for u, v in spare
+                 if e.degree(u) == e.degree(v) == 1 and not g.has_edge(u, v)]
+        if spare and step % 6:
+            u, v = spare.pop(int(rng.integers(0, len(spare))))
+            est.tick()
+            e.delete_edge(u, v)
+            assert e.nis == thr - 2
+            ticks += 1
+        else:
+            op = adaptive_adversary_step(g, est.estimate(), rng)
+            if op is None:
+                continue
+            assert est.on_update(op)
+            (e.insert_edge if op.kind == "i" else e.delete_edge)(op.u, op.v)
+        checks += 1
+        outside += abs(est.estimate() - fast_ncc(*g.edge_view(), n)) > eps_p * thr
+    assert est.i == checks and ticks >= 200
+    assert outside == 0
+
+
 def test_phase_len_one_recomputes_every_update():
     g = DynamicGraph(6)
     est = PhasedCcEstimator(g, 0.5, 0.2, seed=3)
@@ -310,13 +350,18 @@ def test_deleting_everything_resets_estimate_to_n():
 
 
 def test_tick_advances_counter_and_fires_boundaries():
-    g = DynamicGraph(10)
+    g, e = DynamicGraph(10), DynamicGraph(10)
+    for u, v in [(0, 1), (2, 3)]:
+        e.insert_edge(u, v)
     g.insert_edge(0, 1)
-    est = PhasedCcEstimator(g, 1.0, 0.2, seed=5)
+    est = PhasedCcEstimator(g, 1.0, 0.2, seed=5, enclosing=e)
     assert est.phase_len == 1
-    before = est.i
+    est.tick()  # one update of e that misses g counts once
+    assert (est.i, est.samples, est.psi) == (1, est.cfg.samples, 4)
+    assert est.estimate() == 9.0  # re-sampled: one pair is exact
+    e.delete_edge(2, 3)
     est.tick()
-    assert est.i == before + 2
+    assert (est.i, est.samples, est.psi) == (2, 2 * est.cfg.samples, 2)
 
 
 def test_thr_contract_violations_raise():

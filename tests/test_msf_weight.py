@@ -5,6 +5,8 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
+from dyngraph import cc_random
+from dyngraph.cc_random import _phase_len
 from dyngraph.msf_weight import (
     DeterministicMsfEstimator,
     MsfConfig,
@@ -275,20 +277,20 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
 
 def test_randomized_light_edges_update_all_levels():
     est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
-    counters = [level.i for level in est.levels]
-    est.insert(0, 1, 1.0)  # light: a real update at every level
-    assert all(level.i == c + 1 for level, c in zip(est.levels, counters))
+    est.insert(0, 1, 1.0)  # light: every level's graph gets the edge
+    assert est.i == 1
     assert all(level.graph.has_edge(0, 1) for level in est.levels)
+    # the first phase lasts one update; each level re-sampled one pair, exactly
+    assert [level.estimate() for level in est.levels] == [7.0] * len(est.levels)
 
 
-def test_randomized_heavy_edge_ticks_light_levels():
+def test_randomized_heavy_edge_leaves_light_levels_untouched():
     est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
     est.insert(0, 1, 2.0)  # heavy for every level except the last
+    assert est.i == 1  # one update on the shared clock, whatever it hits
     for thr, level in zip(est.config.thresholds, est.levels):
-        if 2.0 <= thr:
-            assert level.i == 1 and level.graph.has_edge(0, 1)
-        else:
-            assert level.i == 2 and not level.graph.has_edge(0, 1)
+        assert level.graph.has_edge(0, 1) == (2.0 <= thr)
+        assert (level.psi, level.estimate()) == (0, 7.0 if 2.0 <= thr else 8.0)
 
 
 def test_randomized_envelope_fuzz():
@@ -323,10 +325,64 @@ def test_randomized_levels_share_thr_stream():
     est.insert(0, 1, 1.0)
     est.insert(2, 3, 2.0)
     est.delete(0, 1)
-    # all levels saw exactly three updates' worth of counter advances
-    assert len({level.i for level in est.levels}) <= 2  # ticks add 2, updates 1
-    for level in est.levels:
-        assert level.psi == 4  # nis of the full graph before the delete
+    assert est.i == 3  # one shared clock: each update counts once at every level
+    # every level re-sampled at the delete, at the full graph's nis before it
+    assert {(level.psi, level.phase_len) for level in est.levels} == {(4, 1)}
+
+
+def test_randomized_levels_resample_in_lockstep(monkeypatch):
+    # Labelling is counted per update: only an update on which the shared phase
+    # ends labels, once per level with an edge.  An update leaves the levels
+    # below the first that admits or holds it untouched, and a duplicate insert
+    # or an absent delete does not move the clock.
+    labelled = []
+    sizes = cc_random.fast_component_sizes
+
+    def counted(*args):
+        labelled.append(1)
+        return sizes(*args)
+
+    monkeypatch.setattr(cc_random, "fast_component_sizes", counted)
+    stream = gen_sliding_window(120, 2000, 100, mode="msf", W=2.0, seed=3)
+    first = next(i for i, op in enumerate(stream.ops) if op.kind == "d")
+    initial = [(op.u, op.v, op.w) for op in stream.ops[:first] if op.kind == "i"]
+    est = RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=initial)
+    eps_p = est.levels[0].eps_prime
+    left = est.levels[-1].phase_len
+    weight = {(min(u, v), max(u, v)): w for u, v, w in initial}
+    boundaries = missed = 0
+    for op in stream.ops[first:]:
+        if op.kind == "q":
+            continue
+        key = (min(op.u, op.v), max(op.u, op.v))
+        if op.kind == "i":
+            weight[key] = op.w
+        level = bisect_left(est.config.thresholds, weight[key])
+        below = [lv.graph.edges() for lv in est.levels[:level]]
+        frozen = [lv.estimate() for lv in est.levels]
+        thr, clock = est.levels[-1].graph.nis, est.i
+        del labelled[:]
+        if op.kind == "i":
+            assert est.insert(op.u, op.v, op.w)
+            assert not est.insert(op.v, op.u, 1.0)  # duplicate
+        else:
+            assert est.delete(op.u, op.v)
+            assert not est.delete(op.u, op.v)  # absent now
+        assert est.i == clock + 1
+        assert [lv.graph.edges() for lv in est.levels[:level]] == below
+        missed += bool(below)
+        left -= 1
+        if left == 0:
+            boundaries += 1
+            assert len(labelled) == sum(lv.graph.m > 0 for lv in est.levels)
+            assert {(lv.psi, lv.phase_len) for lv in est.levels} == \
+                {(thr, _phase_len(eps_p, thr))}
+            left = _phase_len(eps_p, thr)
+        else:
+            assert labelled == []
+            assert [lv.estimate() for lv in est.levels] == frozen
+    assert boundaries > 100 and missed > 1000
+    assert 0 < sum(lv.graph.m == 0 for lv in est.levels) < len(est.levels)
 
 
 @pytest.mark.parametrize("make", [
@@ -385,8 +441,8 @@ def test_deterministic_from_initial_edges_pinned():
 def test_randomized_from_initial_edges_pinned():
     digest = _window_from_initial_edges(
         lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init),
-        lambda est: (est.estimate(), [(level.i, level.psi) for level in est.levels]))
-    assert digest == "ddbfb5bd7506bf38cb8f8afd19408dbae9005ce4bec34ab4b086bdc1329b7b7a"
+        lambda est: (est.estimate(), est.i, [level.psi for level in est.levels]))
+    assert digest == "68c27173d8cbdc27dc9cdc8f84a9a778f0afedf0cc6d12c4ee2a00477e06e0c6"
 
 
 def test_randomized_rejects_the_removed_per_sample_route():
