@@ -9,6 +9,8 @@ draw over the component sizes 2..cap and "above cap" instead of one draw
 per sample: the estimate depends only on how many samples land in each size
 class, so the draw has the distribution of the per-sample loop (the
 inverse-size estimator of Chazelle, Rubinfeld and Trevisan, SICOMP 2005).
+One routine, ``_estimate_levels``, does this for nested graphs at once: the
+phased estimator passes one level, the randomized MSF its r + 1 levels.
 
 The dynamic estimator re-estimates at phase boundaries and keeps the
 estimate frozen in between.  Its allowance is eps'*Thr, where Thr is the
@@ -50,7 +52,8 @@ import numpy as np
 
 from .graph_core import DynamicGraph, UpdateOp
 from .nonzero_sampler import NonZeroSampler
-from .oracles import fast_component_sizes, fast_ncc
+from .oracles import fast_component_sizes  # noqa: F401  perfbench/test_smoke.py reads it here
+from .oracles import fast_ncc, hook_and_jump
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,43 @@ def _size_class_estimate(
     return nis * total / cfg.samples
 
 
+def _estimate_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nlev: int,
+                     cfg: StaticEstimateConfig, rng: np.random.Generator
+                     ) -> tuple[list[float], int]:
+    """Component-count estimates of nested graphs G_0 <= ... <= G_{nlev-1}, and samples drawn.
+
+    Edge j lies in G_lvl[j] and every level above.  The vertices are
+    numbered once, by the lowest level at which they have an edge, so the
+    nis non-isolated vertices of each level are the numbers 0..nis-1.
+    Bottom up, each level starts ``hook_and_jump`` from the labels of the
+    level below, whose roots are component minima in every level above, and
+    adds only its own edges; each level with an edge then draws its size
+    classes from ``rng``.
+    """
+    first = np.full(n, nlev, dtype=lvl.dtype)  # ufunc.at is slow when it must cast
+    np.minimum.at(first, eu, lvl)
+    np.minimum.at(first, ev, lvl)
+    small = np.min_scalar_type(nlev)  # levels of this dtype sort by radix
+    slot = np.empty(n, dtype=np.int64)
+    slot[np.argsort(first.astype(small), kind="stable")] = np.arange(n)
+    nis = np.cumsum(np.bincount(first, minlength=nlev + 1))[:nlev].tolist()
+    order = np.argsort(lvl.astype(small), kind="stable")
+    su, sv = slot[eu[order]], slot[ev[order]]
+    ends = np.cumsum(np.bincount(lvl, minlength=nlev)).tolist()
+    labels = np.arange(nis[-1])
+    estimates, drawn, start = [], 0, 0
+    for stop, nis_l in zip(ends, nis):
+        b = 0.0
+        if stop:  # a level without edges draws nothing
+            labels[:nis_l] = hook_and_jump(labels[:nis_l], su[start:stop], sv[start:stop])
+            level = labels[:nis_l]
+            b = _size_class_estimate(np.bincount(level)[level], nis_l, cfg, rng)
+            drawn += cfg.samples
+        estimates.append(b + n - nis_l)
+        start = stop
+    return estimates, drawn
+
+
 def _phase_len(eps_prime: float, psi: int) -> int:
     """The longest phase the error budget (module docstring) allows at Thr = psi."""
     return max(1, 1 + math.floor(eps_prime * (3 * psi - 2) / (4.0 * (1.0 + 2.0 * eps_prime))))
@@ -134,12 +174,10 @@ class PhasedCcEstimator:
     ``phase_len`` = 1 + floor(eps'(3 psi - 2) / (4 (1 + 2 eps'))) updates,
     the longest the error budget in the module docstring allows: about
     (3/4) eps' psi for small eps', and psi/4 at eps' = 1.  A boundary draws
-    cfg.samples vertices of the graph's nis: it numbers the non-isolated
-    vertices 0..nis-1 from the edge view, labels their components once (O(n)
-    for the numbering, O(nis + m) for the labelling), and draws how many
-    samples land in each size class, in one multinomial draw.  Everything is
-    read from ``graph``; no second copy of its degrees is kept.  ``samples``
-    counts every vertex drawn at a boundary since construction.
+    cfg.samples vertices of the graph's nis as ``_estimate_levels`` with one
+    level: O(n) to number the non-isolated vertices, O(nis + m) to label
+    them, one multinomial draw.  ``samples`` counts every vertex drawn at a
+    boundary since construction.
     """
 
     def __init__(
@@ -201,30 +239,14 @@ class PhasedCcEstimator:
         self._advance(self.enclosing.nis)
 
     def _advance(self, thr: int) -> None:
+        """Count one update; at a phase's end re-estimate and start a phase at Thr = thr."""
         self.i += 1
         self._until_boundary -= 1
         if self._until_boundary <= 0:
-            self.resample(thr)
-
-    def resample(self, thr: int) -> None:
-        """Fire a boundary: re-estimate from the graph, then start a phase at Thr = thr.
-
-        ``thr`` is the enclosing graph's nis before the update that fires it;
-        estimators on one shared clock each call this at the same update.
-        """
-        b = 0.0
-        g = self.graph
-        nis = g.nis
-        if nis > 0:  # a graph without edges draws nothing
-            self.samples += self.cfg.samples
-            eu, ev = g.edge_view()
-            slot = np.zeros(g.n, dtype=np.int64)
-            slot[eu] = 1
-            slot[ev] = 1
-            slot = np.cumsum(slot) - 1  # non-isolated vertices -> 0..nis-1
-            sizes = fast_component_sizes(slot[eu], slot[ev], nis)
-            b = _size_class_estimate(sizes, nis, self.cfg, self.rng)
-        self.c_bar = b + g.n - nis
-        self.psi = thr
-        self.phase_len = _phase_len(self.eps_prime, thr)
-        self._until_boundary = self.phase_len
+            eu, ev = self.graph.edge_view()
+            (self.c_bar,), drawn = _estimate_levels(self.graph.n, eu, ev, np.zeros_like(eu), 1,
+                                                    self.cfg, self.rng)
+            self.samples += drawn
+            self.psi = thr
+            self.phase_len = _phase_len(self.eps_prime, thr)
+            self._until_boundary = self.phase_len

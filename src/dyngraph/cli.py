@@ -116,12 +116,11 @@ class _Replay:
         elif algo in ("msf-det", "msf-rand"):
             if algo == "msf-det":
                 s = DeterministicMsfEstimator(h.n, eps, h.W)
-                count = attrgetter("bfs_calls")
+                levels, count = s.levels, attrgetter("bfs_calls")
+                work = lambda: sum(map(count, levels))
             else:
                 s = RandomizedMsfEstimator(h.n, eps, h.W, p, seed=seed)
-                count = attrgetter("samples")
-            levels = s.levels
-            work = lambda: sum(map(count, levels))
+                work = lambda: s.samples
             insert, delete = (s.insert, attrgetter("u", "v", "w")), (s.delete, pair)
             check = self._check_msf
             exact = lambda steps: oracles.msf_weights(h.n, stream.ops, steps)

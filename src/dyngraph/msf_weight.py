@@ -1,25 +1,25 @@
 """(1+eps)-approximate minimum-spanning-forest weight under edge updates.
 
 The MSF weight of a graph with weights in [1, W] is sandwiched by a weighted
-sum of component counts of threshold subgraphs (edges of weight <= l_i for
-geometrically spaced l_i).  Each threshold subgraph carries its own dynamic
-component-count estimator: the deterministic variant uses the exact
-small-component counter, the randomized variant the phased sampling
-estimator.  An update reaches only the subgraphs that admit or hold its edge.
-The randomized levels share one phase clock over the full update sequence:
-an update a level misses moves its Thr by at most 2 and its count by 0, so
-by the budget in ``cc_random`` it counts as one update there too, and every
-level re-samples at the same update.
+sum of component counts of the threshold subgraphs G_0 <= ... <= G_r (edges
+of weight <= l_i for geometrically spaced l_i, l_r = W).  An edge lies in
+every G_i from the first that admits its weight up, so an update hits one
+level and every level above it.
 
-The threshold subgraphs are the only edge store: the top one (l_r = W) holds
-every edge.  They nest, so an update hits one level and every level above
-it.  The deterministic estimator walks the hit levels bottom-up and carries
-what each level's capped BFS found in its graph G_i without (u, v) to the
-levels G_j above it (the four facts of ``cc_exact``): (1) u and v connected
-in G_i are connected in G_j, which then needs no BFS; (2) a component of
-more than k vertices in G_i lies in one in G_j; (3) with both endpoints
-large in G_i, G_j needs no BFS; (4) with one large in G_i, G_j needs one
-BFS, from the other endpoint.
+The deterministic estimator keeps one graph and one exact small-component
+counter per level.  It walks the hit levels bottom-up and carries what each
+level's capped BFS found in its graph G_i without (u, v) to the levels G_j
+above it (the four facts of ``cc_exact``): (1) u and v connected in G_i are
+connected in G_j, which then needs no BFS; (2) a component of more than k
+vertices in G_i lies in one in G_j; (3) with both endpoints large in G_i,
+G_j needs no BFS; (4) with one large in G_i, G_j needs one BFS, from the
+other endpoint.
+
+The randomized estimator keeps one edge store, the full graph, and each
+edge's first level, and runs the phased sampling estimator's clock once for
+all levels: an update a level misses moves its Thr by at most 2 and its
+count by 0, so by the budget in ``cc_random`` it counts as one update there
+too, and every level re-samples at the same update, in one pass.
 
 An update failing ``graph_core.check_edge`` or with a weight outside [1, W]
 raises ``ValueError`` before any change; a duplicate insert or an absent
@@ -29,14 +29,16 @@ delete returns False and changes nothing.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cc_exact import SmallCcCounter
-from .cc_random import PhasedCcEstimator
+from .cc_random import StaticEstimateConfig, _estimate_levels, _phase_len
 from .graph_core import DynamicGraph, check_edge
+from .oracles import fast_ncc
 
 WeightedEdge = tuple[int, int, float]
 
@@ -83,57 +85,53 @@ def combine(config: MsfConfig, counts, n: int) -> float:
 
 
 class _MsfEstimatorBase:
-    """Config and threshold graphs shared by both estimators.
+    """Config and the full graph, ``graph``, shared by both estimators."""
 
-    Graph i holds the edges of weight <= l_i from ``initial_edges``, duplicates
-    skipped; subclasses build one component-count estimator per graph in ``levels``.
-    """
-
-    def __init__(self, n: int, eps: float, W: float,
-                 initial_edges: list[WeightedEdge] | None):
+    def __init__(self, n: int, eps: float, W: float):
         self.config = MsfConfig.from_params(eps, W)
         self.n = n
-        self._graphs = [DynamicGraph(n) for _ in self.config.thresholds]
-        self._full = self._graphs[-1]
-        for u, v, w in initial_edges or ():
-            first = self._admits(u, v, w)
-            if first is not None:
-                for g in self._graphs[first:]:
-                    g.insert_edge(u, v)
+        self.graph = DynamicGraph(n)
 
     def _admits(self, u: int, v: int, w: float) -> int | None:
         """Check (u, v, w); the first level admitting w, or None if (u, v) is present."""
         check_edge(u, v, self.n)
         if not 1.0 <= w <= self.config.W:
             raise ValueError(f"weight {w} outside [1, {self.config.W}]")
-        if v in self._full.adj[u]:
+        if v in self.graph.adj[u]:
             return None
         return bisect_left(self.config.thresholds, w)
-
-    def _holds(self, u: int, v: int) -> int | None:
-        """Check (u, v); the first level whose graph holds it, or None if absent."""
-        check_edge(u, v, self.n)
-        if v not in self._full.adj[u]:
-            return None
-        return next(i for i, g in enumerate(self._graphs) if v in g.adj[u])
 
 
 class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
-    Per level the exact small-component counter runs with error parameter
-    eps/(4W), so every level has the same k.  An update touches every level
-    from the first that admits (insert) or holds (delete) the edge, bottom
-    up, and hands each level the one below it, whose findings in G_i (facts
-    1-4 above, each read on G_i without (u, v)) spare BFS calls at G_j: no
-    BFS once u and v are connected or both large in G_i, one while exactly
-    one endpoint is large, else at most two.
+    Graph i holds the edges of weight <= l_i from ``initial_edges``, duplicates
+    skipped.  Per level the exact small-component counter runs with error
+    parameter eps/(4W), so every level has the same k.  An update touches
+    every level from the first that admits (insert) or holds (delete) the
+    edge, bottom up, and hands each level the one below it, whose findings in
+    G_i (facts 1-4 above, each read on G_i without (u, v)) spare BFS calls at
+    G_j: no BFS once u and v are connected or both large in G_i, one while
+    exactly one endpoint is large, else at most two.
     """
 
     def __init__(self, n: int, eps: float, W: float,
                  initial_edges: list[WeightedEdge] | None = None):
-        super().__init__(n, eps, W, initial_edges)
-        self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in self._graphs]
+        super().__init__(n, eps, W)
+        graphs = [DynamicGraph(n) for _ in range(self.config.r)] + [self.graph]
+        for u, v, w in initial_edges or ():
+            first = self._admits(u, v, w)
+            if first is not None:
+                for g in graphs[first:]:
+                    g.insert_edge(u, v)
+        self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in graphs]
+
+    def _holds(self, u: int, v: int) -> int | None:
+        """Check (u, v); the first level whose graph holds it, or None if absent."""
+        check_edge(u, v, self.n)
+        if v not in self.graph.adj[u]:
+            return None
+        return next(i for i, level in enumerate(self.levels) if v in level.graph.adj[u])
 
     def insert(self, u: int, v: int, w: float) -> bool:
         return self._walk(SmallCcCounter.on_insert, self._admits(u, v, w), u, v)
@@ -158,15 +156,14 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
 class RandomizedMsfEstimator(_MsfEstimatorBase):
     """Sampling-based (1+eps)-approximation, valid against adaptive adversaries.
 
-    Each level runs the phased estimator with error eps/(4W) and failure
-    probability p_prime/(r+1) on its own threshold graph, all drawing from
-    one generator, and Thr is the full graph's nis before the update.  The
-    levels share one phase clock, ``i`` updates old (module docstring): an
-    update edits only the graphs that admit or hold its edge, and when the
-    phase runs out every level re-samples, bottom-up and with the same psi
-    (``PhasedCcEstimator.resample``).  At eps' = eps/(4W) a phase lasts about
-    (3/4) eps' Thr updates.
-    ``use_fast_sizes`` accepts only True, the route every boundary takes.
+    ``graph`` is the one edge store, and ``_lvl[j]`` the first level
+    admitting the edge in slot j (a delete mirrors the graph's swap-delete).
+    Each level follows the phased estimator with error eps' = eps/(4W) and
+    failure probability p_prime/(r+1), from one generator, on one clock:
+    ``i`` updates, Thr the full graph's nis before each.  When a phase ends,
+    ``cc_random._estimate_levels`` re-estimates every level (``counts``) in
+    one pass and ``samples`` grows by the vertices drawn.
+    ``use_fast_sizes`` accepts only True.
     """
 
     def __init__(self, n: int, eps: float, W: float, p_prime: float,
@@ -179,36 +176,58 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
             raise ValueError("use_fast_sizes=False: the per-sample boundary route was removed")
         if not 0 < p_prime < 1:
             raise ValueError(f"p_prime must be in (0, 1), got {p_prime}")
-        super().__init__(n, eps, W, initial_edges)
-        rng = np.random.default_rng(seed)
-        self.levels = [
-            PhasedCcEstimator(g, eps / (4.0 * W), p_prime / len(self._graphs), seed=rng,
-                              enclosing=self._full)
-            for g in self._graphs
-        ]
-        self.i = 0
-        self._until_boundary = self.levels[-1].phase_len
+        super().__init__(n, eps, W)
+        self._lvl = array("q")  # read as a numpy copy, so no view pins its size
+        for u, v, w in initial_edges or ():
+            first = self._admits(u, v, w)
+            if first is not None:
+                self.graph.insert_edge(u, v)
+                self._lvl.append(first)
+        eu, ev = self.graph.edge_view()
+        lvl = np.array(self._lvl)
+        self.counts = [float(fast_ncc(eu[lvl <= i], ev[lvl <= i], n))
+                       for i in range(self.config.r + 1)]
+        self.eps_prime = eps / (4.0 * W)
+        self.cfg = StaticEstimateConfig.from_error(self.eps_prime / 4.0,
+                                                   p_prime / len(self.counts))
+        self.rng = np.random.default_rng(seed)
+        self.i = self.samples = 0
+        self.psi = self.graph.nis
+        self.phase_len = self._until_boundary = _phase_len(self.eps_prime, self.psi)
 
     def insert(self, u: int, v: int, w: float) -> bool:
-        return self._apply(DynamicGraph.insert_edge, self._admits(u, v, w), u, v)
-
-    def delete(self, u: int, v: int) -> bool:
-        return self._apply(DynamicGraph.delete_edge, self._holds(u, v), u, v)
-
-    def _apply(self, edit, first: int | None, u: int, v: int) -> bool:
-        """Edit (u, v) in the graphs from ``first`` up, then advance the shared clock."""
+        first = self._admits(u, v, w)
         if first is None:
             return False
-        thr = self._full.nis
-        for g in self._graphs[first:]:
-            edit(g, u, v)
+        thr = self.graph.nis
+        self.graph.insert_edge(u, v)
+        self._lvl.append(first)
+        self._tick(thr)
+        return True
+
+    def delete(self, u: int, v: int) -> bool:
+        check_edge(u, v, self.n)
+        i = self.graph.adj[u].get(v)
+        if i is None:
+            return False
+        thr = self.graph.nis
+        self.graph.delete_edge(u, v)
+        self._lvl[i] = self._lvl[-1]  # the graph moved its last edge into slot i
+        del self._lvl[-1]
+        self._tick(thr)
+        return True
+
+    def _tick(self, thr: int) -> None:
+        """Count one update on the shared clock; when the phase ends, re-estimate every level."""
         self.i += 1
         self._until_boundary -= 1
         if self._until_boundary <= 0:
-            for level in self.levels:
-                level.resample(thr)
-            self._until_boundary = self.levels[-1].phase_len
-        return True
+            self.counts, drawn = _estimate_levels(
+                self.n, *self.graph.edge_view(), np.array(self._lvl),
+                len(self.counts), self.cfg, self.rng)
+            self.samples += drawn
+            self.psi = thr
+            self.phase_len = self._until_boundary = _phase_len(self.eps_prime, thr)
 
     def estimate(self) -> float:
-        return combine(self.config, [level.estimate() for level in self.levels], self.n)
+        return combine(self.config, self.counts, self.n)

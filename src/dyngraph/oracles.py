@@ -9,10 +9,12 @@ and a union-find with rollback) gives ``dyngraph run`` its cc-exact and
 cc-random checkpoint values, and ``msf_weights`` (Eppstein's divide and
 conquer over the checkpoint steps) its msf-det and msf-rand ones.  The
 ``fast_*`` helpers are vectorized equivalents that check one graph at a
-time: the counters' starting values, ``cc_random`` phase boundaries and the
-adaptive stream generator.  Their component labels come from a numpy
-hook-and-jump kernel.  ``fast_msf_weight`` is only the array form of
-``exact_msf_weight``, kept because perfbench's msf workloads call it.
+time: the counters' starting values and the adaptive stream generator.
+Their labels come from a numpy kernel, ``hook_and_jump``, which
+``cc_random``'s phase boundaries also run on nested graphs, each level
+started from the labels of the one below.  ``fast_msf_weight`` is only the
+array form of ``exact_msf_weight``, kept because perfbench's msf workloads
+call it.
 Nothing here needs more than numpy.  All of them are asserted against the
 pure routes in the tests.
 """
@@ -302,22 +304,22 @@ def msf_weights(n: int, ops, steps) -> dict[int, float]:
 # routes in tests/test_oracles.py.
 
 
-def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
-    """Per-vertex component label: the smallest vertex of the component.
+def hook_and_jump(parent: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """The labels of ``parent``'s graph plus the edges (eu, ev); ``parent`` may be overwritten.
 
-    Hook-and-jump (the Shiloach-Vishkin pattern): ``parent`` starts as the
-    identity and every round (1) keeps the edges whose endpoints have
+    Hook-and-jump (the Shiloach-Vishkin pattern).  ``parent`` points every
+    vertex at the smallest vertex of its component (``np.arange(n)`` for no
+    edges), and every round (1) keeps the edges whose endpoints have
     different roots, (2) hooks the larger root of each onto the smaller one
     and (3) pointer-jumps until every vertex points at its root.  A vertex
     only ever points at a smaller vertex of its component, so the smallest
     one stays a root and ends as the label.  Each round removes at least one
     root from every component that still has two, so the loop ends.  Observed
-    hooking rounds: at most 11 on random-order paths up to n = 10^5 (seeds
-    0-4), 2 on zigzag paths (0, n-1, 1, n-2, ...).  The edge arrays are only
-    read.
+    hooking rounds from ``np.arange(n)``: at most 11 on random-order paths up
+    to n = 10^5 (seeds 0-4), 2 on zigzag paths (0, n-1, 1, n-2, ...).  The
+    edge arrays are only read.
     """
-    parent = np.arange(n)
-    ra, rb = eu, ev
+    ra, rb = parent[eu], parent[ev]
     while True:
         live = ra != rb
         if not live.any():
@@ -330,6 +332,11 @@ def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
                 break
             parent = jumped
         ra, rb = parent[eu], parent[ev]
+
+
+def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:
+    """Per-vertex component label: the smallest vertex of the component."""
+    return hook_and_jump(np.arange(n), eu, ev)
 
 
 def fast_component_sizes(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:

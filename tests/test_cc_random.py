@@ -184,12 +184,13 @@ def test_boundary_on_non_isolated_vertices_matches_labelling_all_n(monkeypatch):
     rng_all_n = np.random.default_rng(0)
     rng_all_n.bit_generator.state = est.rng.bit_generator.state
     sizes_seen = []
+    draw = cc_random._size_class_estimate
 
-    def recording_sizes(eu, ev, n):
-        sizes_seen.append(fast_component_sizes(eu, ev, n))
-        return sizes_seen[-1]
+    def recording_sizes(sizes, nis, cfg, rng):
+        sizes_seen.append(sizes)
+        return draw(sizes, nis, cfg, rng)
 
-    monkeypatch.setattr(cc_random, "fast_component_sizes", recording_sizes)
+    monkeypatch.setattr(cc_random, "_size_class_estimate", recording_sizes)
     assert est.on_update(UpdateOp(kind, u, v))
 
     (compact,) = sizes_seen  # the boundary labelled the nis non-isolated vertices only

@@ -42,8 +42,7 @@ STRUCTURES = {
         lambda: RandomizedMsfEstimator(N, 0.5, 2.0, 0.2, seed=1),
         lambda s, u, v: s.insert(u, v, 1.5),
         lambda s, u, v: s.delete(u, v),
-        lambda s: ([lv.graph.edges() for lv in s.levels], [lv.i for lv in s.levels],
-                   s.estimate()),
+        lambda s: (list(zip(s.graph.edges(), s._lvl)), s.i, s.samples, s.estimate()),
     ),
 }
 

@@ -4,6 +4,8 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyngraph import cc_random
 from dyngraph.cc_random import _phase_len
@@ -13,7 +15,7 @@ from dyngraph.msf_weight import (
     RandomizedMsfEstimator,
     combine,
 )
-from dyngraph.oracles import exact_msf_weight, exact_ncc, fast_nscc
+from dyngraph.oracles import exact_msf_weight, exact_ncc, fast_component_sizes, fast_nscc
 from dyngraph.streams import gen_sliding_window
 
 
@@ -275,22 +277,28 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
     _check_counts(est)
 
 
+def _level_edges(est, i):
+    """The sorted edges of a randomized estimator's threshold graph i."""
+    return sorted(e for e, lvl in zip(est.graph.edges(), est._lvl) if lvl <= i)
+
+
 def test_randomized_light_edges_update_all_levels():
     est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
     est.insert(0, 1, 1.0)  # light: every level's graph gets the edge
     assert est.i == 1
-    assert all(level.graph.has_edge(0, 1) for level in est.levels)
+    assert all(_level_edges(est, i) == [(0, 1)] for i in range(est.config.r + 1))
     # the first phase lasts one update; each level re-sampled one pair, exactly
-    assert [level.estimate() for level in est.levels] == [7.0] * len(est.levels)
+    assert est.counts == [7.0] * (est.config.r + 1)
 
 
 def test_randomized_heavy_edge_leaves_light_levels_untouched():
     est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
     est.insert(0, 1, 2.0)  # heavy for every level except the last
     assert est.i == 1  # one update on the shared clock, whatever it hits
-    for thr, level in zip(est.config.thresholds, est.levels):
-        assert level.graph.has_edge(0, 1) == (2.0 <= thr)
-        assert (level.psi, level.estimate()) == (0, 7.0 if 2.0 <= thr else 8.0)
+    assert est.psi == 0
+    for i, (thr, count) in enumerate(zip(est.config.thresholds, est.counts)):
+        assert (_level_edges(est, i) == [(0, 1)]) == (2.0 <= thr)
+        assert count == (7.0 if 2.0 <= thr else 8.0)
 
 
 def test_randomized_envelope_fuzz():
@@ -327,28 +335,28 @@ def test_randomized_levels_share_thr_stream():
     est.delete(0, 1)
     assert est.i == 3  # one shared clock: each update counts once at every level
     # every level re-sampled at the delete, at the full graph's nis before it
-    assert {(level.psi, level.phase_len) for level in est.levels} == {(4, 1)}
+    assert (est.psi, est.phase_len) == (4, 1)
 
 
 def test_randomized_levels_resample_in_lockstep(monkeypatch):
-    # Labelling is counted per update: only an update on which the shared phase
-    # ends labels, once per level with an edge.  An update leaves the levels
-    # below the first that admits or holds it untouched, and a duplicate insert
-    # or an absent delete does not move the clock.
-    labelled = []
-    sizes = cc_random.fast_component_sizes
+    # Size classes are drawn per update: only an update on which the shared
+    # phase ends draws, once per level with an edge.  An update leaves the
+    # levels below the first that admits or holds it untouched, and a
+    # duplicate insert or an absent delete does not move the clock.
+    draws = []
+    draw = cc_random._size_class_estimate
 
     def counted(*args):
-        labelled.append(1)
-        return sizes(*args)
+        draws.append(1)
+        return draw(*args)
 
-    monkeypatch.setattr(cc_random, "fast_component_sizes", counted)
+    monkeypatch.setattr(cc_random, "_size_class_estimate", counted)
     stream = gen_sliding_window(120, 2000, 100, mode="msf", W=2.0, seed=3)
     first = next(i for i, op in enumerate(stream.ops) if op.kind == "d")
     initial = [(op.u, op.v, op.w) for op in stream.ops[:first] if op.kind == "i"]
     est = RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=initial)
-    eps_p = est.levels[0].eps_prime
-    left = est.levels[-1].phase_len
+    levels = est.config.r + 1
+    left = est.phase_len
     weight = {(min(u, v), max(u, v)): w for u, v, w in initial}
     boundaries = missed = 0
     for op in stream.ops[first:]:
@@ -358,10 +366,10 @@ def test_randomized_levels_resample_in_lockstep(monkeypatch):
         if op.kind == "i":
             weight[key] = op.w
         level = bisect_left(est.config.thresholds, weight[key])
-        below = [lv.graph.edges() for lv in est.levels[:level]]
-        frozen = [lv.estimate() for lv in est.levels]
-        thr, clock = est.levels[-1].graph.nis, est.i
-        del labelled[:]
+        below = [_level_edges(est, i) for i in range(level)]
+        frozen = list(est.counts)
+        thr, clock = est.graph.nis, est.i
+        del draws[:]
         if op.kind == "i":
             assert est.insert(op.u, op.v, op.w)
             assert not est.insert(op.v, op.u, 1.0)  # duplicate
@@ -369,41 +377,90 @@ def test_randomized_levels_resample_in_lockstep(monkeypatch):
             assert est.delete(op.u, op.v)
             assert not est.delete(op.u, op.v)  # absent now
         assert est.i == clock + 1
-        assert [lv.graph.edges() for lv in est.levels[:level]] == below
+        assert [_level_edges(est, i) for i in range(level)] == below
         missed += bool(below)
         left -= 1
         if left == 0:
             boundaries += 1
-            assert len(labelled) == sum(lv.graph.m > 0 for lv in est.levels)
-            assert {(lv.psi, lv.phase_len) for lv in est.levels} == \
-                {(thr, _phase_len(eps_p, thr))}
-            left = _phase_len(eps_p, thr)
+            assert len(draws) == levels - min(est._lvl, default=levels)  # levels with an edge
+            assert (est.psi, est.phase_len) == (thr, _phase_len(est.eps_prime, thr))
+            left = est.phase_len
         else:
-            assert labelled == []
-            assert [lv.estimate() for lv in est.levels] == frozen
+            assert draws == []
+            assert est.counts == frozen
     assert boundaries > 100 and missed > 1000
-    assert 0 < sum(lv.graph.m == 0 for lv in est.levels) < len(est.levels)
+    assert 0 < min(est._lvl) < levels  # some levels stay empty, not all
 
 
-@pytest.mark.parametrize("make", [
-    lambda: DeterministicMsfEstimator(5, 0.25, 4.0),
-    lambda: RandomizedMsfEstimator(5, 0.5, 4.0, 0.1, seed=0),
+def _size_classes(edges, cap):
+    """(nis, vertices per size class 2..cap) of a graph given by its edge list."""
+    ids = {x: j for j, x in enumerate(sorted({x for e in edges for x in e}))}
+    eu = np.array([ids[a] for a, _ in edges], dtype=np.int64)
+    ev = np.array([ids[b] for _, b in edges], dtype=np.int64)
+    sizes = fast_component_sizes(eu, ev, len(ids))
+    return len(ids), np.bincount(sizes, minlength=cap + 1)[2 : cap + 1].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                          st.sampled_from([1.0, 1.1, 1.25, 1.4, 1.5625, 1.8, 2.0])),
+                max_size=60))
+def test_one_edge_store_matches_each_levels_own_edge_list(pairs):
+    # Each pair toggles its edge, so deletes swap edges out of every slot of
+    # the store, not only the last.  After every update the level array holds
+    # each live edge's weight level; every update ends a phase here, and each
+    # level with an edge draws with the nis and size classes of its own edges.
+    est = RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0)
+    thresholds, cap = est.config.thresholds, est.cfg.cap
+    drawn = []
+    draw = cc_random._size_class_estimate
+
+    def recorded(sizes, nis, cfg, rng):
+        drawn.append((nis, np.bincount(sizes, minlength=cap + 1)[2 : cap + 1].tolist()))
+        return draw(sizes, nis, cfg, rng)
+
+    weight = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc_random, "_size_class_estimate", recorded)
+        for u, v, w in pairs:
+            if u == v:
+                continue
+            key = (min(u, v), max(u, v))
+            del drawn[:]
+            if key in weight:
+                assert est.delete(v, u)
+                del weight[key]
+            else:
+                assert est.insert(u, v, w)
+                weight[key] = w
+            level = {e: bisect_left(thresholds, x) for e, x in weight.items()}
+            assert list(est._lvl) == [level[e] for e in est.graph.edges()]
+            assert est.phase_len == 1 and est.psi <= 8
+            expected = [_size_classes([e for e in weight if level[e] <= i], cap)
+                        for i in range(len(thresholds)) if min(level.values(), default=i + 1) <= i]
+            assert drawn == expected
+
+
+@pytest.mark.parametrize("make, stores", [
+    (lambda: DeterministicMsfEstimator(5, 0.25, 4.0), lambda est: [lv.graph for lv in est.levels]),
+    (lambda: RandomizedMsfEstimator(5, 0.5, 4.0, 0.1, seed=0), lambda est: [est.graph]),
 ], ids=["deterministic", "randomized"])
-def test_invalid_vertices_rejected_before_any_state_change(make):
+def test_invalid_vertices_rejected_before_any_state_change(make, stores):
     est = make()
+    graphs = stores(est)
     empty = est.estimate()
     for u, v in ((-1, 2), (2, -1), (5, 2), (2, 5), (2, 2)):
         with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
             est.insert(u, v, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
             est.delete(u, v)
-    assert all(level.graph.m == 0 and level.graph.nis == 0 for level in est.levels)
+    assert all(g.m == 0 and g.nis == 0 for g in graphs)
     assert est.estimate() == empty
     est.insert(1, 2, 1.0)
-    assert all(level.graph.has_edge(1, 2) for level in est.levels)
+    assert all(g.has_edge(1, 2) for g in graphs)
     assert 0.5 <= est.estimate() <= 1.5  # MSF weight 1 within the (1 +- eps) envelope
     est.delete(2, 1)
-    assert all(level.graph.m == 0 for level in est.levels)
+    assert all(g.m == 0 for g in graphs)
 
 
 def _window_from_initial_edges(make, record):
@@ -441,14 +498,14 @@ def test_deterministic_from_initial_edges_pinned():
 def test_randomized_from_initial_edges_pinned():
     digest = _window_from_initial_edges(
         lambda init: RandomizedMsfEstimator(120, 0.8, 2.0, 0.1, seed=5, initial_edges=init),
-        lambda est: (est.estimate(), est.i, [level.psi for level in est.levels]))
+        lambda est: (est.estimate(), est.i, [est.psi] * (est.config.r + 1)))
     assert digest == "68c27173d8cbdc27dc9cdc8f84a9a778f0afedf0cc6d12c4ee2a00477e06e0c6"
 
 
 def test_randomized_rejects_the_removed_per_sample_route():
     with pytest.raises(ValueError, match="per-sample boundary route"):
         RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=False)
-    assert RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=True).levels
+    assert RandomizedMsfEstimator(8, 0.5, 2.0, 0.1, seed=0, use_fast_sizes=True).counts
 
 
 @pytest.mark.parametrize("p_prime", [5.0, 50, 1.0, 0.0, -0.1, float("nan")])
