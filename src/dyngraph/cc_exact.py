@@ -5,58 +5,74 @@ under edge updates with at most two size-capped BFS calls per update.
 Since at most nis(G)/k components can be larger than k, the count also
 approximates the full component count within eps * nis(G) additively.
 
+Beside the count, the counter keeps one flag per vertex, set iff the
+vertex's component has more than k vertices, so that only a delete in a
+large component runs a BFS that can hit the cap (``SmallCcCounter``).
+
 Counters of nested graphs G_i ⊆ G_j with one k (the MSF threshold levels)
-can share what a capped BFS found: the counter of G_j takes the counter of
+can share what G_i's counter found: the counter of G_j takes the counter of
 G_i, which has just applied the same update (u, v), as ``below``.  Every
 graph here is taken without (u, v), and a component of G_i lies inside a
 component of G_j, so for i < j:
 
-1. u and v connected in G_i => connected in G_j: adding (u, v) removes
-   no small component of G_j, with no BFS.
+1. u and v connected in G_i => connected in G_j: the update changes no
+   count or flag of G_j, with no BFS.
 2. x's component of G_i has more than k vertices => so has x's
    component of G_j.
-3. Both endpoints known large (read on G_i) => nothing to remove in G_j,
-   with no BFS.
-4. Exactly one endpoint known large (read on G_i) => one capped BFS from
-   the other endpoint in G_j.  If it closes with <= k vertices, that
-   component cannot hold the large endpoint, so adding (u, v) removes
-   it: 1.  Otherwise both are large in G_j: 0, and fact 3 holds from G_j
-   up.
+3. Both endpoints large in G_i => nothing to change in G_j, with no BFS.
+4. Exactly one endpoint large in G_i => one capped BFS from the other
+   endpoint in G_j.  If it closes with <= k vertices, that component
+   cannot hold the large endpoint, so the edge joins or splits off a small
+   component: 1.  Otherwise both are large in G_j: 0.
+
+The flags answer facts 2-3 at every level: an insert reads G_j's own flags,
+which still describe G_j without (u, v), and a delete reads ``below``'s,
+which it has just brought up to date for G_i without (u, v).  Only facts 1
+and 4 still pass up: ``below`` says whether it found u and v connected, and
+a delete in a large component of G_j runs fact 4's one BFS when ``below``
+flags exactly one endpoint large.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .graph_core import DynamicGraph, check_edge
-from .oracles import fast_nscc
+from .oracles import fast_component_labels
 
 
 class SmallCcCounter:
     """Exact count of components of size <= k, attached to a DynamicGraph.
 
     The counter owns the update path, so callers must not mutate the graph
-    separately.  Insert and delete share one rule: how many small components
-    adding (u, v) to the graph without it removes.  An insert subtracts that
-    before adding the edge, a delete adds it back after removing the edge.
-    Alone, the rule runs a capped BFS from u and, unless it reaches v, one
-    from v.  Given ``below`` (a counter with the same k on a subgraph, that
-    has just applied the same update), it starts from what ``below`` found
-    (the module docstring's facts 1-4): 0, 1 or 2 BFS calls from the
-    endpoints ``below`` left open.  ``bfs_calls`` counts every capped BFS run
-    since construction.
+    separately.  ``large`` holds one flag per vertex (its component has more
+    than k vertices), kept exact with the count.  An insert reads the
+    endpoints' flags: both large, no BFS; one large, one closed BFS of the
+    small side, whose vertices are flagged large; both small, a closed BFS
+    from u and, unless it reaches v, one from v, flagging both sides large
+    if they join into more than k vertices.  A delete in a small component
+    runs one closed BFS from u; in a large one, a capped BFS from u and,
+    unless it reaches v, one from v, and each side that closes at <= k
+    vertices is flagged small.  Given ``below`` (a counter with the same k
+    on a subgraph, that has just applied the same update), it starts from
+    what ``below`` found (the module docstring's facts 1-4).
+    ``bfs_calls`` counts every capped BFS run since construction.
     """
 
     def __init__(self, graph: DynamicGraph, eps: float):
         if not 0 < eps <= 1:
             raise ValueError("eps must be in (0, 1]")
         self.graph = graph
-        self.k = math.ceil(1 / eps)
-        self.c_bar = fast_nscc(*graph.edge_view(), graph.n, self.k)
+        self.k = k = math.ceil(1 / eps)
+        labels = fast_component_labels(*graph.edge_view(), graph.n)
+        sizes = np.bincount(labels, minlength=graph.n)
+        self.c_bar = int(np.count_nonzero(sizes[labels == np.arange(graph.n)] <= k))
+        self.large = bytearray((sizes[labels] > k).tobytes())
         self.bfs_calls = 0
-        # endpoints of the last update that may still lie in a small component
-        # without the other one in a supergraph: () once connected or both large
-        self._open: tuple[int, ...] = ()
+        # whether the last update found u and v connected in the graph without (u, v)
+        self._connected = False
 
     def estimate(self) -> int:
         return self.c_bar
@@ -67,7 +83,7 @@ class SmallCcCounter:
         check_edge(u, v, g.n)
         if v in g.adj[u]:
             return False
-        self.c_bar -= self._joined(u, v, below)
+        self._join(u, v, below)
         g.insert_edge(u, v)
         return True
 
@@ -75,34 +91,81 @@ class SmallCcCounter:
         """Delete (u, v) and update the count; an absent edge is a no-op returning False."""
         if not self.graph.delete_edge(u, v):
             return False
-        self.c_bar += self._joined(u, v, below)
+        self._split(u, v, below)
         return True
 
-    def _joined(self, u: int, v: int, below: SmallCcCounter | None) -> int:
-        """Small components (0, 1 or 2) that adding (u, v) removes; the graph lacks it."""
-        g = self.graph
-        k = self.k
-        if below is not None and len(below._open) < 2:
-            open_ = self._open = below._open
-            if not open_:
-                return 0  # connected or both large below, so here too
-            s, _ = g.bfs_limited(open_[0], k + 1)
+    def _join(self, u: int, v: int, below: SmallCcCounter | None) -> None:
+        """Count and flags for adding (u, v); the graph lacks it."""
+        g, large, cap = self.graph, self.large, self.k + 1
+        self._connected = False
+        if large[u] or large[v]:
+            if large[u] and large[v]:
+                return  # two large components make one
+            g.bfs_limited(v if large[u] else u, cap)  # closes on the small side
             self.bfs_calls += 1
-            if s <= k:
-                return 1  # small, so apart from the other endpoint's large component
-            self._open = ()
-            return 0
-        s_u, _ = g.bfs_limited(u, k + 1)
+            self.c_bar -= 1  # which joins the large one
+            for x in g.discovered:
+                large[x] = 1
+            return
+        if below is not None and below._connected:
+            self._connected = True
+            return  # connected below, so here too: the edge closes a cycle
+        s_u, _ = g.bfs_limited(u, cap)
         if g.bfs_reached(v):
             self.bfs_calls += 1
-            self._open = ()
-            return 0  # one component, small or large: the edge closes a cycle
-        s_v, _ = g.bfs_limited(v, k + 1)
+            self._connected = True
+            return  # one small component: the edge closes a cycle
+        side_u = g.discovered
+        s_v, _ = g.bfs_limited(v, cap)
         self.bfs_calls += 2
-        if s_u <= k:
-            self._open = (u, v) if s_v <= k else (u,)
-        else:
-            self._open = (v,) if s_v <= k else ()
-        if s_u + s_v <= k:
-            return 1  # two small components merge into a small one
-        return (s_u <= k) + (s_v <= k)  # the joined one is large: small ones go
+        if s_u + s_v <= self.k:
+            self.c_bar -= 1  # two small components merge into a small one
+            return
+        self.c_bar -= 2  # two small components merge into a large one
+        for x in side_u:
+            large[x] = 1
+        for x in g.discovered:
+            large[x] = 1
+
+    def _split(self, u: int, v: int, below: SmallCcCounter | None) -> None:
+        """Count and flags for removing (u, v); the graph already lacks it."""
+        g, large, cap = self.graph, self.large, self.k + 1
+        if below is not None and below._connected:
+            self._connected = True
+            return  # connected below, so here too: one component as before
+        if not large[u]:
+            g.bfs_limited(u, cap)  # closes: the component has at most k vertices
+            self.bfs_calls += 1
+            self._connected = g.bfs_reached(v)
+            if not self._connected:
+                self.c_bar += 1  # one small component splits into two
+            return
+        self._connected = False
+        if below is not None:
+            lu, lv = below.large[u], below.large[v]  # already for G_i without (u, v)
+            if lu and lv:
+                return  # both sides large below, so here too
+            if lu or lv:
+                s, _ = g.bfs_limited(v if lu else u, cap)
+                self.bfs_calls += 1
+                if s <= self.k:
+                    self.c_bar += 1  # a small side splits off the large one
+                    for x in g.discovered:
+                        large[x] = 0
+                return
+        s_u, _ = g.bfs_limited(u, cap)
+        if g.bfs_reached(v):
+            self.bfs_calls += 1
+            self._connected = True
+            return  # still one large component
+        side_u = g.discovered
+        s_v, _ = g.bfs_limited(v, cap)
+        self.bfs_calls += 2
+        if s_u <= self.k:
+            self.c_bar += 1
+            for x in side_u:
+                large[x] = 0
+        if s_v <= self.k:
+            self.c_bar += 1
+            for x in g.discovered:
+                large[x] = 0

@@ -7,7 +7,8 @@ neighbour to the edge's slot in the flat edge store, a pair of ``array("q")``
 buffers read through zero-copy numpy ``frombuffer`` views and never resized
 in place.  ``bfs_limited`` explores a component from a start vertex but never
 discovers more than ``vertex_cap`` vertices, which is the primitive the
-component-count estimators are built on.
+component-count estimators are built on; ``discovered`` lists what the last
+call found.
 ``check_edge`` is the one pair rule every structure and ``parse_stream`` apply
 before any state change: ``self-loop (u, u) rejected`` or ``vertex out of range:
 (u, v) for n=N``; ``check_vertex`` is its one-vertex form for reads.
@@ -73,6 +74,7 @@ class DynamicGraph:
         # scratch marks for bfs_limited; epoch trick avoids O(n) clears, -1 is no epoch
         self._mark = [-1] * n
         self._epoch = 0
+        self.discovered: list[int] = []  # the last bfs_limited call's vertices, in order
 
     def degree(self, v: int) -> int:
         check_vertex(v, self.n)
@@ -154,7 +156,8 @@ class DynamicGraph:
         vertices are ever scanned.  Discovery is in FIFO queue order, each
         ``adj[x]`` in insertion order (a re-inserted neighbour comes last), so
         which vertices a capped call marks, and with them the callers' BFS
-        work counters, depend on it.
+        work counters, depend on it.  ``discovered`` then lists the marked
+        vertices in that order, ``reached`` of them, until the next call.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:
@@ -163,7 +166,7 @@ class DynamicGraph:
         mark = self._mark
         adj = self.adj
         mark[start] = epoch
-        queue = [start]
+        queue = self.discovered = [start]
         discovered = 1
         for x in queue:  # appending while iterating is defined for lists
             for w in adj[x]:

@@ -7,13 +7,15 @@ every G_i from the first that admits its weight up, so an update hits one
 level and every level above it.
 
 The deterministic estimator keeps one graph and one exact small-component
-counter per level.  It walks the hit levels bottom-up and carries what each
-level's capped BFS found in its graph G_i without (u, v) to the levels G_j
-above it (the four facts of ``cc_exact``): (1) u and v connected in G_i are
-connected in G_j, which then needs no BFS; (2) a component of more than k
-vertices in G_i lies in one in G_j; (3) with both endpoints large in G_i,
-G_j needs no BFS; (4) with one large in G_i, G_j needs one BFS, from the
-other endpoint.
+counter per level, which flags every vertex whose component has more than k
+vertices.  It walks the hit levels bottom-up and carries what each level
+found in its graph G_i without (u, v) to the levels G_j above it (the four
+facts of ``cc_exact``): (1) u and v connected in G_i are connected in G_j,
+which then needs no BFS; (2) a component of more than k vertices in G_i
+lies in one in G_j; (3) with both endpoints large in G_i, G_j needs no BFS;
+(4) with one large in G_i, G_j needs one BFS, from the other endpoint.  An
+insert reads facts 2-4 off G_j's own flags, so only fact 1 passes up; a
+delete in a large component of G_j reads them off G_i's updated flags.
 
 The randomized estimator keeps one edge store, the full graph, and each
 edge's first level, and runs the phased sampling estimator's clock once for
@@ -111,8 +113,11 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
     every level from the first that admits (insert) or holds (delete) the
     edge, bottom up, and hands each level the one below it, whose findings in
     G_i (facts 1-4 above, each read on G_i without (u, v)) spare BFS calls at
-    G_j: no BFS once u and v are connected or both large in G_i, one while
-    exactly one endpoint is large, else at most two.
+    G_j: no BFS once u and v are connected in G_i.  Otherwise an insert runs
+    none between two large endpoints of G_j, one closed BFS when one is
+    large, else at most two closed ones; a delete runs one closed BFS in a
+    small component of G_j, and in a large one none while both endpoints are
+    large in G_i, one while exactly one is, else at most two.
     """
 
     def __init__(self, n: int, eps: float, W: float,

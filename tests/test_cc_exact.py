@@ -5,7 +5,7 @@ import pytest
 
 from dyngraph.cc_exact import SmallCcCounter
 from dyngraph.graph_core import DynamicGraph
-from dyngraph.oracles import exact_ncc, exact_nis, exact_nscc
+from dyngraph.oracles import exact_ncc, exact_nis, exact_nscc, fast_component_sizes, fast_nscc
 
 
 def build(n, edges):
@@ -101,6 +101,14 @@ def test_delete_cycle_edge_keeps_count():
     assert counter.estimate() == 1
 
 
+def _check_flags(counter):
+    """The count and every vertex's large flag against a from-scratch labelling."""
+    g, k = counter.graph, counter.k
+    eu, ev = g.edge_view()
+    assert counter.estimate() == fast_nscc(eu, ev, g.n, k)
+    assert list(counter.large) == (fast_component_sizes(eu, ev, g.n) > k).tolist()
+
+
 def _fuzz(n, k, seed, steps):
     """Random toggles checked against the oracles; returns Counter(BFS runs per update)."""
     rng = np.random.default_rng(seed)
@@ -124,19 +132,23 @@ def _fuzz(n, k, seed, steps):
             continue
         key = (min(u, v), max(u, v))
         calls = counter.bfs_calls
-        if key in edges:
-            counter.on_delete(u, v)
-            edges.discard(key)
-        else:
+        insert = key not in edges
+        if insert:
             counter.on_insert(u, v)
             edges.add(key)
+        else:
+            counter.on_delete(u, v)
+            edges.discard(key)
         per_update[counter.bfs_calls - calls] += 1
         assert counter.bfs_calls - calls <= 2
         assert len(runs) == counter.bfs_calls - calls
         assert all(cap == k + 1 and reached <= cap for cap, reached in runs)
+        if insert:  # an insert explores only small components, so never hits the cap
+            assert all(reached <= k for _, reached in runs)
         runs.clear()
         want = exact_nscc(sorted(edges), n, k)
         assert counter.estimate() == want
+        _check_flags(counter)
         # error envelope against the full component count
         ncc = exact_ncc(sorted(edges), n)
         nis = exact_nis(sorted(edges), n)
@@ -148,12 +160,38 @@ def test_fuzz_exact_agreement_and_work_bound():
     assert _fuzz(60, 4, seed=1, steps=3000)[2]  # the two-BFS path ran
 
 
-@pytest.mark.parametrize("n,k", [(12, 1), (10, 10), (9, 16)])
+# BFS calls per update -> updates, for each (n, k) below
+_EXTREME_K_RUNS = {
+    (12, 1): {0: 691, 1: 8, 2: 678},
+    (10, 10): {1: 1338, 2: 13},
+    (9, 16): {1: 1315, 2: 27},
+}
+
+
+@pytest.mark.parametrize("n,k", list(_EXTREME_K_RUNS))
 def test_fuzz_extreme_k(n, k):
-    per_update = _fuzz(n, k, seed=k, steps=1500)
-    # the one-BFS path runs when the first BFS reaches v; with k = 1 it stops at one
-    # neighbour of u, never v, since the graph it runs on lacks (u, v)
-    assert per_update[2] and bool(per_update[1]) == (k > 1)
+    # no BFS: an insert between two large components.  One: an insert joining a
+    # small component to a large one, an insert or delete whose first BFS reaches
+    # v, or a delete in a small component.  With k = 1 every edge lies in a large
+    # component, so the first BFS stops at one neighbour of u, never v (the graph
+    # it runs on lacks (u, v)), and only inserts next to a singleton take one.
+    # With n <= k no component is large: a delete always takes one BFS
+    assert _fuzz(n, k, seed=k, steps=1500) == Counter(_EXTREME_K_RUNS[n, k])
+
+
+def test_flags_from_construction_and_a_delete_that_splits_a_large_component():
+    # two triangles joined by (2, 3), plus a lone edge: k = 3
+    g = build(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (6, 7)])
+    counter = SmallCcCounter(g, eps=1.0 / 3)
+    assert list(counter.large) == [1] * 6 + [0, 0]
+    assert counter.estimate() == 1
+    counter.on_delete(3, 2)
+    assert list(counter.large) == [0] * 8
+    assert counter.estimate() == 3
+    counter.on_insert(7, 0)  # 5 > k vertices: both sides flagged large
+    assert list(counter.large) == [1, 1, 1, 0, 0, 0, 1, 1]
+    assert counter.estimate() == 1
+    _check_flags(counter)
 
 
 def test_estimate_envelope_single_large_component():

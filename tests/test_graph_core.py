@@ -1,4 +1,4 @@
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -154,36 +154,45 @@ def test_bfs_limited_matches_truncated_full_bfs():
 
 
 def _reference_discovered(adj, start, cap):
-    """Sequential BFS: FIFO queue, ``adj[x]`` in insertion order, stop at the cap."""
+    """Sequential BFS: FIFO queue, ``adj[x]`` in insertion order, stop at the cap.
+
+    Returns the discovered vertices in discovery order."""
     seen = {start}
+    order = [start]
     queue = deque([start])
     while queue:
         x = queue.popleft()
         for w in adj[x]:
             if w not in seen:
                 if len(seen) == cap:
-                    return seen
+                    return order
                 seen.add(w)
+                order.append(w)
                 queue.append(w)
-    return seen
+    return order
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_bfs_limited_discovers_in_fifo_queue_order(seed):
     # which vertices a capped call marks is what the BFS work counters (bfs_calls)
-    # are built on: a rewrite that discovers in another order moves them
+    # are built on: a rewrite that discovers in another order moves them.
+    # ``discovered`` lists exactly the marked vertices, in that order
     rng = np.random.default_rng(seed)
     g = DynamicGraph(40)
     for _ in range(70):
         u, v = int(rng.integers(0, 40)), int(rng.integers(0, 40))
         if u != v:
             g.insert_edge(u, v)
+    seen = Counter()
     for start in range(40):
-        for cap in range(1, 9):
+        for cap in (*range(1, 9), 40):
             expected = _reference_discovered(g.adj, start, cap)
-            reached, _ = g.bfs_limited(start, cap)
-            assert {x for x in range(40) if g.bfs_reached(x)} == expected
+            reached, closed = g.bfs_limited(start, cap)
+            seen[closed] += 1
+            assert {x for x in range(40) if g.bfs_reached(x)} == set(expected)
+            assert g.discovered == expected
             assert reached == len(expected)
+    assert seen[True] and seen[False]  # closed and capped calls both checked
 
 
 def test_adjacency_keeps_insertion_order_across_deletes():

@@ -244,8 +244,12 @@ def _path(first, count, w):
 
 
 def _check_counts(est):
+    """Every level's count and large flags against a from-scratch labelling."""
     for level in est.levels:
-        assert level.estimate() == fast_nscc(*level.graph.edge_view(), 40, level.k)
+        eu, ev = level.graph.edge_view()
+        n = level.graph.n
+        assert level.estimate() == fast_nscc(eu, ev, n, level.k)
+        assert list(level.large) == (fast_component_sizes(eu, ev, n) > level.k).tolist()
 
 
 def test_deterministic_connected_at_first_level_takes_one_bfs():
@@ -255,11 +259,14 @@ def test_deterministic_connected_at_first_level_takes_one_bfs():
     _check_counts(est)
 
 
-def test_deterministic_both_large_at_first_level_takes_two_bfs():
+def test_deterministic_both_large_insert_takes_no_bfs():
     est = _nested_levels(_path(0, 11, 1.0) + _path(11, 11, 1.0))
     before = [level.estimate() for level in est.levels]
-    assert _bfs_per_level(est, lambda: est.insert(5, 16, 1.0)) == [2, 0, 0, 0]
+    # both endpoints are flagged large at every level
+    assert _bfs_per_level(est, lambda: est.insert(5, 16, 1.0)) == [0, 0, 0, 0]
     assert [level.estimate() for level in est.levels] == before
+    # the delete splits a large component: two capped BFS at level 0 find both
+    # sides large, and the levels above read that off level 0's flags
     assert _bfs_per_level(est, lambda: est.delete(16, 5)) == [2, 0, 0, 0]
     _check_counts(est)
 
@@ -269,12 +276,53 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
     # in 3 vertices from level 1 and in 12 (large) from level 2 on
     est = _nested_levels(_path(0, 11, 1.0) + _path(20, 3, 1.4) + _path(22, 10, 1.9))
     before = [level.estimate() for level in est.levels]
-    assert _bfs_per_level(est, lambda: est.insert(0, 20, 1.0)) == [2, 1, 1, 0]
+    # one closed BFS of v's side while it is small, none once both are large
+    assert _bfs_per_level(est, lambda: est.insert(0, 20, 1.0)) == [1, 1, 0, 0]
     # v's small component joins u's large one at levels 0 and 1 only
     assert [b - level.estimate() for b, level in zip(before, est.levels)] == [1, 1, 0, 0]
+    _check_counts(est)
     assert _bfs_per_level(est, lambda: est.delete(0, 20)) == [2, 1, 1, 0]
     assert [level.estimate() for level in est.levels] == before
     _check_counts(est)
+
+
+def test_deterministic_small_sides_joined_large_below_are_joined_again_above():
+    # two 6-vertex paths, small and apart at every level; a weight-1 edge joins
+    # them into 12 > k vertices.  Level 0 runs no BFS that reaches the other
+    # endpoint, so the levels above must not take its merge for "connected"
+    est = _nested_levels(_path(0, 6, 1.0) + _path(6, 6, 1.0))
+    assert [level.estimate() for level in est.levels] == [30] * 4
+    assert _bfs_per_level(est, lambda: est.insert(2, 9, 1.0)) == [2, 2, 2, 2]
+    assert [level.estimate() for level in est.levels] == [28] * 4
+    _check_counts(est)
+    assert _bfs_per_level(est, lambda: est.delete(9, 2)) == [2, 2, 2, 2]
+    assert [level.estimate() for level in est.levels] == [30] * 4
+    _check_counts(est)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_deterministic_levels_keep_exact_counts_and_flags_fuzz(seed):
+    # integer weights over thresholds 1, 1.375, 1.89, 2.6, 3: levels 0-2 hold one
+    # graph, so ``below`` often saw exactly this one.  Half the edges weigh 1, so
+    # components pass k = 16 at level 0 too
+    n, W = 48, 3.0
+    est = DeterministicMsfEstimator(n, 0.75, W)
+    assert est.levels[0].k == 16 and len(est.levels) == 5
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for _ in range(600):
+        if len(edges) > n or edges and rng.random() < 0.3:
+            key = list(edges)[int(rng.integers(0, len(edges)))]
+            del edges[key]
+            assert est.delete(*(key[::-1] if rng.random() < 0.5 else key))
+        else:
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+            key = (min(u, v), max(u, v))
+            if u == v or key in edges:
+                continue
+            edges[key] = float(rng.choice([1, 1, 2, 3]))
+            assert est.insert(u, v, edges[key])
+        _check_counts(est)
 
 
 def _level_edges(est, i):
@@ -492,7 +540,7 @@ def test_deterministic_from_initial_edges_pinned():
         "a5ee7532c1425b8344e4c147e0ebc0cb8570d6057d3de94ca5fca1b1270c2313"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "5fd43b68708e3df48fe8bbc4cc4418ba920c599ae0fa6d083f385a2b4839fbf4"
+        "5f36061968cf00f2a71333e2b7044896e191ba6a1c99d6dc3bfdfb0e3717f361"
 
 
 def test_randomized_from_initial_edges_pinned():

@@ -708,7 +708,7 @@ def test_msf_runs_leave_scipy_unimported(tmp_path):
      ["random-churn", "--target-m", "100", "--mode", "cc"],
      ["--eps", "0.34"],
      "397a2a084d96bca1837dcae6b29fe265c2267dc2a65ad5db41a0f3608da0c7b2",
-     "98b65ad2f257d554fc9a6b5693c35a353e806480b9bb90892947343e6f4251ea"),
+     "5a7d928e5635691a005df4e6d26a6d14acab8b1650bae54758fe379b28b7e80d"),
     ("cc-random",
      ["adaptive-script", "--target-m", "40", "--eps", "0.4", "--p", "0.2",
       "--struct-seed", "5"],
@@ -719,7 +719,7 @@ def test_msf_runs_leave_scipy_unimported(tmp_path):
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
      "6a4aef18fd101c999388bcb68fa65855ee993f0d516b8b08bbdc0770b3d96487",
-     "731353ba8ebd4920840c2cd34c77ce1b5e2bd1b1e4c1bc1d77623916f3dee809"),
+     "68825d0e660cfb11f6f453fdeea5000f739421a1ce60f98fa6c3ff402c3b24e5"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
