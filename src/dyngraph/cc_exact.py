@@ -84,7 +84,7 @@ class SmallCcCounter:
         if v in g.adj[u]:
             return False
         self._join(u, v, below)
-        g.insert_edge(u, v)
+        g._append(u, v)
         return True
 
     def on_delete(self, u: int, v: int, below: SmallCcCounter | None = None) -> bool:

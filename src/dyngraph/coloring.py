@@ -1,14 +1,19 @@
 """Fully dynamic proper (delta+1)-vertex coloring in expected amortized constant time.
 
+The bound holds against an oblivious adversary: the update sequence is fixed
+in advance, independently of the structure's random ranks and color draws.
+
 Every vertex gets a static random rank, and each edge is stored once, in the
 insertion-ordered set L of its higher-ranked end (a dict of None values).  A
 vertex's higher-ranked side H_v is kept only as a color multiplicity book
-(C_H) and a count |H_v|; everything about the L side is recomputed on demand
-in time O(|L_v|).  When an inserted edge joins two same-colored endpoints, the
-more recently colored one is recolored with a color sampled from a restricted
-set of blank and singly-used-below colors, which may cascade along a path of
-strictly decreasing ranks until a blank color is drawn.  The order of L_v
-decides which vertex a drawn index names, not the draw's law.
+(C_H) and a count |H_v|; everything about the L side, and the list of colors
+blank for v, is recomputed on demand in time O(|L_v| + delta).  When an
+inserted edge joins two same-colored endpoints, the more recently colored one
+is recolored with a color sampled from a restricted set of blank and
+singly-used-below colors, which may cascade along a path of strictly
+decreasing ranks until a blank color is drawn.  A drawn index names a unique
+color in the order of L_v and a blank color in palette order; neither order
+changes the draw's law.
 
 Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
 (r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
@@ -53,11 +58,12 @@ class Coloring:
     It owns its adjacency and is driven directly with ``insert``/``delete``.
     Each edge sits once, in the ordered set ``L`` of its higher-ranked end,
     whose order decides which vertex a color draw names; the lower end keeps
-    only a count (``hdeg``) and the edge's color in its book ``mu``.  The
-    per-vertex list of colors unused on the H side is only materialized once
-    a vertex's degree first reaches ceil(delta/2), keeping initialization
-    O(n).  Every color draw checks that its sample set is large enough and
-    raises ``InvariantError`` if not; ``strict`` accepts only True.
+    only a count (``hdeg``) and the edge's color in its book ``mu``, the one
+    color book there is.  A high-degree step names its j-th blank color (used
+    neither in ``mu[v]`` nor on L_v) by walking the palette 1..delta+1.
+    Expected amortized constant work per update assumes an oblivious
+    adversary.  Every color draw checks that its sample set is large enough
+    and raises ``InvariantError`` if not; ``strict`` accepts only True.
     ``colors`` is a numpy snapshot of the current colors, built on each
     access; ``color_of`` reads one vertex without a copy.
     """
@@ -90,11 +96,8 @@ class Coloring:
 
         self.L: list[dict[int, None]] = [{} for _ in range(n)]  # insertion-ordered sets
         self.hdeg: list[int] = [0] * n  # |H_v|: neighbors ranked above v
-        # mu[v]: color -> number of H_v neighbors using it (the C_H book);
-        # cl[v]: ordered set of the remaining palette colors (C_L), or None
-        # while not yet materialized.
+        # mu[v]: color -> number of H_v neighbors using it (the C_H book)
         self.mu: list[dict[int, int]] = [{} for _ in range(n)]
-        self.cl: list[dict[int, None] | None] = [None] * n
 
         self._vis = bytearray(n)
         self._cnt = [0] * (self.palette + 1)  # scratch: color -> count in L_v
@@ -139,31 +142,17 @@ class Coloring:
         L, hdeg, delta = self.L, self.hdeg, self.delta
         if lo in L[hi]:
             return _NO_RECOLOR
-        du = len(L[u]) + hdeg[u]
-        if du >= delta:
+        if len(L[u]) + hdeg[u] >= delta:
             raise DeltaBoundError(f"degree of {u} would exceed delta={delta}")
-        dv = len(L[v]) + hdeg[v]
-        if dv >= delta:
+        if len(L[v]) + hdeg[v] >= delta:
             raise DeltaBoundError(f"degree of {v} would exceed delta={delta}")
         self.updates += 1
         L[hi][lo] = None
         hdeg[lo] += 1
-        chi, cl = self._chi, self.cl
-        c = chi[hi]
+        chi = self._chi
         mu = self.mu[lo]
-        count = mu.get(c)
-        if count is None:
-            mu[c] = 1
-            book = cl[lo]
-            if book is not None:
-                del book[c]
-        else:
-            mu[c] = count + 1
-        # C_L is built once, when the degree first reaches delta/2
-        if cl[u] is None and 2 * du + 2 >= delta:
-            self._materialize(u)
-        if cl[v] is None and 2 * dv + 2 >= delta:
-            self._materialize(v)
+        c = chi[hi]
+        mu[c] = mu.get(c, 0) + 1
         if chi[u] != chi[v]:
             return _NO_RECOLOR
         tu, tv = self.tau[u], self.tau[v]
@@ -184,9 +173,6 @@ class Coloring:
         count = mu[c]
         if count == 1:
             del mu[c]
-            book = self.cl[lo]
-            if book is not None:
-                book[c] = None
         else:
             mu[c] = count - 1
         return True
@@ -204,14 +190,10 @@ class Coloring:
 
     # -- internals ----------------------------------------------------------
 
-    def _materialize(self, x: int) -> None:
-        mu = self.mu[x]
-        self.cl[x] = dict.fromkeys(c for c in range(1, self.palette + 1) if c not in mu)
-
     def _recolor(self, v0: int) -> RecolorStats:
         """Recoloring cascade starting at v0; ranks strictly decrease along it."""
         marked: list[int] = []
-        chi, tau, rank, L, mus, cl = self._chi, self.tau, self.rank, self.L, self.mu, self.cl
+        chi, tau, rank, L, mus = self._chi, self.tau, self.rank, self.L, self.mu
         now = self.updates
         length = work = good = bad = 0
         v = v0
@@ -233,19 +215,9 @@ class Coloring:
                     count = mu[old]
                     if count == 1:
                         del mu[old]
-                        book = cl[w]
-                        if book is not None:
-                            book[old] = None
                     else:
                         mu[old] = count - 1
-                    count = mu.get(new)
-                    if count is None:
-                        mu[new] = 1
-                        book = cl[w]
-                        if book is not None:
-                            del book[new]
-                    else:
-                        mu[new] = count + 1
+                    mu[new] = mu.get(new, 0) + 1
             if next_v is None:
                 break
             if rank[next_v] >= rank[v]:
@@ -332,18 +304,13 @@ class Coloring:
             if j >= blanks:
                 w = uniq[j - blanks]
                 return chi[w], w, branch
-            # j-th color of C_L(v) not used by any L_v neighbor
-            clv = self.cl[v]
-            if clv is None:
-                raise InvariantError(f"C_L not materialized for vertex {v} at degree "
-                                     f"{len_l + self.hdeg[v]}")
-            i = 0
-            for c in clv:
-                if cnt[c]:
+            # the j-th blank in palette order: used neither in H_v nor in L_v
+            for c in range(1, self.palette + 1):
+                if cnt[c] or c in mu_v:
                     continue
-                if i == j:
+                if not j:
                     return c, None, branch
-                i += 1
+                j -= 1
             raise InvariantError("blank color index out of range")
         finally:
             for c in touched:

@@ -92,10 +92,15 @@ class DynamicGraph:
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert (u, v); returns False if the edge was already present."""
         check_edge(u, v, self.n)
-        au = self.adj[u]
-        if v in au:
+        if v in self.adj[u]:
             return False
+        self._append(u, v)
+        return True
+
+    def _append(self, u: int, v: int) -> None:
+        """Store (u, v) unchecked: the caller has checked the pair and that it is absent."""
         i = self.m
+        au = self.adj[u]
         au[v] = i
         av = self.adj[v]
         av[u] = i
@@ -111,7 +116,6 @@ class DynamicGraph:
         self._eu[i] = u
         self._ev[i] = v
         self.m = i + 1
-        return True
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete (u, v); returns False if the edge was absent."""

@@ -128,7 +128,7 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
             first = self._admits(u, v, w)
             if first is not None:
                 for g in graphs[first:]:
-                    g.insert_edge(u, v)
+                    g._append(u, v)
         self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in graphs]
 
     def _holds(self, u: int, v: int) -> int | None:
@@ -186,7 +186,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         for u, v, w in initial_edges or ():
             first = self._admits(u, v, w)
             if first is not None:
-                self.graph.insert_edge(u, v)
+                self.graph._append(u, v)
                 self._lvl.append(first)
         eu, ev = self.graph.edge_view()
         lvl = np.array(self._lvl)
@@ -205,7 +205,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         if first is None:
             return False
         thr = self.graph.nis
-        self.graph.insert_edge(u, v)
+        self.graph._append(u, v)
         self._lvl.append(first)
         self._tick(thr)
         return True

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -42,10 +43,6 @@ def audit(c: Coloring):
         assert len(c.L[v]) + len(H[v]) == c.degree(v)
         want = Counter(c._chi[u] for u in H[v])
         assert dict(want) == c.mu[v]
-        if c.cl[v] is not None:
-            palette = set(range(1, c.palette + 1))
-            assert set(c.cl[v]) | set(c.mu[v]) == palette
-            assert not set(c.cl[v]) & set(c.mu[v])
         assert 1 <= c._chi[v] <= c.palette
     assert not any(c._vis)
     assert is_proper_coloring(c.edges(), c._chi, c.delta)
@@ -60,10 +57,17 @@ def test_new_single_vertex():
     assert c.L[0] == {} and c.hdeg[0] == 0 and higher(c)[0] == []
 
 
-def test_lazy_init_defers_color_lists():
+def test_color_books_hold_only_h_side_colors():
+    """Construction builds no per-vertex color list: the one book per vertex, mu,
+    starts empty and never holds more than one entry per edge, whatever delta."""
     c = Coloring(100, 5, seed=1)
-    assert all(book is None for book in c.cl)
     assert all(not m for m in c.mu)
+    force_ranks(c, list(range(100)))
+    for v in range(1, 6):  # vertex 0 lowest ranked: degree delta, all of it on the H side
+        c.insert(0, v)
+    assert sum(c.mu[0].values()) == c.hdeg[0] == c.degree(0) == 5
+    assert set(c.mu[0]) == {c.color_of(v) for v in range(1, 6)}
+    assert sum(len(m) for m in c.mu) <= len(c.edges())
 
 
 def test_equal_seed_gives_identical_ranks_and_colors():
@@ -148,16 +152,17 @@ def test_self_loop_rejected():
 
 
 def test_insert_then_delete_restores_books():
-    # delta=2 materializes C_L at degree 1, so vertices 2..5 carry both books
+    # delta=2: vertices 3 and 4 reach degree delta, the high-degree range, in between
     c = Coloring(6, 2, seed=5)
     c.insert(2, 3)
     c.insert(4, 5)
-    mu_before = [dict(m) for m in c.mu]
-    cl_before = [None if b is None else set(b) for b in c.cl]
+    books = lambda: ([dict(m) for m in c.mu], list(c.hdeg), [list(x) for x in c.L])
+    before = books()
     assert c.insert(3, 4).path_length == 0
+    assert c.degree(3) == c.degree(4) == 2
     c.delete(3, 4)
-    assert [dict(m) for m in c.mu] == mu_before
-    assert [None if b is None else set(b) for b in c.cl] == cl_before
+    assert books() == before
+    audit(c)
 
 
 def test_delete_returns_whether_it_removed_an_edge():
@@ -284,6 +289,65 @@ def test_singleton_fresh_list_median_is_itself():
     # min(|B ∪ U|, 2) = 2 elements, which are the two blanks {1, 3}
     assert branch == 1
     assert nxt is None and color in {1, 3}
+
+
+def _high_degree_probe():
+    """Vertex 0 of degree delta = 10: eight lower neighbors, each color on two of
+    them (no unique color), and two higher ones; returns it with its blanks."""
+    c = Coloring(11, 10, seed=0)
+    force_ranks(c, [1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 10])  # L_0 = {1..8}, H_0 = {9, 10}
+    force_colors(c, [1, 2, 2, 5, 5, 7, 7, 9, 9, 4, 6])
+    for v in range(1, 11):
+        c.insert(0, v)
+    assert sorted(c.L[0]) == list(range(1, 9)) and c.mu[0] == {4: 1, 6: 1}
+    used = {c.color_of(v) for v in range(1, 11)}
+    blanks = [col for col in range(1, c.palette + 1) if col not in used]
+    assert blanks == [1, 3, 8, 10, 11]
+    return c, blanks
+
+
+class _FixedDraw:
+    """Stands in for the structure's rng: every draw returns j, checked to be in range."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def integers(self, low, high):
+        assert low <= self.j < high
+        return self.j
+
+
+def test_high_degree_scan_names_blanks_in_palette_order():
+    c, blanks = _high_degree_probe()
+    for j, want in enumerate(blanks):
+        c.rng = _FixedDraw(j)
+        # |L_0| = 8 fresh neighbors: 4 at or below the median rank, so the sample
+        # set holds min(5 blanks + 0 unique, 4 + 1) = 5 colors, all blank
+        assert _probe_set_color(c, 0) == (want, None, 1)
+
+
+def _chi2_sf_even_df(stat, df):
+    """Upper tail of the chi-square law at even df: exp(-x/2) * sum_{i<df/2} (x/2)^i / i!."""
+    assert df % 2 == 0
+    half = stat / 2
+    return math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
+
+
+def test_high_degree_blank_draws_are_uniform():
+    assert abs(_chi2_sf_even_df(9.487729, 4) - 0.05) < 1e-6  # the tabled 5 % point, df = 4
+    c, blanks = _high_degree_probe()
+    c.rng = np.random.default_rng(26)
+    draws = 20_000
+    seen = Counter()
+    for _ in range(draws):
+        color, nxt, branch = _probe_set_color(c, 0)
+        assert nxt is None and branch == 1
+        seen[color] += 1
+    assert sorted(seen) == blanks
+    expected = draws / len(blanks)
+    stat = sum((seen[col] - expected) ** 2 / expected for col in blanks)
+    p_value = _chi2_sf_even_df(stat, len(blanks) - 1)
+    assert p_value > 0.01, f"chi-square {stat:.2f}, p={p_value:.4f}, counts {dict(seen)}"
 
 
 def _with_blanks(c, v, blanks):
@@ -455,16 +519,16 @@ def test_conflict_heavy_replay_is_bit_identical():
     co-simulates Coloring, so the stream itself is pinned too.
     """
     stats, c = _conflict_heavy_replay(5)
-    assert _branch_counts(stats) == (553, 1738, 0)
+    assert _branch_counts(stats) == (549, 1701, 1)
     out = (stats, c._chi, (c.recolor_events, c.total_recolor_work, c.setcolor_calls))
-    assert out[2] == (2187, 14392, 2291)
+    assert out[2] == (2162, 14266, 2251)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "a8bbe0828a96e5c8c3761fca1bcc792dcfc15895fee5ba897d8d63736a302cb8")
+        "26505674423efc0c0be230ed11ca5dfd42da7d17cb8711d038154621976c6ddf")
     audit(c)
-    # every branch occurs over struct seeds 5-14; seed 5 alone takes no seen-neighbor step
+    # every branch occurs over struct seeds 5-14; seed 5 alone takes one seen-neighbor step
     per_seed = [_branch_counts(stats)] + [_branch_counts(_conflict_heavy_replay(seed)[0])
                                           for seed in range(6, 15)]
-    assert tuple(map(sum, zip(*per_seed))) == (5228, 17262, 7)
+    assert tuple(map(sum, zip(*per_seed))) == (5283, 17307, 7)
 
 
 def test_recolor_work_accounting():

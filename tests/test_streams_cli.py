@@ -384,7 +384,7 @@ def test_generators_pinned_digests():
         "e71324e84512c5522788eba557a7239540bdfaf96ed858de41d908acc78f8fe6"
 
     assert digest(streams.gen_conflict_heavy(60, 400, 100, 6, seed=3, struct_seed=5)) == \
-        "4985d2e2742ea0c5dc5e71a3584d6b9298e97ae7630e5bb91d55884084efeeff"
+        "df2142f9c49a55d913646c8c1ab0154f2bc3fc58f0ed33fc5e1d0595879f7f00"
     assert digest(streams.gen_adaptive_script(40, 200, 30, 0.4, 0.2, seed=3,
                                               struct_seed=5)) == \
         "7019877581abbb5c0a44cdc3ca4d389e16d81d203feb1ed868efdd9a6c8b7f62"
@@ -703,7 +703,7 @@ def test_msf_runs_leave_scipy_unimported(tmp_path):
      ["conflict-heavy", "--target-m", "100", "--delta", "6", "--struct-seed", "5"],
      ["--seed", "5"],
      "e4d2f29a98f4877056837a90c890a1852c4e11b925575c7818cd6de1e74ea46c",
-     "7bd4b2714ae72f5c4efc9d66c99ce1685cf35903f35b0a183a92505fbeceef71"),
+     "6d5f525b01e9101eb1182937b5e81e7a22e833c25fd32dc178eb850633e50be7"),
     ("cc-exact",
      ["random-churn", "--target-m", "100", "--mode", "cc"],
      ["--eps", "0.34"],
