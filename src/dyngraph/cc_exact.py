@@ -44,31 +44,38 @@ from .oracles import fast_component_labels
 
 
 class SmallCcCounter:
-    """Exact count of components of size <= k, attached to a DynamicGraph.
+    """Exact count of components of size <= k of a DynamicGraph, or of one level of it.
 
     The counter owns the update path, so callers must not mutate the graph
-    separately.  ``large`` holds one flag per vertex (its component has more
-    than k vertices), kept exact with the count.  An insert reads the
-    endpoints' flags: both large, no BFS; one large, one closed BFS of the
-    small side, whose vertices are flagged large; both small, a closed BFS
-    from u and, unless it reaches v, one from v, flagging both sides large
-    if they join into more than k vertices.  A delete in a small component
-    runs one closed BFS from u; in a large one, a capped BFS from u and,
-    unless it reaches v, one from v, and each side that closes at <= k
-    vertices is flagged small.  Given ``below`` (a counter with the same k
-    on a subgraph, that has just applied the same update), it starts from
-    what ``below`` found (the module docstring's facts 1-4).
-    ``bfs_calls`` counts every capped BFS run since construction.
+    separately.  Given ``lvl`` (one level per edge slot), it counts the edges
+    j with ``lvl[j] <= level``, the filter of its every BFS; the store's owner
+    then runs ``_join`` before it stores an edge and ``_split`` after it
+    drops one, and passes ``labels`` (a component label below n per vertex)
+    in place of the construction's labelling.  ``large`` holds one flag per
+    vertex (its component has more than k vertices), kept exact with the
+    count.  An insert reads the endpoints' flags: both large, no BFS; one
+    large, one closed BFS of the small side, whose vertices are flagged
+    large; both small, a closed BFS from u and, unless it reaches v, one
+    from v, flagging both sides large if they join into more than k
+    vertices.  A delete in a small component runs one closed BFS from u; in
+    a large one, a capped BFS from u and, unless it reaches v, one from v,
+    and each side that closes at <= k vertices is flagged small.  Given
+    ``below`` (a counter with the same k on a subgraph, that has just
+    applied the same update), ``_join`` and ``_split`` start from what it
+    found (the module docstring's facts 1-4).  ``bfs_calls`` counts every
+    capped BFS run since construction.
     """
 
-    def __init__(self, graph: DynamicGraph, eps: float):
+    def __init__(self, graph: DynamicGraph, eps: float, lvl=None, level=0, labels=None):
         if not 0 < eps <= 1:
             raise ValueError("eps must be in (0, 1]")
         self.graph = graph
         self.k = k = math.ceil(1 / eps)
-        labels = fast_component_labels(*graph.edge_view(), graph.n)
+        self._lvl, self._level = lvl, level  # the filter of every bfs_limited call
+        if labels is None:
+            labels = fast_component_labels(*graph.edge_view(), graph.n)
         sizes = np.bincount(labels, minlength=graph.n)
-        self.c_bar = int(np.count_nonzero(sizes[labels == np.arange(graph.n)] <= k))
+        self.c_bar = int(np.count_nonzero(sizes[sizes > 0] <= k))
         self.large = bytearray((sizes[labels] > k).tobytes())
         self.bfs_calls = 0
         # whether the last update found u and v connected in the graph without (u, v)
@@ -77,21 +84,21 @@ class SmallCcCounter:
     def estimate(self) -> int:
         return self.c_bar
 
-    def on_insert(self, u: int, v: int, below: SmallCcCounter | None = None) -> bool:
+    def on_insert(self, u: int, v: int) -> bool:
         """Insert (u, v) and update the count; a present edge is a no-op returning False."""
         g = self.graph
         check_edge(u, v, g.n)
         if v in g.adj[u]:
             return False
-        self._join(u, v, below)
+        self._join(u, v, None)
         g._append(u, v)
         return True
 
-    def on_delete(self, u: int, v: int, below: SmallCcCounter | None = None) -> bool:
+    def on_delete(self, u: int, v: int) -> bool:
         """Delete (u, v) and update the count; an absent edge is a no-op returning False."""
         if not self.graph.delete_edge(u, v):
             return False
-        self._split(u, v, below)
+        self._split(u, v, None)
         return True
 
     def _join(self, u: int, v: int, below: SmallCcCounter | None) -> None:
@@ -101,7 +108,8 @@ class SmallCcCounter:
         if large[u] or large[v]:
             if large[u] and large[v]:
                 return  # two large components make one
-            g.bfs_limited(v if large[u] else u, cap)  # closes on the small side
+            # closes on the small side
+            g.bfs_limited(v if large[u] else u, cap, self._lvl, self._level)
             self.bfs_calls += 1
             self.c_bar -= 1  # which joins the large one
             for x in g.discovered:
@@ -110,13 +118,13 @@ class SmallCcCounter:
         if below is not None and below._connected:
             self._connected = True
             return  # connected below, so here too: the edge closes a cycle
-        s_u, _ = g.bfs_limited(u, cap)
+        s_u, _ = g.bfs_limited(u, cap, self._lvl, self._level)
         if g.bfs_reached(v):
             self.bfs_calls += 1
             self._connected = True
             return  # one small component: the edge closes a cycle
         side_u = g.discovered
-        s_v, _ = g.bfs_limited(v, cap)
+        s_v, _ = g.bfs_limited(v, cap, self._lvl, self._level)
         self.bfs_calls += 2
         if s_u + s_v <= self.k:
             self.c_bar -= 1  # two small components merge into a small one
@@ -134,7 +142,8 @@ class SmallCcCounter:
             self._connected = True
             return  # connected below, so here too: one component as before
         if not large[u]:
-            g.bfs_limited(u, cap)  # closes: the component has at most k vertices
+            # closes: the component has at most k vertices
+            g.bfs_limited(u, cap, self._lvl, self._level)
             self.bfs_calls += 1
             self._connected = g.bfs_reached(v)
             if not self._connected:
@@ -146,20 +155,20 @@ class SmallCcCounter:
             if lu and lv:
                 return  # both sides large below, so here too
             if lu or lv:
-                s, _ = g.bfs_limited(v if lu else u, cap)
+                s, _ = g.bfs_limited(v if lu else u, cap, self._lvl, self._level)
                 self.bfs_calls += 1
                 if s <= self.k:
                     self.c_bar += 1  # a small side splits off the large one
                     for x in g.discovered:
                         large[x] = 0
                 return
-        s_u, _ = g.bfs_limited(u, cap)
+        s_u, _ = g.bfs_limited(u, cap, self._lvl, self._level)
         if g.bfs_reached(v):
             self.bfs_calls += 1
             self._connected = True
             return  # still one large component
         side_u = g.discovered
-        s_v, _ = g.bfs_limited(v, cap)
+        s_v, _ = g.bfs_limited(v, cap, self._lvl, self._level)
         self.bfs_calls += 2
         if s_u <= self.k:
             self.c_bar += 1

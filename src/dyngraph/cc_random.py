@@ -10,7 +10,8 @@ per sample: the estimate depends only on how many samples land in each size
 class, so the draw has the distribution of the per-sample loop (the
 inverse-size estimator of Chazelle, Rubinfeld and Trevisan, SICOMP 2005).
 One routine, ``_estimate_levels``, does this for nested graphs at once: the
-phased estimator passes one level, the randomized MSF its r + 1 levels.
+phased estimator passes one level, the randomized MSF its r + 1 levels.  Its
+labelling pass, ``_label_levels``, also labels the deterministic MSF's levels.
 
 The dynamic estimator re-estimates at phase boundaries and keeps the
 estimate frozen in between.  Its allowance is eps'*Thr, where Thr is the
@@ -118,18 +119,17 @@ def _size_class_estimate(
     return nis * total / cfg.samples
 
 
-def _estimate_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nlev: int,
-                     cfg: StaticEstimateConfig, rng: np.random.Generator
-                     ) -> tuple[list[float], int]:
-    """Component-count estimates of nested graphs G_0 <= ... <= G_{nlev-1}, and samples drawn.
+def _label_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nlev: int):
+    """Label nested graphs G_0 <= ... <= G_{nlev-1} bottom up, in one warm-started pass.
 
     Edge j lies in G_lvl[j] and every level above.  The vertices are
     numbered once, by the lowest level at which they have an edge, so the
     nis non-isolated vertices of each level are the numbers 0..nis-1.
     Bottom up, each level starts ``hook_and_jump`` from the labels of the
     level below, whose roots are component minima in every level above, and
-    adds only its own edges; each level with an edge then draws its size
-    classes from ``rng``.
+    adds only its own edges.  Yields ``(slot, nis, labels)`` per level, the
+    labels of the numbers 0..nis-1, valid until the next level overwrites
+    them; vertex x has number ``slot[x]``.
     """
     first = np.full(n, nlev, dtype=lvl.dtype)  # ufunc.at is slow when it must cast
     np.minimum.at(first, eu, lvl)
@@ -142,16 +142,28 @@ def _estimate_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nl
     su, sv = slot[eu[order]], slot[ev[order]]
     ends = np.cumsum(np.bincount(lvl, minlength=nlev)).tolist()
     labels = np.arange(nis[-1])
-    estimates, drawn, start = [], 0, 0
+    start = 0
     for stop, nis_l in zip(ends, nis):
-        b = 0.0
-        if stop:  # a level without edges draws nothing
+        if stop:
             labels[:nis_l] = hook_and_jump(labels[:nis_l], su[start:stop], sv[start:stop])
-            level = labels[:nis_l]
+        yield slot, nis_l, labels[:nis_l]
+        start = stop
+
+
+def _estimate_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nlev: int,
+                     cfg: StaticEstimateConfig, rng: np.random.Generator
+                     ) -> tuple[list[float], int]:
+    """Component-count estimates of nested graphs labelled by ``_label_levels``, and samples drawn.
+
+    Each level with an edge draws its size classes from ``rng``.
+    """
+    estimates, drawn = [], 0
+    for _, nis_l, level in _label_levels(n, eu, ev, lvl, nlev):
+        b = 0.0
+        if nis_l:  # a level without edges draws nothing
             b = _size_class_estimate(np.bincount(level)[level], nis_l, cfg, rng)
             drawn += cfg.samples
         estimates.append(b + n - nis_l)
-        start = stop
     return estimates, drawn
 
 

@@ -2,13 +2,11 @@
 
 The graph supports constant-expected-time edge insertion/deletion and keeps
 running counters (edge count, per-vertex degree, number of non-isolated
-vertices) exactly in sync with the edge set.  Each vertex's adjacency maps a
-neighbour to the edge's slot in the flat edge store, a pair of ``array("q")``
-buffers read through zero-copy numpy ``frombuffer`` views and never resized
-in place.  ``bfs_limited`` explores a component from a start vertex but never
-discovers more than ``vertex_cap`` vertices, which is the primitive the
-component-count estimators are built on; ``discovered`` lists what the last
-call found.
+vertices) exactly in sync with a flat edge store, read through zero-copy
+numpy views.  ``bfs_limited``, the primitive the component-count estimators
+are built on, explores a component of the graph, or of its edges at or
+below a level given one level per edge slot, from a start vertex but never
+discovers more than ``vertex_cap`` vertices; ``discovered`` lists them.
 ``check_edge`` is the one pair rule every structure and ``parse_stream`` apply
 before any state change: ``self-loop (u, u) rejected`` or ``vertex out of range:
 (u, v) for n=N``; ``check_vertex`` is its one-vertex form for reads.
@@ -151,7 +149,7 @@ class DynamicGraph:
         """Snapshot of the edge list as (u, v) pairs with u < v."""
         return list(zip(self._eu[: self.m], self._ev[: self.m]))
 
-    def bfs_limited(self, start: int, vertex_cap: int) -> tuple[int, bool]:
+    def bfs_limited(self, start: int, vertex_cap: int, lvl=None, level=0) -> tuple[int, bool]:
         """Explore the component of ``start``, discovering at most ``vertex_cap`` vertices.
 
         Returns ``(reached, closed)`` where ``reached`` is
@@ -162,6 +160,9 @@ class DynamicGraph:
         which vertices a capped call marks, and with them the callers' BFS
         work counters, depend on it.  ``discovered`` then lists the marked
         vertices in that order, ``reached`` of them, until the next call.
+        Given ``lvl``, one int per edge slot, it skips the entries of slots j
+        with ``lvl[j] > level`` and keeps the order of the rest: it discovers
+        what a graph of the other edges, inserted in this graph's order, would.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:
@@ -172,9 +173,19 @@ class DynamicGraph:
         mark[start] = epoch
         queue = self.discovered = [start]
         discovered = 1
-        for x in queue:  # appending while iterating is defined for lists
-            for w in adj[x]:
-                if mark[w] != epoch:
+        if lvl is None:
+            for x in queue:  # appending while iterating is defined for lists
+                for w in adj[x]:
+                    if mark[w] != epoch:
+                        if discovered == vertex_cap:
+                            return vertex_cap, False
+                        mark[w] = epoch
+                        queue.append(w)
+                        discovered += 1
+            return discovered, True
+        for x in queue:
+            for w, j in adj[x].items():
+                if lvl[j] <= level and mark[w] != epoch:
                     if discovered == vertex_cap:
                         return vertex_cap, False
                     mark[w] = epoch

@@ -4,22 +4,20 @@ The MSF weight of a graph with weights in [1, W] is sandwiched by a weighted
 sum of component counts of the threshold subgraphs G_0 <= ... <= G_r (edges
 of weight <= l_i for geometrically spaced l_i, l_r = W).  An edge lies in
 every G_i from the first that admits its weight up, so an update hits one
-level and every level above it.
+level and every level above it.  Both estimators keep one edge store, the
+full graph and each edge's first level: an update makes one store edit, and
+level i is the store's edges of first level <= i.
 
-The deterministic estimator keeps one graph and one exact small-component
-counter per level, which flags every vertex whose component has more than k
-vertices.  It walks the hit levels bottom-up and carries what each level
-found in its graph G_i without (u, v) to the levels G_j above it (the four
-facts of ``cc_exact``): (1) u and v connected in G_i are connected in G_j,
-which then needs no BFS; (2) a component of more than k vertices in G_i
-lies in one in G_j; (3) with both endpoints large in G_i, G_j needs no BFS;
-(4) with one large in G_i, G_j needs one BFS, from the other endpoint.  An
-insert reads facts 2-4 off G_j's own flags, so only fact 1 passes up; a
-delete in a large component of G_j reads them off G_i's updated flags.
+The deterministic estimator keeps one exact small-component counter per
+level, whose capped BFS skips the edges above its level.  It walks the hit
+levels bottom-up and hands each level the counter below it, whose findings
+in G_i without (u, v) spare BFS calls in the levels G_j above (the four
+facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own flags, so
+only fact 1 (u and v connected in G_i) passes up; a delete in a large
+component of G_j reads them off G_i's updated flags.
 
-The randomized estimator keeps one edge store, the full graph, and each
-edge's first level, and runs the phased sampling estimator's clock once for
-all levels: an update a level misses moves its Thr by at most 2 and its
+The randomized estimator runs the phased sampling estimator's clock once
+for all levels: an update a level misses moves its Thr by at most 2 and its
 count by 0, so by the budget in ``cc_random`` it counts as one update there
 too, and every level re-samples at the same update, in one pass.
 
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cc_exact import SmallCcCounter
-from .cc_random import StaticEstimateConfig, _estimate_levels, _phase_len
+from .cc_random import StaticEstimateConfig, _estimate_levels, _label_levels, _phase_len
 from .graph_core import DynamicGraph, check_edge
 from .oracles import fast_ncc
 
@@ -87,12 +85,21 @@ def combine(config: MsfConfig, counts, n: int) -> float:
 
 
 class _MsfEstimatorBase:
-    """Config and the full graph, ``graph``, shared by both estimators."""
+    """Config and the one store: ``graph``, and ``_lvl[j]`` the first level of slot j's edge.
 
-    def __init__(self, n: int, eps: float, W: float):
+    An insert appends to both; ``_remove`` mirrors the graph's swap-delete.
+    """
+
+    def __init__(self, n: int, eps: float, W: float, lvl, initial_edges):
         self.config = MsfConfig.from_params(eps, W)
         self.n = n
         self.graph = DynamicGraph(n)
+        self._lvl = lvl
+        for u, v, w in initial_edges or ():
+            first = self._admits(u, v, w)
+            if first is not None:
+                self.graph._append(u, v)
+                lvl.append(first)
 
     def _admits(self, u: int, v: int, w: float) -> int | None:
         """Check (u, v, w); the first level admitting w, or None if (u, v) is present."""
@@ -103,56 +110,65 @@ class _MsfEstimatorBase:
             return None
         return bisect_left(self.config.thresholds, w)
 
+    def _remove(self, u: int, v: int) -> int | None:
+        """Delete (u, v), which the graph checks; its first level, or None if it was absent."""
+        g = self.graph
+        i = g.adj[u].get(v) if 0 <= u < self.n else None  # delete_edge rejects a bad u
+        if not g.delete_edge(u, v):
+            return None
+        lvl = self._lvl
+        first, lvl[i] = lvl[i], lvl[-1]  # the graph moved its last edge into slot i
+        del lvl[-1]
+        return first
+
 
 class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
-    Graph i holds the edges of weight <= l_i from ``initial_edges``, duplicates
-    skipped.  Per level the exact small-component counter runs with error
-    parameter eps/(4W), so every level has the same k.  An update touches
-    every level from the first that admits (insert) or holds (delete) the
-    edge, bottom up, and hands each level the one below it, whose findings in
-    G_i (facts 1-4 above, each read on G_i without (u, v)) spare BFS calls at
-    G_j: no BFS once u and v are connected in G_i.  Otherwise an insert runs
-    none between two large endpoints of G_j, one closed BFS when one is
-    large, else at most two closed ones; a delete runs one closed BFS in a
-    small component of G_j, and in a large one none while both endpoints are
-    large in G_i, one while exactly one is, else at most two.
+    The store starts with ``initial_edges``, duplicates skipped.
+    ``levels[i]``, labelled in one warm-started pass, counts level i with
+    error parameter eps/(4W), so every level has the same k.  An update runs
+    each level's half of a ``SmallCcCounter`` update, from the first level
+    that admits (insert) or holds (delete) the edge up, before the store
+    takes the edge or after it drops it: at most two BFS per level, and none
+    once u and v are connected in a level below.
     """
 
     def __init__(self, n: int, eps: float, W: float,
                  initial_edges: list[WeightedEdge] | None = None):
-        super().__init__(n, eps, W)
-        graphs = [DynamicGraph(n) for _ in range(self.config.r)] + [self.graph]
-        for u, v, w in initial_edges or ():
-            first = self._admits(u, v, w)
-            if first is not None:
-                for g in graphs[first:]:
-                    g._append(u, v)
-        self.levels = [SmallCcCounter(g, eps / (4.0 * W)) for g in graphs]
-
-    def _holds(self, u: int, v: int) -> int | None:
-        """Check (u, v); the first level whose graph holds it, or None if absent."""
-        check_edge(u, v, self.n)
-        if v not in self.graph.adj[u]:
-            return None
-        return next(i for i, level in enumerate(self.levels) if v in level.graph.adj[u])
+        # a list: the filter reads it once per scanned adjacency entry
+        super().__init__(n, eps, W, [], initial_edges)
+        r, lvl = self.config.r, self._lvl
+        full = np.arange(n)
+        self.levels = []
+        for i, (slot, nis_l, labels) in enumerate(_label_levels(
+                n, *self.graph.edge_view(), np.array(lvl, dtype=np.int64), r + 1)):
+            full[:nis_l] = labels
+            self.levels.append(SmallCcCounter(self.graph, eps / (4.0 * W),
+                                              lvl if i < r else None, i, full[slot]))
 
     def insert(self, u: int, v: int, w: float) -> bool:
-        return self._walk(SmallCcCounter.on_insert, self._admits(u, v, w), u, v)
-
-    def delete(self, u: int, v: int) -> bool:
-        return self._walk(SmallCcCounter.on_delete, self._holds(u, v), u, v)
-
-    def _walk(self, update, first: int | None, u: int, v: int) -> bool:
-        """Apply ``update`` to each level from ``first`` up, handing it the level below."""
+        first = self._admits(u, v, w)
         if first is None:
             return False
+        self._walk(SmallCcCounter._join, first, u, v)
+        self.graph._append(u, v)
+        self._lvl.append(first)
+        return True
+
+    def delete(self, u: int, v: int) -> bool:
+        first = self._remove(u, v)
+        if first is None:
+            return False
+        self._walk(SmallCcCounter._split, first, u, v)
+        return True
+
+    def _walk(self, update, first: int, u: int, v: int) -> None:
+        """Apply ``update`` to each level from ``first`` up, handing it the level below."""
         below = None
         for level in self.levels[first:]:
-            update(level, u, v, below=below)
+            update(level, u, v, below)
             below = level
-        return True
 
     def estimate(self) -> float:
         return combine(self.config, [level.estimate() for level in self.levels], self.n)
@@ -161,11 +177,10 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
 class RandomizedMsfEstimator(_MsfEstimatorBase):
     """Sampling-based (1+eps)-approximation, valid against adaptive adversaries.
 
-    ``graph`` is the one edge store, and ``_lvl[j]`` the first level
-    admitting the edge in slot j (a delete mirrors the graph's swap-delete).
-    Each level follows the phased estimator with error eps' = eps/(4W) and
-    failure probability p_prime/(r+1), from one generator, on one clock:
-    ``i`` updates, Thr the full graph's nis before each.  When a phase ends,
+    Each level is a view of the one store, and each follows the phased
+    estimator with error eps' = eps/(4W) and failure probability
+    p_prime/(r+1), from one generator, on one clock: ``i`` updates, Thr the
+    full graph's nis before each.  When a phase ends,
     ``cc_random._estimate_levels`` re-estimates every level (``counts``) in
     one pass and ``samples`` grows by the vertices drawn.
     ``use_fast_sizes`` accepts only True.
@@ -181,13 +196,9 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
             raise ValueError("use_fast_sizes=False: the per-sample boundary route was removed")
         if not 0 < p_prime < 1:
             raise ValueError(f"p_prime must be in (0, 1), got {p_prime}")
-        super().__init__(n, eps, W)
-        self._lvl = array("q")  # read as a numpy copy, so no view pins its size
-        for u, v, w in initial_edges or ():
-            first = self._admits(u, v, w)
-            if first is not None:
-                self.graph._append(u, v)
-                self._lvl.append(first)
+        # an array: each boundary reads it as a numpy copy, which is fast from
+        # an array, and no view pins its size
+        super().__init__(n, eps, W, array("q"), initial_edges)
         eu, ev = self.graph.edge_view()
         lvl = np.array(self._lvl)
         self.counts = [float(fast_ncc(eu[lvl <= i], ev[lvl <= i], n))
@@ -211,14 +222,9 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
         return True
 
     def delete(self, u: int, v: int) -> bool:
-        check_edge(u, v, self.n)
-        i = self.graph.adj[u].get(v)
-        if i is None:
-            return False
         thr = self.graph.nis
-        self.graph.delete_edge(u, v)
-        self._lvl[i] = self._lvl[-1]  # the graph moved its last edge into slot i
-        del self._lvl[-1]
+        if self._remove(u, v) is None:
+            return False
         self._tick(thr)
         return True
 

@@ -11,8 +11,8 @@ conquer over the checkpoint steps) its msf-det and msf-rand ones.  The
 ``fast_*`` helpers are vectorized equivalents that check one graph at a
 time: the counters' starting values and the adaptive stream generator.
 Their labels come from a numpy kernel, ``hook_and_jump``, which
-``cc_random``'s phase boundaries also run on nested graphs, each level
-started from the labels of the one below.  ``fast_msf_weight`` is only the
+``cc_random._label_levels`` also runs on nested graphs, each level started
+from the labels of the one below.  ``fast_msf_weight`` is only the
 array form of ``exact_msf_weight``, kept because perfbench's msf workloads
 call it.
 Nothing here needs more than numpy.  All of them are asserted against the

@@ -118,8 +118,8 @@ def _fuzz(n, k, seed, steps):
     bfs_limited = g.bfs_limited
     runs = []  # (cap, reached) of every capped BFS
 
-    def recorded(start, cap):
-        reached, closed = bfs_limited(start, cap)
+    def recorded(start, cap, *level):
+        reached, closed = bfs_limited(start, cap, *level)
         runs.append((cap, reached))
         return reached, closed
 

@@ -35,7 +35,7 @@ STRUCTURES = {
         lambda: DeterministicMsfEstimator(N, 0.5, 2.0),
         lambda s, u, v: s.insert(u, v, 1.5),
         lambda s, u, v: s.delete(u, v),
-        lambda s: ([lv.graph.edges() for lv in s.levels], [lv.bfs_calls for lv in s.levels],
+        lambda s: (list(zip(s.graph.edges(), s._lvl)), [lv.bfs_calls for lv in s.levels],
                    s.estimate()),
     ),
     "msf-rand": (

@@ -211,6 +211,45 @@ def test_adjacency_keeps_insertion_order_across_deletes():
         assert {x for x in range(6) if g.bfs_reached(x)} == set([0, 5, 1, 2, 3, 4][:cap])
 
 
+@pytest.mark.parametrize("seed", [13, 14])
+def test_filtered_bfs_limited_matches_a_graph_of_the_levels_edges(seed):
+    # nested levels on one store: lvl[j] is the level of the edge in slot j,
+    # mirrored through swap-deletes.  After every update, a filtered search at
+    # each level must find what a fresh graph holding only that level's edges,
+    # inserted in the store's insertion order, finds: same counts, same order
+    n, levels = 14, 3
+    rng = np.random.default_rng(seed)
+    g = DynamicGraph(n)
+    lvl: list[int] = []
+    live: dict[tuple[int, int], int] = {}  # edge -> level, in insertion order
+    gone: set[tuple[int, int]] = set()
+    for _ in range(300):
+        u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+        key = (min(u, v), max(u, v))
+        if key in live:
+            j = g.adj[u][v]
+            assert g.delete_edge(v, u)
+            lvl[j] = lvl[-1]
+            del lvl[-1]
+            del live[key]
+            gone.add(key)
+        else:
+            assert g.insert_edge(u, v)
+            live[key] = int(rng.integers(0, levels))
+            lvl.append(live[key])
+        assert [live[e] for e in g.edges()] == lvl
+        for level in range(levels):
+            ref = DynamicGraph(n)
+            for (a, b), x in live.items():
+                if x <= level:
+                    ref.insert_edge(a, b)
+            for start in range(n):
+                for cap in (1, 2, 3, 5, n):
+                    assert g.bfs_limited(start, cap, lvl, level) == ref.bfs_limited(start, cap)
+                    assert g.discovered == ref.discovered
+    assert len(gone) >= 50 and len(gone & live.keys()) >= 10  # deletes and re-inserts
+
+
 def _assert_slots_match_adjacency(g):
     eu, ev = g.edge_view()
     for i, (u, v) in enumerate(zip(eu.tolist(), ev.tolist())):

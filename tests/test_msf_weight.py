@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyngraph import cc_random
+from dyngraph.cc_exact import SmallCcCounter
 from dyngraph.cc_random import _phase_len
+from dyngraph.graph_core import DynamicGraph
 from dyngraph.msf_weight import (
     DeterministicMsfEstimator,
     MsfConfig,
@@ -104,20 +106,29 @@ def test_combine_sandwich_with_exact_counts():
         assert m_true - 1e-9 <= x <= (1 + eps / 2) * m_true + 1e-9
 
 
+def _level_edges(est, i):
+    """The sorted edges of an estimator's threshold graph i, read off the one store."""
+    return sorted(e for e, lvl in zip(est.graph.edges(), est._lvl) if lvl <= i)
+
+
+def _level_view(est, i):
+    """The endpoint arrays of an estimator's threshold graph i, for the oracles."""
+    eu, ev = est.graph.edge_view()
+    keep = np.array(est._lvl, dtype=np.int64) <= i
+    return eu[keep], ev[keep]
+
+
 def test_deterministic_level_nesting_and_routing():
     est = DeterministicMsfEstimator(10, 0.5, 4.0)
     est.insert(0, 1, 1.0)
     est.insert(2, 3, 4.0)  # heaviest: only levels with threshold >= 4
-    for i, (thr, level) in enumerate(zip(est.config.thresholds, est.levels)):
-        has_light = level.graph.has_edge(0, 1)
-        has_heavy = level.graph.has_edge(2, 3)
-        assert has_light  # weight 1 is in every level
-        assert has_heavy == (4.0 <= thr)
+    for i, thr in enumerate(est.config.thresholds):
+        edges = _level_edges(est, i)
+        assert (0, 1) in edges  # weight 1 is in every level
+        assert ((2, 3) in edges) == (4.0 <= thr)
     # nesting: every level's edges are contained in the next level's
-    for a, b in zip(est.levels, est.levels[1:]):
-        ea = set(map(tuple, zip(*[x.tolist() for x in a.graph.edge_view()])))
-        eb = set(map(tuple, zip(*[x.tolist() for x in b.graph.edge_view()])))
-        assert ea <= eb
+    for i in range(est.config.r):
+        assert set(_level_edges(est, i)) <= set(_level_edges(est, i + 1))
 
 
 def test_deterministic_weight_validation_and_duplicates():
@@ -127,11 +138,12 @@ def test_deterministic_weight_validation_and_duplicates():
     with pytest.raises(ValueError):
         est.insert(0, 1, 3.5)
     assert est.insert(0, 1, 2.0)
-    state = [(level.graph.edges(), level.bfs_calls, level.estimate()) for level in est.levels]
+    state = [(_level_edges(est, i), level.bfs_calls, level.estimate())
+             for i, level in enumerate(est.levels)]
     assert not est.insert(1, 0, 1.0)  # duplicate edge, even with another weight
     assert not est.delete(2, 3)  # absent edge
-    assert [(level.graph.edges(), level.bfs_calls, level.estimate())
-            for level in est.levels] == state
+    assert [(_level_edges(est, i), level.bfs_calls, level.estimate())
+            for i, level in enumerate(est.levels)] == state
     assert est.delete(1, 0)
 
 
@@ -182,11 +194,11 @@ def test_deterministic_initial_edges_preprocessing():
     assert (1 - 0.25) * m_true <= est.estimate() <= (1 + 0.25) * m_true
 
 
-def _bfs_per_level(est, update):
-    """BFS calls each level ran during ``update()``."""
-    before = [level.bfs_calls for level in est.levels]
+def _bfs_per_level(levels, update):
+    """BFS calls each of ``levels`` ran during ``update()``."""
+    before = [level.bfs_calls for level in levels]
     update()
-    return [level.bfs_calls - b for level, b in zip(est.levels, before)]
+    return [level.bfs_calls - b for level, b in zip(levels, before)]
 
 
 @pytest.mark.parametrize("n,eps,W,seed", [
@@ -194,10 +206,12 @@ def _bfs_per_level(est, update):
 ])
 def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
     # every level's count against the oracle after every update, and the BFS
-    # calls against the same levels run one by one with the lone-counter rule
+    # calls against the same levels run one by one with the lone-counter rule,
+    # each lone counter on a graph of its own
     est = DeterministicMsfEstimator(n, eps, W)
-    ref = DeterministicMsfEstimator(n, eps, W)
+    ref = [SmallCcCounter(DynamicGraph(n), eps / (4.0 * W)) for _ in est.levels]
     k = est.levels[0].k
+    assert ref[0].k == k
     rng = np.random.default_rng(seed)
     edges = {}
     nested_total = ref_total = 0
@@ -206,8 +220,8 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
             (u, v), w = list(edges.items())[int(rng.integers(0, len(edges)))]
             del edges[(u, v)]
             u, v = (u, v) if rng.random() < 0.5 else (v, u)
-            calls = _bfs_per_level(est, lambda: est.delete(u, v))
-            lone = [level.on_delete for level in ref.levels]
+            calls = _bfs_per_level(est.levels, lambda: est.delete(u, v))
+            lone = [level.on_delete for level in ref]
         else:
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
             key = (min(u, v), max(u, v))
@@ -215,8 +229,8 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
                 continue
             w = float(rng.choice([1.0, rng.uniform(1.0, W), W]))
             edges[key] = w
-            calls = _bfs_per_level(est, lambda: est.insert(u, v, w))
-            lone = [level.on_insert for level in ref.levels]
+            calls = _bfs_per_level(est.levels, lambda: est.insert(u, v, w))
+            lone = [level.on_insert for level in ref]
         first = bisect_left(est.config.thresholds, w)
         ref_calls = _bfs_per_level(ref, lambda: [op(u, v) for op in lone[first:]])
         assert calls[:first] == ref_calls[:first] == [0] * first
@@ -224,10 +238,9 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
         assert sum(calls) <= sum(ref_calls)
         nested_total += sum(calls)
         ref_total += sum(ref_calls)
-        for level, other in zip(est.levels, ref.levels):
-            assert level.estimate() == other.estimate() == \
-                fast_nscc(*level.graph.edge_view(), n, k)
-        assert est.estimate() == ref.estimate()
+        for i, (level, other) in enumerate(zip(est.levels, ref)):
+            assert level.estimate() == other.estimate() == fast_nscc(*_level_view(est, i), n, k)
+        assert est.estimate() == combine(est.config, [other.estimate() for other in ref], n)
     assert nested_total < ref_total
 
 
@@ -245,17 +258,17 @@ def _path(first, count, w):
 
 def _check_counts(est):
     """Every level's count and large flags against a from-scratch labelling."""
-    for level in est.levels:
-        eu, ev = level.graph.edge_view()
-        n = level.graph.n
+    n = est.n
+    for i, level in enumerate(est.levels):
+        eu, ev = _level_view(est, i)
         assert level.estimate() == fast_nscc(eu, ev, n, level.k)
         assert list(level.large) == (fast_component_sizes(eu, ev, n) > level.k).tolist()
 
 
 def test_deterministic_connected_at_first_level_takes_one_bfs():
     est = _nested_levels([(0, 2, 1.0), (2, 1, 1.0)])
-    assert _bfs_per_level(est, lambda: est.insert(0, 1, 1.0)) == [1, 0, 0, 0]
-    assert _bfs_per_level(est, lambda: est.delete(1, 0)) == [1, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.insert(0, 1, 1.0)) == [1, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.delete(1, 0)) == [1, 0, 0, 0]
     _check_counts(est)
 
 
@@ -263,11 +276,11 @@ def test_deterministic_both_large_insert_takes_no_bfs():
     est = _nested_levels(_path(0, 11, 1.0) + _path(11, 11, 1.0))
     before = [level.estimate() for level in est.levels]
     # both endpoints are flagged large at every level
-    assert _bfs_per_level(est, lambda: est.insert(5, 16, 1.0)) == [0, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.insert(5, 16, 1.0)) == [0, 0, 0, 0]
     assert [level.estimate() for level in est.levels] == before
     # the delete splits a large component: two capped BFS at level 0 find both
     # sides large, and the levels above read that off level 0's flags
-    assert _bfs_per_level(est, lambda: est.delete(16, 5)) == [2, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.delete(16, 5)) == [2, 0, 0, 0]
     _check_counts(est)
 
 
@@ -277,11 +290,11 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
     est = _nested_levels(_path(0, 11, 1.0) + _path(20, 3, 1.4) + _path(22, 10, 1.9))
     before = [level.estimate() for level in est.levels]
     # one closed BFS of v's side while it is small, none once both are large
-    assert _bfs_per_level(est, lambda: est.insert(0, 20, 1.0)) == [1, 1, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.insert(0, 20, 1.0)) == [1, 1, 0, 0]
     # v's small component joins u's large one at levels 0 and 1 only
     assert [b - level.estimate() for b, level in zip(before, est.levels)] == [1, 1, 0, 0]
     _check_counts(est)
-    assert _bfs_per_level(est, lambda: est.delete(0, 20)) == [2, 1, 1, 0]
+    assert _bfs_per_level(est.levels, lambda: est.delete(0, 20)) == [2, 1, 1, 0]
     assert [level.estimate() for level in est.levels] == before
     _check_counts(est)
 
@@ -292,10 +305,10 @@ def test_deterministic_small_sides_joined_large_below_are_joined_again_above():
     # endpoint, so the levels above must not take its merge for "connected"
     est = _nested_levels(_path(0, 6, 1.0) + _path(6, 6, 1.0))
     assert [level.estimate() for level in est.levels] == [30] * 4
-    assert _bfs_per_level(est, lambda: est.insert(2, 9, 1.0)) == [2, 2, 2, 2]
+    assert _bfs_per_level(est.levels, lambda: est.insert(2, 9, 1.0)) == [2, 2, 2, 2]
     assert [level.estimate() for level in est.levels] == [28] * 4
     _check_counts(est)
-    assert _bfs_per_level(est, lambda: est.delete(9, 2)) == [2, 2, 2, 2]
+    assert _bfs_per_level(est.levels, lambda: est.delete(9, 2)) == [2, 2, 2, 2]
     assert [level.estimate() for level in est.levels] == [30] * 4
     _check_counts(est)
 
@@ -325,9 +338,36 @@ def test_deterministic_levels_keep_exact_counts_and_flags_fuzz(seed):
         _check_counts(est)
 
 
-def _level_edges(est, i):
-    """The sorted edges of a randomized estimator's threshold graph i."""
-    return sorted(e for e, lvl in zip(est.graph.edges(), est._lvl) if lvl <= i)
+@pytest.mark.parametrize("seed", [8, 9])
+def test_deterministic_levels_are_views_of_one_store(seed):
+    # one warm-started labelling at construction gives every level its exact
+    # count and flags; after a churn every level still counts on the one
+    # graph, and each slot's level is the one its weight admits
+    n, W = 60, 3.0
+    rng = np.random.default_rng(seed)
+    init = random_weighted_graph(rng, n, 70, W, integer=False)
+    edges = {(u, v): w for u, v, w in init}
+    est = DeterministicMsfEstimator(n, 0.75, W, initial_edges=init)
+    assert est.levels[0].k == 16 and len(est.levels) == 5
+    assert 0 < sum(est.levels[-1].large) < n  # small and large components at the top
+    _check_counts(est)
+    for _ in range(500):
+        if edges and rng.random() < 0.45:
+            key = list(edges)[int(rng.integers(0, len(edges)))]
+            del edges[key]
+            assert est.delete(*key)
+        else:
+            u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                continue
+            edges[key] = float(rng.uniform(1.0, W))
+            assert est.insert(u, v, edges[key])
+    assert all(level.graph is est.graph for level in est.levels)
+    assert len(est._lvl) == est.graph.m == len(edges)
+    thresholds = est.config.thresholds
+    assert est._lvl == [bisect_left(thresholds, edges[e]) for e in est.graph.edges()]
+    _check_counts(est)
 
 
 def test_randomized_light_edges_update_all_levels():
@@ -489,26 +529,26 @@ def test_one_edge_store_matches_each_levels_own_edge_list(pairs):
             assert drawn == expected
 
 
-@pytest.mark.parametrize("make, stores", [
-    (lambda: DeterministicMsfEstimator(5, 0.25, 4.0), lambda est: [lv.graph for lv in est.levels]),
-    (lambda: RandomizedMsfEstimator(5, 0.5, 4.0, 0.1, seed=0), lambda est: [est.graph]),
+@pytest.mark.parametrize("make", [
+    lambda: DeterministicMsfEstimator(5, 0.25, 4.0),
+    lambda: RandomizedMsfEstimator(5, 0.5, 4.0, 0.1, seed=0),
 ], ids=["deterministic", "randomized"])
-def test_invalid_vertices_rejected_before_any_state_change(make, stores):
+def test_invalid_vertices_rejected_before_any_state_change(make):
     est = make()
-    graphs = stores(est)
+    levels = range(est.config.r + 1)
     empty = est.estimate()
     for u, v in ((-1, 2), (2, -1), (5, 2), (2, 5), (2, 2)):
         with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
             est.insert(u, v, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"({u}, {v})")):
             est.delete(u, v)
-    assert all(g.m == 0 and g.nis == 0 for g in graphs)
+    assert est.graph.m == est.graph.nis == len(est._lvl) == 0
     assert est.estimate() == empty
     est.insert(1, 2, 1.0)
-    assert all(g.has_edge(1, 2) for g in graphs)
+    assert all(_level_edges(est, i) == [(1, 2)] for i in levels)  # weight 1: every level
     assert 0.5 <= est.estimate() <= 1.5  # MSF weight 1 within the (1 +- eps) envelope
     est.delete(2, 1)
-    assert all(g.m == 0 for g in graphs)
+    assert est.graph.m == len(est._lvl) == 0
 
 
 def _window_from_initial_edges(make, record):
