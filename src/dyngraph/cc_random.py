@@ -11,27 +11,27 @@ class, so the draw has the distribution of the per-sample loop (the
 inverse-size estimator of Chazelle, Rubinfeld and Trevisan, SICOMP 2005).
 One routine, ``_estimate_levels``, does this for nested graphs at once: the
 phased estimator passes one level, the randomized MSF its r + 1 levels.  Its
-labelling pass, ``_label_levels``, also labels the deterministic MSF's levels.
+labelling pass, ``_label_levels``, also gives both their exact starting
+counts and labels the deterministic MSF's levels.
 
-The dynamic estimator re-estimates at phase boundaries and keeps the
-estimate frozen in between.  Its allowance is eps'*Thr, where Thr is the
-nis of an enclosing graph (by default its own) read before each update.
-Let psi be Thr before the update that fires a boundary and L the phase
-length set there; the next boundary fires L updates later.  k updates
-after the boundary (0 <= k <= L - 1) the error is at most the sum of:
+The dynamic estimators share one phase clock, ``_PhaseClock``: it
+re-estimates every level of an edge store at phase boundaries and keeps
+the estimates frozen in between.  A level's allowance is eps'*Thr, where
+Thr is the nis of the whole store read before each update.  Let psi be Thr
+before the update that fires a boundary and L the phase length set there;
+the next boundary fires L updates later.  k updates after the boundary
+(0 <= k <= L - 1) a level's error is at most the sum of:
 
-- the static estimate's error, (eps'/4)*nis of the graph after the boundary
+- the static estimate's error, (eps'/4)*nis of the level after the boundary
   update, with probability 1 - p.  That nis is at most psi + 2: the update
-  adds at most two non-isolated vertices, and the graph lies in the
-  enclosing one;
+  adds at most two non-isolated vertices, and the level lies in the store;
 - a drift of at most 1 per applied update, since one insert or delete moves
-  the component count by at most one.  A ``tick`` is an update of the
-  enclosing graph that misses this graph: it counts as one update, with
-  drift 0.
+  the component count by at most one.  An update of the store that misses
+  this level counts as one update, with drift 0.
 
-Thr falls by at most 2 per update of the enclosing graph, ticks included,
-so the allowance k updates on is at least eps'*(psi - 2k).  Both sides are
-worst at k = L - 1, so the budget is
+Thr falls by at most 2 per update of the store, those that miss the level
+included, so the allowance k updates on is at least eps'*(psi - 2k).  Both
+sides are worst at k = L - 1, so the budget is
 
     eps'*(psi + 2)/4 + (L - 1) <= eps'*(psi - 2*(L - 1)),
 
@@ -39,7 +39,7 @@ and ``_phase_len`` takes the largest L that meets it,
 L = 1 + floor(eps'*(3*psi - 2) / (4*(1 + 2*eps'))), which is at least 1
 for psi >= 1.  At psi = 0 the boundary graph has at most one edge, whose
 count the static estimate gets exactly.  The first phase starts from the
-exact count, so it spends less than a later one.  This length spends the
+exact counts, so it spends less than a later one.  This length spends the
 whole allowance: anything else that lets the published value lag the graph
 must be paid for out of L.
 """
@@ -54,7 +54,7 @@ import numpy as np
 from .graph_core import DynamicGraph, UpdateOp
 from .nonzero_sampler import NonZeroSampler
 from .oracles import fast_component_sizes  # noqa: F401  perfbench/test_smoke.py reads it here
-from .oracles import fast_ncc, hook_and_jump
+from .oracles import hook_and_jump
 
 
 @dataclass(frozen=True)
@@ -172,54 +172,67 @@ def _phase_len(eps_prime: float, psi: int) -> int:
     return max(1, 1 + math.floor(eps_prime * (3 * psi - 2) / (4.0 * (1.0 + 2.0 * eps_prime))))
 
 
-class PhasedCcEstimator:
-    """Dynamic component-count estimator, re-sampled at phase boundaries.
+class _PhaseClock:
+    """The one phase clock (module docstring) over the nlev levels of an edge store.
 
-    The estimator owns its graph: ``on_update`` applies each insert or delete
-    itself, so callers must not mutate the graph separately.  Thr, the error
-    scale, is the nis of ``enclosing`` just before each update; it defaults to
-    the graph itself, and an estimator of a subgraph passes the graph it lies
-    in, which changes by one edge per update.  The estimate stays within
-    eps' * Thr of the truth with probability 1 - p per phase and is frozen
-    between boundaries, so queries leak no randomness mid-phase and an
-    adaptive adversary gains nothing.  A phase that starts at Thr = psi lasts
-    ``phase_len`` = 1 + floor(eps'(3 psi - 2) / (4 (1 + 2 eps'))) updates,
-    the longest the error budget in the module docstring allows: about
-    (3/4) eps' psi for small eps', and psi/4 at eps' = 1.  A boundary draws
-    cfg.samples vertices of the graph's nis as ``_estimate_levels`` with one
-    level: O(n) to number the non-isolated vertices, O(nis + m) to label
-    them, one multinomial draw.  ``samples`` counts every vertex drawn at a
-    boundary since construction.
+    A subclass sets ``graph``, the store, and has ``_levels()`` give each
+    edge slot's level as a numpy array.  Each level fails with probability
+    p / nlev.  ``counts`` are the published per-level estimates, exact at
+    the start; ``i`` counts updates and ``samples`` the vertices drawn.
     """
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        eps_prime: float,
-        p: float,
-        seed: int | np.random.Generator | None = None,
-        enclosing: DynamicGraph | None = None,
-    ):
+    def __init__(self, eps_prime: float, p: float, nlev: int,
+                 seed: int | np.random.Generator | None):
         if not 0 < eps_prime <= 1:
             raise ValueError("eps_prime must be in (0, 1]")
-        enclosing = graph if enclosing is None else enclosing
-        if enclosing.n != graph.n or enclosing.nis < graph.nis:
-            raise ValueError("enclosing graph needs the same n and at least the graph's nis")
-        self.graph = graph
-        self.enclosing = enclosing
         self.eps_prime = eps_prime
-        self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p)
+        self.cfg = StaticEstimateConfig.from_error(eps_prime / 4.0, p / nlev)
         self.rng = np.random.default_rng(seed)  # a Generator passes through as is
+        g = self.graph
+        # a root labels itself, and the n - nis_l isolated vertices are components
+        self.counts = [float(g.n - nis_l + np.count_nonzero(labels == np.arange(nis_l)))
+                       for _, nis_l, labels in _label_levels(g.n, *g.edge_view(),
+                                                             self._levels(), nlev)]
+        self.i = self.samples = 0
+        self._start_phase(g.nis)
 
-        self.c_bar = float(fast_ncc(*graph.edge_view(), graph.n))
-        self.psi = enclosing.nis
-        self.i = 0
-        self.samples = 0
-        self.phase_len = _phase_len(eps_prime, self.psi)
-        self._until_boundary = self.phase_len
+    def _tick(self, thr: int) -> None:
+        """Count one update; at a phase's end, re-estimate every level and start at Thr = thr."""
+        self.i += 1
+        self._until_boundary -= 1
+        if self._until_boundary <= 0:
+            g = self.graph
+            self.counts, drawn = _estimate_levels(g.n, *g.edge_view(), self._levels(),
+                                                  len(self.counts), self.cfg, self.rng)
+            self.samples += drawn
+            self._start_phase(thr)
+
+    def _start_phase(self, thr: int) -> None:
+        self.psi = thr
+        self.phase_len = self._until_boundary = _phase_len(self.eps_prime, thr)
+
+
+class PhasedCcEstimator(_PhaseClock):
+    """Dynamic component-count estimator: the one phase clock over one level, its graph.
+
+    It owns its graph: ``on_update`` applies each insert or delete itself, so
+    callers must not mutate the graph separately.  The estimate stays within
+    eps' * Thr, Thr the graph's nis before each update, with probability
+    1 - p per phase and is frozen between boundaries, so queries leak no
+    randomness mid-phase and an adaptive adversary gains nothing.  Its
+    phases are the longest the budget in the module docstring allows.
+    """
+
+    def __init__(self, graph: DynamicGraph, eps_prime: float, p: float,
+                 seed: int | np.random.Generator | None = None):
+        self.graph = graph
+        super().__init__(eps_prime, p, 1, seed)
+
+    def _levels(self) -> np.ndarray:
+        return np.zeros(self.graph.m, dtype=np.int64)
 
     def estimate(self) -> float:
-        return self.c_bar
+        return self.counts[0]
 
     def on_update(self, op: UpdateOp) -> bool:
         """Apply one insert or delete to the graph and advance the phase.
@@ -228,7 +241,7 @@ class PhasedCcEstimator:
         and changes nothing.  The graph checks the pair; any kind other than
         ``"i"`` or ``"d"`` raises ValueError.
         """
-        thr = self.enclosing.nis
+        thr = self.graph.nis
         kind = op.kind
         if kind == "i":
             applied = self.graph.insert_edge(op.u, op.v)
@@ -238,27 +251,13 @@ class PhasedCcEstimator:
             raise ValueError(f"op kind {kind!r} is not an insert or a delete")
         if not applied:
             return False
-        self._advance(thr)
+        self._tick(thr)
         return True
 
     def tick(self) -> None:
-        """Count one update of the enclosing graph that misses this graph.
+        """Count one update that changes nothing, at Thr = the graph's nis.
 
-        Call it before the enclosing graph changes.  It moves Thr by at most
-        2 and the count by 0, so it spends one update of the budget (module
-        docstring), and boundaries fire exactly as for applied updates.
+        Kept only because perfbench/tracer.py wraps it by name; perfbench is
+        also why ``Coloring(strict=)`` and ``use_fast_sizes=`` stay.
         """
-        self._advance(self.enclosing.nis)
-
-    def _advance(self, thr: int) -> None:
-        """Count one update; at a phase's end re-estimate and start a phase at Thr = thr."""
-        self.i += 1
-        self._until_boundary -= 1
-        if self._until_boundary <= 0:
-            eu, ev = self.graph.edge_view()
-            (self.c_bar,), drawn = _estimate_levels(self.graph.n, eu, ev, np.zeros_like(eu), 1,
-                                                    self.cfg, self.rng)
-            self.samples += drawn
-            self.psi = thr
-            self.phase_len = _phase_len(self.eps_prime, thr)
-            self._until_boundary = self.phase_len
+        self._tick(self.graph.nis)

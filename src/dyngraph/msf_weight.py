@@ -16,10 +16,15 @@ facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own flags, so
 only fact 1 (u and v connected in G_i) passes up; a delete in a large
 component of G_j reads them off G_i's updated flags.
 
-The randomized estimator runs the phased sampling estimator's clock once
-for all levels: an update a level misses moves its Thr by at most 2 and its
-count by 0, so by the budget in ``cc_random`` it counts as one update there
-too, and every level re-samples at the same update, in one pass.
+The randomized estimator runs the one phase clock of ``cc_random`` for all
+levels: an update a level misses moves its Thr by at most 2 and its count
+by 0, so by the budget there it counts as one update, and every level
+re-samples at the same update, in one pass.  With each c_i within eps'*Thr,
+and the lambdas summing to top - 1 = (1 + eps/2)**r - 1, the estimate is
+within (2*top - 1)*eps'*Thr of X: equality when c_r is under- and every
+other c_i over-estimated by eps'*Thr.  As Thr <= 2M + 2, at eps' = eps/(4W)
+that allows about eps*M (1.07*eps*M at eps 0.5, W 4), over the eps*M/2 of
+room above X <= (1 + eps/2)*M: (1 +- eps) is observed, not derived.
 
 An update failing ``graph_core.check_edge`` or with a weight outside [1, W]
 raises ``ValueError`` before any change; a duplicate insert or an absent
@@ -36,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cc_exact import SmallCcCounter
-from .cc_random import StaticEstimateConfig, _estimate_levels, _label_levels, _phase_len
+from .cc_random import _label_levels, _PhaseClock
 from .graph_core import DynamicGraph, check_edge
-from .oracles import fast_ncc
 
 WeightedEdge = tuple[int, int, float]
 
@@ -174,16 +178,16 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         return combine(self.config, [level.estimate() for level in self.levels], self.n)
 
 
-class RandomizedMsfEstimator(_MsfEstimatorBase):
-    """Sampling-based (1+eps)-approximation, valid against adaptive adversaries.
+class RandomizedMsfEstimator(_MsfEstimatorBase, _PhaseClock):
+    """Sampling-based estimate of the MSF weight, valid against adaptive adversaries.
 
-    Each level is a view of the one store, and each follows the phased
-    estimator with error eps' = eps/(4W) and failure probability
-    p_prime/(r+1), from one generator, on one clock: ``i`` updates, Thr the
+    Each level is a view of the one store, and all run on the one phase
+    clock of ``cc_random`` with error eps' = eps/(4W) and failure
+    probability p_prime/(r+1), from one generator: ``i`` updates, Thr the
     full graph's nis before each.  When a phase ends,
     ``cc_random._estimate_levels`` re-estimates every level (``counts``) in
-    one pass and ``samples`` grows by the vertices drawn.
-    ``use_fast_sizes`` accepts only True.
+    one pass and ``samples`` grows by the vertices drawn.  The combined
+    error bound is in the module docstring.  ``use_fast_sizes`` accepts only True.
     """
 
     def __init__(self, n: int, eps: float, W: float, p_prime: float,
@@ -198,18 +202,11 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
             raise ValueError(f"p_prime must be in (0, 1), got {p_prime}")
         # an array: each boundary reads it as a numpy copy, which is fast from
         # an array, and no view pins its size
-        super().__init__(n, eps, W, array("q"), initial_edges)
-        eu, ev = self.graph.edge_view()
-        lvl = np.array(self._lvl)
-        self.counts = [float(fast_ncc(eu[lvl <= i], ev[lvl <= i], n))
-                       for i in range(self.config.r + 1)]
-        self.eps_prime = eps / (4.0 * W)
-        self.cfg = StaticEstimateConfig.from_error(self.eps_prime / 4.0,
-                                                   p_prime / len(self.counts))
-        self.rng = np.random.default_rng(seed)
-        self.i = self.samples = 0
-        self.psi = self.graph.nis
-        self.phase_len = self._until_boundary = _phase_len(self.eps_prime, self.psi)
+        _MsfEstimatorBase.__init__(self, n, eps, W, array("q"), initial_edges)
+        _PhaseClock.__init__(self, eps / (4.0 * W), p_prime, self.config.r + 1, seed)
+
+    def _levels(self) -> np.ndarray:
+        return np.array(self._lvl)
 
     def insert(self, u: int, v: int, w: float) -> bool:
         first = self._admits(u, v, w)
@@ -227,18 +224,6 @@ class RandomizedMsfEstimator(_MsfEstimatorBase):
             return False
         self._tick(thr)
         return True
-
-    def _tick(self, thr: int) -> None:
-        """Count one update on the shared clock; when the phase ends, re-estimate every level."""
-        self.i += 1
-        self._until_boundary -= 1
-        if self._until_boundary <= 0:
-            self.counts, drawn = _estimate_levels(
-                self.n, *self.graph.edge_view(), np.array(self._lvl),
-                len(self.counts), self.cfg, self.rng)
-            self.samples += drawn
-            self.psi = thr
-            self.phase_len = self._until_boundary = _phase_len(self.eps_prime, thr)
 
     def estimate(self) -> float:
         return combine(self.config, self.counts, self.n)

@@ -9,7 +9,8 @@ and a union-find with rollback) gives ``dyngraph run`` its cc-exact and
 cc-random checkpoint values, and ``msf_weights`` (Eppstein's divide and
 conquer over the checkpoint steps) its msf-det and msf-rand ones.  The
 ``fast_*`` helpers are vectorized equivalents that check one graph at a
-time: the counters' starting values and the adaptive stream generator.
+time: ``SmallCcCounter``'s starting labels and the adaptive stream
+generator (the randomized estimators start from ``cc_random._label_levels``).
 Their labels come from a numpy kernel, ``hook_and_jump``, which
 ``cc_random._label_levels`` also runs on nested graphs, each level started
 from the labels of the one below.  ``fast_msf_weight`` is only the

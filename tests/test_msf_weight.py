@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dyngraph import cc_random
 from dyngraph.cc_exact import SmallCcCounter
-from dyngraph.cc_random import _phase_len
+from dyngraph.cc_random import PhasedCcEstimator, _phase_len
 from dyngraph.graph_core import DynamicGraph
 from dyngraph.msf_weight import (
     DeterministicMsfEstimator,
@@ -17,8 +17,9 @@ from dyngraph.msf_weight import (
     RandomizedMsfEstimator,
     combine,
 )
-from dyngraph.oracles import exact_msf_weight, exact_ncc, fast_component_sizes, fast_nscc
-from dyngraph.streams import gen_sliding_window
+from dyngraph.oracles import (exact_msf_weight, exact_ncc, fast_component_sizes, fast_ncc,
+                              fast_nscc)
+from dyngraph.streams import adaptive_adversary_step, gen_sliding_window
 
 
 def test_config_geometry():
@@ -104,6 +105,27 @@ def test_combine_sandwich_with_exact_counts():
         x = combine(cfg, counts, n)
         m_true = exact_msf_weight(wedges, n)
         assert m_true - 1e-9 <= x <= (1 + eps / 2) * m_true + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.1, 0.25, 0.5, 0.9]), st.floats(1.0, 8.0), st.integers(0, 200),
+       st.floats(0.0, 10.0), st.data())
+def test_combine_error_is_at_most_2top_minus_1_times_the_level_error(eps, W, n, err, data):
+    # Per-level errors of at most err move the combined estimate by at most
+    # (2*top - 1)*err, since the lambdas sum to top - 1; c_r under- and every
+    # other count over-estimated by err reaches it.
+    cfg = MsfConfig.from_params(eps, W)
+    top, levels = cfg.top_coeff, cfg.r + 1
+    assert sum(cfg.lambdas) == pytest.approx(top - 1)
+    exact = [err + c for c in data.draw(st.lists(st.integers(0, n), min_size=levels,
+                                                  max_size=levels))]
+    shift = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=levels, max_size=levels))
+    x = combine(cfg, exact, n)
+    tol = 1e-9 * (1 + top * (n + err) * levels)
+    bound = (2 * top - 1) * err
+    assert abs(combine(cfg, [c + f * err for c, f in zip(exact, shift)], n) - x) <= bound + tol
+    worst = [c + err for c in exact[:-1]] + [exact[-1] - err]
+    assert combine(cfg, worst, n) - x == pytest.approx(bound, abs=tol)
 
 
 def _level_edges(est, i):
@@ -478,6 +500,73 @@ def test_randomized_levels_resample_in_lockstep(monkeypatch):
             assert est.counts == frozen
     assert boundaries > 100 and missed > 1000
     assert 0 < min(est._lvl) < levels  # some levels stay empty, not all
+
+
+@pytest.mark.parametrize("eps,W", [(0.5, 4.0), (0.5, 2.0), (0.9, 1.125)])
+def test_ticks_counted_once_stay_inside_eps_thr_at_every_step(eps, W):
+    # Level 0 holds g, the adaptive adversary's graph, whose edges weigh 1;
+    # the store adds a matching of weight W, which only the top level holds.
+    # Five of every six steps delete a matching edge whose ends have no other
+    # edge: an update that misses level 0, and Thr falls by 2, the most one
+    # update can.  The sixth is the adversary's update of g.  eps' = eps/(4W)
+    # is 1/32, 1/16 and 0.2; a level is missed only when W > 1.
+    n, steps = 600, 1000
+    rng = np.random.default_rng(23)
+    g = DynamicGraph(n)
+    while g.m < 80:
+        u, v = int(rng.integers(0, 100)), int(rng.integers(0, 100))
+        if u != v:
+            g.insert_edge(u, v)
+    spare = [(v, v + 1) for v in range(100, n, 2)]
+    est = RandomizedMsfEstimator(n, eps, W, 0.01, seed=24, initial_edges=[
+        (u, v, 1.0) for u, v in g.edges()] + [(u, v, W) for u, v in spare])
+    store, eps_p = est.graph, est.eps_prime
+    outside = checks = missed = 0
+    for step in range(steps):
+        thr = store.nis
+        spare = [(u, v) for u, v in spare if store.degree(u) == store.degree(v) == 1]
+        if spare and step % 6:
+            u, v = spare.pop(int(rng.integers(0, len(spare))))
+            assert est.delete(u, v)
+            assert store.nis == thr - 2
+            missed += 1
+        else:
+            op = adaptive_adversary_step(g, est.counts[0], rng)
+            if op is None or op.kind == "i" and store.has_edge(op.u, op.v):
+                continue  # no move, or a matching edge already holds the pair
+            if op.kind == "i":
+                assert est.insert(op.u, op.v, 1.0) and g.insert_edge(op.u, op.v)
+            else:
+                assert est.delete(op.u, op.v) and g.delete_edge(op.u, op.v)
+        checks += 1
+        outside += abs(est.counts[0] - fast_ncc(*g.edge_view(), n)) > eps_p * thr
+    assert est.i == checks and missed >= 200
+    assert _level_edges(est, 0) == sorted(g.edges())
+    assert outside == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1.0, 1.3, 1.6, 2.0])),
+    max_size=30))))
+def test_both_randomized_constructors_start_from_exact_counts(case):
+    # Three or more isolated vertices, and levels 0 and 1 (below 1.3) empty
+    # unless a weight-1 edge comes up.  A duplicate keeps its first weight.
+    n, wedges = case
+    wedges = [(u, v, w) for u, v, w in wedges if u != v]
+    n += 3
+    weight = {}
+    for u, v, w in wedges:
+        weight.setdefault((min(u, v), max(u, v)), w)
+    est = RandomizedMsfEstimator(n, 0.5, 2.0, 0.1, seed=0, initial_edges=wedges)
+    for i, thr in enumerate(est.config.thresholds):
+        level = [e for e, w in weight.items() if w <= thr]
+        eu, ev = (np.array([e[k] for e in level], dtype=np.int64) for k in (0, 1))
+        assert est.counts[i] == fast_ncc(eu, ev, n)
+    g = DynamicGraph(n)
+    for u, v in weight:
+        g.insert_edge(u, v)
+    assert PhasedCcEstimator(g, 0.5, 0.1, seed=0).estimate() == fast_ncc(*g.edge_view(), n)
 
 
 def _size_classes(edges, cap):
