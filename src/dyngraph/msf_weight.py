@@ -1,12 +1,14 @@
 """(1+eps)-approximate minimum-spanning-forest weight under edge updates.
 
-The MSF weight of a graph with weights in [1, W] is sandwiched by a weighted
-sum of component counts of the threshold subgraphs G_0 <= ... <= G_r (edges
-of weight <= l_i for geometrically spaced l_i, l_r = W).  An edge lies in
-every G_i from the first that admits its weight up, so an update hits one
-level and every level above it.  Both estimators keep one edge store, the
-full graph and each edge's first level: an update makes one store edit, and
-level i is the store's edges of first level <= i.
+For weights in [1, W], the combiner of Chazelle, Rubinfeld and Trevisan,
+X = n - top*c_r + sum(lambda_i*c_i) with top = (1 + eps/2)**r and the
+lambdas summing to top - 1, sandwiches the MSF weight M: M <= X <=
+(1 + eps/2)*M, for c_i the component count of G_i, the edges of weight
+<= l_i (geometrically spaced, l_r = W).  An edge lies in every G_i from the
+first that admits its weight up, so an update hits one level and every
+level above it.  Both estimators keep one edge store, the full graph and
+each edge's first level: an update makes one store edit, and level i is
+the store's edges of first level <= i.
 
 The deterministic estimator keeps one exact small-component counter per
 level, whose capped BFS skips the edges above its level.  It walks the hit
@@ -14,17 +16,21 @@ levels bottom-up and hands each level the counter below it, whose findings
 in G_i without (u, v) spare BFS calls in the levels G_j above (the four
 facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own flags, so
 only fact 1 (u and v connected in G_i) passes up; a delete in a large
-component of G_j reads them off G_i's updated flags.
+component of G_j reads them off G_i's updated flags.  Its error is derived:
+level i's counter misses only the L_i components of G_i with more than k
+vertices, each spanning k or more forest edges of weight >= 1, and G_i's
+forest is no larger than G's MSF, so L_i <= M/k.  The estimate
+X + top*L_r - sum(lambda_i*L_i) is then within [1 - (top - 1)/k,
+1 + eps/2 + top/k]*M, and k = ceil(2*top/eps) <= ceil(4W/eps) gives (1 +- eps).
 
 The randomized estimator runs the one phase clock of ``cc_random`` for all
 levels: an update a level misses moves its Thr by at most 2 and its count
 by 0, so by the budget there it counts as one update, and every level
 re-samples at the same update, in one pass.  With each c_i within eps'*Thr,
-and the lambdas summing to top - 1 = (1 + eps/2)**r - 1, the estimate is
-within (2*top - 1)*eps'*Thr of X: equality when c_r is under- and every
-other c_i over-estimated by eps'*Thr.  As Thr <= 2M + 2, at eps' = eps/(4W)
-that allows about eps*M (1.07*eps*M at eps 0.5, W 4), over the eps*M/2 of
-room above X <= (1 + eps/2)*M: (1 +- eps) is observed, not derived.
+the estimate is within (2*top - 1)*eps'*Thr of X: equality when c_r is
+under- and every other c_i over-estimated by eps'*Thr.  As Thr <= 2M + 2, at
+eps' = eps/(4W) that allows about eps*M (1.07*eps*M at eps 0.5, W 4), over
+the eps*M/2 of room above X: (1 +- eps) is observed, not derived.
 
 An update failing ``graph_core.check_edge`` or with a weight outside [1, W]
 raises ``ValueError`` before any change; a duplicate insert or an absent
@@ -73,11 +79,7 @@ class MsfConfig:
 
 
 def combine(config: MsfConfig, counts, n: int) -> float:
-    """Weighted component-count sum estimating the MSF weight.
-
-    With exact counts c_i per level the result X satisfies
-    M <= X <= (1 + eps/2) * M for the true MSF weight M.
-    """
+    """The combiner X of the level counts: M <= X <= (1 + eps/2)*M given exact counts."""
     if len(counts) != config.r + 1:
         raise ValueError(f"expected {config.r + 1} counts, got {len(counts)}")
     if any(c < 0 for c in counts):
@@ -130,12 +132,12 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     The store starts with ``initial_edges``, duplicates skipped.
-    ``levels[i]``, labelled in one warm-started pass, counts level i with
-    error parameter eps/(4W), so every level has the same k.  An update runs
-    each level's half of a ``SmallCcCounter`` update, from the first level
-    that admits (insert) or holds (delete) the edge up, before the store
-    takes the edge or after it drops it: at most two BFS per level, and none
-    once u and v are connected in a level below.
+    ``levels[i]``, labelled in one warm-started pass, counts level i at
+    k = ceil(2*top/eps), the module docstring's bound.  An update runs each
+    level's half of a ``SmallCcCounter`` update, from the first level that
+    admits (insert) or holds (delete) the edge up, before the store takes the
+    edge or after it drops it: at most two BFS per level, and none once u
+    and v are connected in a level below.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -148,7 +150,7 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         for i, (slot, nis_l, labels) in enumerate(_label_levels(
                 n, *self.graph.edge_view(), np.array(lvl, dtype=np.int64), r + 1)):
             full[:nis_l] = labels
-            self.levels.append(SmallCcCounter(self.graph, eps / (4.0 * W),
+            self.levels.append(SmallCcCounter(self.graph, eps / (2.0 * self.config.top_coeff),
                                               lvl if i < r else None, i, full[slot]))
 
     def insert(self, u: int, v: int, w: float) -> bool:

@@ -36,6 +36,7 @@ STRUCTURES = {
         lambda s, u, v: s.insert(u, v, 1.5),
         lambda s, u, v: s.delete(u, v),
         lambda s: (list(zip(s.graph.edges(), s._lvl)), [lv.bfs_calls for lv in s.levels],
+                   [lv.c_bar for lv in s.levels], [bytes(lv.large) for lv in s.levels],
                    s.estimate()),
     ),
     "msf-rand": (

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from bisect import bisect_left
 
@@ -128,6 +129,57 @@ def test_combine_error_is_at_most_2top_minus_1_times_the_level_error(eps, W, n, 
     assert combine(cfg, worst, n) - x == pytest.approx(bound, abs=tol)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("W", [1.0, 1.5, 2.0, 3.0, 4.0, 8.0])
+def test_deterministic_k_is_ceil_2top_over_eps_at_every_level(eps, W):
+    # the combiner's budget (module docstring) sets k, never above the old ceil(4W/eps)
+    est = DeterministicMsfEstimator(4, eps, W)
+    top = est.config.top_coeff
+    assert len(est.levels) == est.config.r + 1
+    assert top == 1.0 if W == 1.0 else top > 1.0
+    k = math.ceil(2 * top / eps)
+    assert [level.k for level in est.levels] == [k] * len(est.levels)
+    assert k <= math.ceil(4 * W / eps)
+    if (eps, W) == (0.25, 4.0):
+        assert k == 33
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([0.25, 0.5, 0.75, 0.9]), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 5),
+       st.integers(0, 2**32 - 1))
+def test_deterministic_error_stays_in_the_derived_bound(eps, W, sizes, spare, seed):
+    # Components of k + 1 .. k + 3 vertices, each a random tree plus a few
+    # chords, are the ones the counter misses: the combined estimate at the
+    # new k meets (1 - (top - 1)/k)*M <= X <= (1 + eps/2 + top/k)*M, so
+    # (1 +- eps)*M, against the exact MSF weight M.
+    cfg = MsfConfig.from_params(eps, W)
+    top = cfg.top_coeff
+    k = math.ceil(2 * top / eps)
+    rng = np.random.default_rng(seed)
+    weights = [1.0, 1.0, *cfg.thresholds, W]
+    weight, n = {}, 0
+    for extra in sizes:
+        size = k + extra
+        tree = [(n + int(rng.integers(0, j)), n + j) for j in range(1, size)]
+        chords = [tuple(n + int(x) for x in sorted(rng.choice(size, 2, replace=False)))
+                  for _ in range(int(rng.integers(0, 3)))]
+        for e in tree + chords:
+            weight.setdefault(e, weights[int(rng.integers(0, len(weights)))]
+                              if rng.random() < 0.7 else float(rng.uniform(1.0, W)))
+        n += size
+    n += spare
+    edges = [(u, v, w) for (u, v), w in weight.items()]
+    counts = [fast_nscc(*(np.array([e[j] for e in edges if e[2] <= thr], dtype=np.int64)
+                          for j in (0, 1)), n, k) for thr in cfg.thresholds]
+    x_hat = combine(cfg, counts, n)
+    m_true = exact_msf_weight(edges, n)
+    tol = 1e-9 * (1 + top * n)
+    assert (1 - (top - 1) / k) * m_true - tol <= x_hat <= (1 + eps / 2 + top / k) * m_true + tol
+    assert abs(x_hat - m_true) <= eps * m_true + tol
+    assert DeterministicMsfEstimator(n, eps, W, initial_edges=edges).estimate() == x_hat
+
+
 def _level_edges(est, i):
     """The sorted edges of an estimator's threshold graph i, read off the one store."""
     return sorted(e for e, lvl in zip(est.graph.edges(), est._lvl) if lvl <= i)
@@ -229,15 +281,27 @@ def _bfs_per_level(levels, update):
 def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
     # every level's count against the oracle after every update, and the BFS
     # calls against the same levels run one by one with the lone-counter rule,
-    # each lone counter on a graph of its own
+    # each lone counter on a graph of its own.  The store's BFS work per update
+    # stays within the worst case: at most two capped BFS of k + 1 vertices per level
     est = DeterministicMsfEstimator(n, eps, W)
-    ref = [SmallCcCounter(DynamicGraph(n), eps / (4.0 * W)) for _ in est.levels]
     k = est.levels[0].k
+    ref = [SmallCcCounter(DynamicGraph(n), 1 / k) for _ in est.levels]
     assert ref[0].k == k
+    searches = []
+    bfs = est.graph.bfs_limited
+
+    def counted(*args):
+        reached, closed = bfs(*args)
+        searches.append(reached)
+        return reached, closed
+
+    est.graph.bfs_limited = counted
+    levels = est.config.r + 1
     rng = np.random.default_rng(seed)
     edges = {}
     nested_total = ref_total = 0
     for _ in range(400):
+        del searches[:]
         if edges and rng.random() < 0.4:
             (u, v), w = list(edges.items())[int(rng.integers(0, len(edges)))]
             del edges[(u, v)]
@@ -258,6 +322,8 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
         assert calls[:first] == ref_calls[:first] == [0] * first
         assert all(c <= 2 for c in calls)
         assert sum(calls) <= sum(ref_calls)
+        assert len(searches) == sum(calls) <= 2 * levels
+        assert sum(searches) <= 2 * (k + 1) * levels
         nested_total += sum(calls)
         ref_total += sum(ref_calls)
         for i, (level, other) in enumerate(zip(est.levels, ref)):
@@ -267,9 +333,10 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
 
 
 def _nested_levels(edges):
-    """eps 0.8, W 2: k = 10 and four levels with thresholds 1, 1.4, 1.4**2, 2."""
+    """eps 0.8, W 2: four levels with thresholds 1, 1.4, 1.4**2, 2, and
+    k = ceil(2 * 1.4**3 / 0.8) = 7."""
     est = DeterministicMsfEstimator(40, 0.8, 2.0, initial_edges=edges)
-    assert est.levels[0].k == 10
+    assert est.levels[0].k == 7
     assert est.config.thresholds == pytest.approx((1.0, 1.4, 1.96, 2.0))
     return est
 
@@ -295,21 +362,21 @@ def test_deterministic_connected_at_first_level_takes_one_bfs():
 
 
 def test_deterministic_both_large_insert_takes_no_bfs():
-    est = _nested_levels(_path(0, 11, 1.0) + _path(11, 11, 1.0))
+    est = _nested_levels(_path(0, 8, 1.0) + _path(8, 8, 1.0))
     before = [level.estimate() for level in est.levels]
     # both endpoints are flagged large at every level
-    assert _bfs_per_level(est.levels, lambda: est.insert(5, 16, 1.0)) == [0, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.insert(5, 12, 1.0)) == [0, 0, 0, 0]
     assert [level.estimate() for level in est.levels] == before
     # the delete splits a large component: two capped BFS at level 0 find both
     # sides large, and the levels above read that off level 0's flags
-    assert _bfs_per_level(est.levels, lambda: est.delete(16, 5)) == [2, 0, 0, 0]
+    assert _bfs_per_level(est.levels, lambda: est.delete(12, 5)) == [2, 0, 0, 0]
     _check_counts(est)
 
 
 def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
-    # u = 0 lies in an 11-vertex path at every level; v = 20 is alone at level 0,
-    # in 3 vertices from level 1 and in 12 (large) from level 2 on
-    est = _nested_levels(_path(0, 11, 1.0) + _path(20, 3, 1.4) + _path(22, 10, 1.9))
+    # u = 0 lies in an 8-vertex path at every level; v = 20 is alone at level 0,
+    # in 3 vertices from level 1 and in 8 (large) from level 2 on
+    est = _nested_levels(_path(0, 8, 1.0) + _path(20, 3, 1.4) + _path(22, 6, 1.9))
     before = [level.estimate() for level in est.levels]
     # one closed BFS of v's side while it is small, none once both are large
     assert _bfs_per_level(est.levels, lambda: est.insert(0, 20, 1.0)) == [1, 1, 0, 0]
@@ -322,16 +389,16 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
 
 
 def test_deterministic_small_sides_joined_large_below_are_joined_again_above():
-    # two 6-vertex paths, small and apart at every level; a weight-1 edge joins
-    # them into 12 > k vertices.  Level 0 runs no BFS that reaches the other
+    # two 4-vertex paths, small and apart at every level; a weight-1 edge joins
+    # them into 8 > k vertices.  Level 0 runs no BFS that reaches the other
     # endpoint, so the levels above must not take its merge for "connected"
-    est = _nested_levels(_path(0, 6, 1.0) + _path(6, 6, 1.0))
-    assert [level.estimate() for level in est.levels] == [30] * 4
-    assert _bfs_per_level(est.levels, lambda: est.insert(2, 9, 1.0)) == [2, 2, 2, 2]
-    assert [level.estimate() for level in est.levels] == [28] * 4
+    est = _nested_levels(_path(0, 4, 1.0) + _path(4, 4, 1.0))
+    assert [level.estimate() for level in est.levels] == [34] * 4
+    assert _bfs_per_level(est.levels, lambda: est.insert(1, 6, 1.0)) == [2, 2, 2, 2]
+    assert [level.estimate() for level in est.levels] == [32] * 4
     _check_counts(est)
-    assert _bfs_per_level(est.levels, lambda: est.delete(9, 2)) == [2, 2, 2, 2]
-    assert [level.estimate() for level in est.levels] == [30] * 4
+    assert _bfs_per_level(est.levels, lambda: est.delete(6, 1)) == [2, 2, 2, 2]
+    assert [level.estimate() for level in est.levels] == [34] * 4
     _check_counts(est)
 
 
@@ -339,10 +406,10 @@ def test_deterministic_small_sides_joined_large_below_are_joined_again_above():
 def test_deterministic_levels_keep_exact_counts_and_flags_fuzz(seed):
     # integer weights over thresholds 1, 1.375, 1.89, 2.6, 3: levels 0-2 hold one
     # graph, so ``below`` often saw exactly this one.  Half the edges weigh 1, so
-    # components pass k = 16 at level 0 too
+    # components pass k = ceil(2 * 1.375**4 / 0.75) = 10 at level 0 too
     n, W = 48, 3.0
     est = DeterministicMsfEstimator(n, 0.75, W)
-    assert est.levels[0].k == 16 and len(est.levels) == 5
+    assert est.levels[0].k == 10 and len(est.levels) == 5
     rng = np.random.default_rng(seed)
     edges = {}
     for _ in range(600):
@@ -370,7 +437,7 @@ def test_deterministic_levels_are_views_of_one_store(seed):
     init = random_weighted_graph(rng, n, 70, W, integer=False)
     edges = {(u, v): w for u, v, w in init}
     est = DeterministicMsfEstimator(n, 0.75, W, initial_edges=init)
-    assert est.levels[0].k == 16 and len(est.levels) == 5
+    assert est.levels[0].k == 10 and len(est.levels) == 5
     assert 0 < sum(est.levels[-1].large) < n  # small and large components at the top
     _check_counts(est)
     for _ in range(500):
@@ -666,10 +733,10 @@ def test_deterministic_from_initial_edges_pinned():
 
     # the estimates and the BFS work are pinned apart: the work can change alone
     assert _window_from_initial_edges(make, lambda est: est.estimate()) == \
-        "a5ee7532c1425b8344e4c147e0ebc0cb8570d6057d3de94ca5fca1b1270c2313"
+        "cb71084b35a0456194da5eb8239a8d6de72eb956dd6f7809c6a3f248b200261f"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "5f36061968cf00f2a71333e2b7044896e191ba6a1c99d6dc3bfdfb0e3717f361"
+        "2010661059094c957580572abc1aba6f635dfe8b6f38c1bda0abcf1aaf322f03"
 
 
 def test_randomized_from_initial_edges_pinned():

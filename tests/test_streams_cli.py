@@ -718,8 +718,8 @@ def test_msf_runs_leave_scipy_unimported(tmp_path):
     ("msf-det",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
-     "6a4aef18fd101c999388bcb68fa65855ee993f0d516b8b08bbdc0770b3d96487",
-     "68825d0e660cfb11f6f453fdeea5000f739421a1ce60f98fa6c3ff402c3b24e5"),
+     "d6bb94e3d87e5fd23720fbddbccaec8e68690903fb1b18fd8c2b83c8b98b3e4e",
+     "16f0638b79e84fc22ecde242acf7cfea52b851a750cb711c18f1325ec6557349"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
