@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when a hard guarantee was violated during a run,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -24,19 +25,15 @@ from . import oracles, streams
 ALGOS = ("coloring", "cc-exact", "cc-random", "msf-det", "msf-rand")
 
 CSV_COLUMNS = ["step", "op", "estimate", "exact", "abs_err", "allowed_err", "work", "nanos"]
+# a run row as csv.writer writes it: no field of a run row can need quoting
+RUN_ROW = "%d,%s,%.6f,%.6f,%.6f,%.6f,%d,%d\r\n"
 BENCH_COLUMNS = ["stream", "delta", "W", "eps", "repeat", "ops", "mean_ns", "p50_ns",
                  "p99_ns", "mean_work", "p99_work", "max_work"]
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+def _output(path: str | None):
+    """The CSV's file: ``path``, opened for writing, or else stdout, left open."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -69,8 +66,9 @@ class _Replay:
 
     ``__init__`` binds, once, the structure's own update method and how to
     read its arguments from an op (``update``, by op kind), its cumulative work
-    counter (``work``) and its checkpoint check.  The arguments are read before
-    the clock starts, so ``nanos`` times the structure's method alone.  Given
+    counter (``work``) and its checkpoint check.  ``timed_apply`` reads the
+    arguments and binds the clock before it starts, so ``nanos`` times the
+    structure's method alone, with no lookup inside the window.  Given
     ``check_every`` (``run``) it lists ``_schedule`` once (``schedule``, which
     the replay loop walks) and builds what the checkpoints read: for cc-exact,
     cc-random, msf-det and msf-rand the exact value at each checked step
@@ -79,7 +77,7 @@ class _Replay:
     coloring a shadow edge store, which ``mirror`` writes outside the timed
     call; ``bench`` keeps neither.  A checkpoint miss sets ``violation``,
     which ends the run, or for cc-random and msf-rand (``soft``) counts in
-    ``soft_violations``.
+    ``soft_violations``.  ``checkpoint`` formats its row once, with ``RUN_ROW``.
     """
 
     def __init__(self, algo: str, stream: streams.Stream, eps: float, p: float,
@@ -140,16 +138,17 @@ class _Replay:
 
     def timed_apply(self, step: int, op) -> tuple[int, int]:
         """Apply one update; returns (work, nanos), timing the structure call alone."""
-        before = self.work()
+        work, clock = self.work, time.perf_counter_ns
         update, args_of = self.update[op.kind]
         args = args_of(op)
-        t0 = time.perf_counter_ns()
+        before = work()
+        t0 = clock()
         try:
             update(*args)
         except ValueError as exc:
             raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
-        nanos = time.perf_counter_ns() - t0
-        return self.work() - before, nanos
+        nanos = clock() - t0
+        return work() - before, nanos
 
     def mirror(self, op) -> None:
         """Apply one update to the shadow store, where a duplicate insert or an
@@ -196,11 +195,11 @@ class _Replay:
             self._violation(f"estimate {estimate} outside (1+-eps) of {exact}")
         return estimate, exact, allowed
 
-    def checkpoint(self, step: int, op_kind: str, work: int, nanos: int) -> list:
-        """Check the structure after ``step`` updates; returns the row in ``CSV_COLUMNS`` order."""
+    def checkpoint(self, step: int, op_kind: str, work: int, nanos: int) -> str:
+        """Check the structure after ``step`` updates; returns its ``RUN_ROW`` line."""
         estimate, exact, allowed = self._check(step)
-        return [step, op_kind, f"{estimate:.6f}", f"{exact:.6f}",
-                f"{abs(estimate - exact):.6f}", f"{allowed:.6f}", work, nanos]
+        return RUN_ROW % (step, op_kind, estimate, exact, abs(estimate - exact), allowed,
+                          work, nanos)
 
 
 def _schedule(ops, check_every: int):
@@ -216,23 +215,27 @@ def _schedule(ops, check_every: int):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Replay a stream; the loop binds its calls once and writes ``RUN_ROW`` lines."""
     every = args.check_every
     if every < 0:
         raise ValueError(f"--check-every must be >= 0, got {every}")
     stream = streams.read_stream(args.stream)
     replay = _Replay(args.algo, stream, args.eps, args.p, args.seed, check_every=every)
-    rows: list[list] = []
+    rows: list[str] = []
+    timed_apply, checkpoint = replay.timed_apply, replay.checkpoint
     for step, op, checked in replay.schedule:
         work = nanos = 0
         if op.kind != "q":
-            work, nanos = replay.timed_apply(step, op)
+            work, nanos = timed_apply(step, op)
             if replay.shadow is not None:
                 replay.mirror(op)
         if checked:
-            rows.append(replay.checkpoint(step, op.kind, work, nanos))
+            rows.append(checkpoint(step, op.kind, work, nanos))
             if replay.violation:
                 break
-    _write_rows(args.out, CSV_COLUMNS, rows)
+    with _output(args.out) as out:
+        out.write(",".join(CSV_COLUMNS) + "\r\n")
+        out.writelines(rows)  # not joined first: one string of all rows raised peak RSS
     if replay.violation:
         print(f"guarantee violation at step {step}: {replay.violation}", file=sys.stderr)
         return 1
@@ -266,7 +269,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 int(np.percentile(work, 99, method="inverted_cdf")),
                 int(work.max()),
             ])
-    _write_rows(args.out, BENCH_COLUMNS, rows)
+    with _output(args.out) as out:  # csv.writer quotes a ``stream`` path with a comma or quote
+        csv.writer(out).writerows([BENCH_COLUMNS, *rows])
     return 0
 
 

@@ -7,9 +7,9 @@ numpy views.  ``bfs_limited``, the primitive the component-count estimators
 are built on, explores a component of the graph, or of its edges at or
 below a level given one level per edge slot, from a start vertex but never
 discovers more than ``vertex_cap`` vertices; ``discovered`` lists them.
-``check_edge`` is the one pair rule every structure and ``parse_stream`` apply
-before any state change: ``self-loop (u, u) rejected`` or ``vertex out of range:
-(u, v) for n=N``; ``check_vertex`` is its one-vertex form for reads.
+``check_edge`` is the one pair rule each structure applies before any state change;
+``parse_stream`` names a refused pair by it: ``self-loop (u, u) rejected`` or
+``vertex out of range: (u, v) for n=N``.  ``check_vertex`` is its form for reads.
 """
 
 from __future__ import annotations

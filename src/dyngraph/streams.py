@@ -9,9 +9,12 @@ A stream is UTF-8 text: one header line, then one operation per line.
 
 Weights appear only in msf mode; unweighted insertions carry weight 1.
 ``StreamHeader`` checks the header (n >= 0, delta >= 0, a known mode,
-1 <= W < inf); ``parse_stream`` checks each line's kind, arity (a weight
-outside msf mode is an error, not dropped), pair (``check_edge``) and weight,
-and names the line in its ``StreamFormatError``.
+1 <= W < inf).  ``parse_stream`` makes one pass, splitting one line at a
+time.  Its first branch accepts a well-formed line (``i``/``d`` with a pair, a
+weighted ``i`` in msf mode, or ``q``), checking the pair (``check_edge``'s
+rule) and weight inline; only a refused line is diagnosed, and its first
+fault (kind, arity, a weight outside msf mode, pair, weight) is named in a
+``StreamFormatError`` at that line.
 Generators are seeded and deterministic; the conflict-heavy and adaptive
 generators co-simulate the structure under test (with its declared seed),
 so the emitted file is an ordinary static stream that reproduces the
@@ -97,39 +100,42 @@ def parse_stream(text: str) -> Stream:
         )
     except (KeyError, ValueError) as exc:
         raise StreamFormatError(1, f"bad header: {exc}") from exc
-    n, W = header.n, header.W
+    n, W, mode = header.n, header.W, header.mode
     ops: list[UpdateOp] = []
-    for idx, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    append, query, new = ops.append, UpdateOp("q"), tuple.__new__  # no NamedTuple frame
+    for line_no, parts in enumerate(map(str.split, lines[1:]), start=2):
+        if not parts:
             continue
-        parts = line.split()
-        kind = parts[0]
+        kind, arity = parts[0], len(parts)
         try:
-            if kind == "q":
-                if len(parts) != 1:
-                    raise ValueError("query takes no arguments")
-                ops.append(UpdateOp("q"))
-                continue
-            if kind == "i":
-                if len(parts) not in (3, 4):
-                    raise ValueError("insert takes 2 or 3 arguments")
-                if len(parts) == 4 and header.mode != "msf":
-                    raise ValueError(f"weights appear only in msf mode, not {header.mode}")
-            elif kind == "d":
-                if len(parts) != 3:
-                    raise ValueError("delete takes 2 arguments")
-            else:
-                raise ValueError(f"unknown op {kind!r}")
-            u, v = int(parts[1]), int(parts[2])
-            w = float(parts[3]) if len(parts) == 4 else 1.0
-            check_edge(u, v, n)
-            if not 1.0 <= w <= W:
+            if arity == 3 and kind in ("i", "d") or arity == 4 and kind == "i" and mode == "msf":
+                u, v = int(parts[1]), int(parts[2])
+                w = float(parts[3]) if arity == 4 else 1.0
+                if u != v and 0 <= u < n and 0 <= v < n and 1.0 <= w <= W:
+                    append(new(UpdateOp, (kind, u, v, w)))
+                    continue
+                check_edge(u, v, n)  # refused: name the pair's fault, else the weight's
                 raise ValueError(f"weight {w} outside [1, {W}]")
+            if kind == "q" and arity == 1:
+                append(query)
+                continue
+            if kind[0] == "#":
+                continue
+            raise ValueError(_misshapen(kind, arity, mode))
         except ValueError as exc:
-            raise StreamFormatError(idx, str(exc)) from exc
-        ops.append(UpdateOp(kind, u, v, w))
+            raise StreamFormatError(line_no, str(exc)) from exc
     return Stream(header, ops)
+
+
+def _misshapen(kind: str, arity: int, mode: str) -> str:
+    """Why ``parse_stream`` refused a line with this first token and token count."""
+    if kind == "q":
+        return "query takes no arguments"
+    if kind not in ("i", "d"):
+        return f"unknown op {kind!r}"
+    if kind == "i" and arity == 4:
+        return f"weights appear only in msf mode, not {mode}"
+    return "insert takes 2 or 3 arguments" if kind == "i" else "delete takes 2 arguments"
 
 
 def write_stream(stream: Stream, path: str) -> None:

@@ -263,6 +263,33 @@ def test_cli_run_stops_at_a_hard_violation_found_at_a_query(tmp_path, monkeypatc
         cli.CSV_COLUMNS, ["1", "q", "-1.000000", "3.000000", "4.000000", "0.000000", "0", "0"]]
 
 
+@pytest.mark.parametrize("algo,mode", [("coloring", "coloring"), ("cc-exact", "cc"),
+                                       ("cc-random", "cc"), ("msf-det", "msf")])
+def test_cli_run_csv_has_crlf_rows_unquoted_and_stdout_matches_the_file(
+        tmp_path, capsys, algo, mode):
+    stream_path = str(tmp_path / "s.txt")
+    out_path = tmp_path / "out.csv"
+    assert _run_cli(["gen", "random-churn", "--n", "30", "--ops", "120", "--target-m", "40",
+                     "--mode", mode, "--delta", "4", "--W", "3", "--seed", "2",
+                     "--out", stream_path]) == 0
+    argv = ["run", "--algo", algo, "--stream", stream_path, "--check-every", "3",
+            "--eps", "0.5", "--p", "0.2"]
+    assert _run_cli([*argv, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert _run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    written = out_path.read_bytes().decode()
+    header = "step,op,estimate,exact,abs_err,allowed_err,work,nanos\r\n"
+    for text in (written, printed):
+        assert text.startswith(header) and text.endswith("\r\n")
+        lines = text.split("\r\n")[:-1]
+        assert len(lines) > 40 and all("\n" not in line and '"' not in line for line in lines)
+        assert all(len(line.split(",")) == len(cli.CSV_COLUMNS) for line in lines)
+    # the rows differ only in the wall-clock ``nanos``
+    assert [line.rsplit(",", 1)[0] for line in written.split("\r\n")] == \
+        [line.rsplit(",", 1)[0] for line in printed.split("\r\n")]
+
+
 def test_cli_run_summary_goes_to_stderr(tmp_path, capsys):
     stream_path = str(tmp_path / "s.txt")
     assert _run_cli(["gen", "random-churn", "--n", "20", "--ops", "12", "--target-m", "6",
@@ -331,6 +358,20 @@ def test_cli_bench_work_column_reproducible(tmp_path):
     assert len(rows) == 3  # one row per repeat
     works = {(row["mean_work"], row["p99_work"], row["max_work"]) for row in rows}
     assert len(works) == 1  # equal seed -> identical work columns
+
+
+def test_cli_bench_quotes_a_stream_path_with_a_comma_and_a_quote(tmp_path):
+    # bench writes its rows with csv.writer: the ``stream`` column is a user's path
+    stream_path = str(tmp_path / 'churn, "d16".txt')
+    out_path = str(tmp_path / "bench.csv")
+    assert _run_cli(["gen", "random-churn", "--n", "20", "--ops", "40", "--target-m", "10",
+                     "--mode", "coloring", "--delta", "4", "--seed", "1",
+                     "--out", stream_path]) == 0
+    assert _run_cli(["bench", "--algo", "coloring", "--stream", stream_path,
+                     "--out", out_path]) == 0
+    with open(out_path, newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert row["stream"] == stream_path and row["ops"] == "40"
 
 
 def test_cli_bench_max_work_is_runs_largest_work(tmp_path):
