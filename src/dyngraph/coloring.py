@@ -18,6 +18,8 @@ changes the draw's law.
 Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
 (r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
 vertex id, ranks are distinct and totally ordered, and each is a small int.
+``seed`` is an int or None; each color is numpy's scalar ``integers`` draw,
+reproduced from the PCG64 raw stream, so a seed gives the colors it always gave.
 Each recoloring step marks the vertices it visits, so that the next step can
 split its L set into seen and fresh neighbors.  A low-degree step
 (2*deg < delta) always ends the path, so it marks nothing.
@@ -52,6 +54,38 @@ class RecolorStats(NamedTuple):
 _NO_RECOLOR = RecolorStats()  # what every insert without a cascade returns
 
 
+class _Draws:
+    """numpy's scalar ``Generator.integers(low, high)``, read straight off PCG64's raw stream.
+
+    For 1 < h = high - low <= 2**32 numpy takes 32-bit halves of a raw output,
+    low half first, keeping the high half for the next draw, and returns the
+    high word of x*h, redrawing while its low word is below (2**32 - h) % h.
+    Doing that here skips numpy's per-call cost; other ranges go to numpy.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        bitgen = gen.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"color draws read a PCG64 stream, not {type(bitgen).__name__}")
+        state = bitgen.state  # take over the generator's buffered half
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        bitgen.state = {**state, "has_uint32": 0, "uinteger": 0}
+        self._gen, self._raw = gen, bitgen.random_raw
+
+    def integers(self, low: int, high: int):
+        h = high - low
+        if not 1 < h <= 1 << 32:
+            return self._gen.integers(low, high)
+        while True:
+            x, self._half = self._half, None
+            if x is None:
+                r = self._raw()
+                x, self._half = r & 0xFFFFFFFF, r >> 32
+            m = x * h
+            if m & 0xFFFFFFFF >= ((1 << 32) - h) % h:
+                return low + (m >> 32)
+
+
 class Coloring:
     """Proper (delta+1)-coloring of a delta-bounded dynamic graph.
 
@@ -64,6 +98,8 @@ class Coloring:
     Expected amortized constant work per update assumes an oblivious
     adversary.  Every color draw checks that its sample set is large enough
     and raises ``InvariantError`` if not; ``strict`` accepts only True.
+    ``seed`` is an int or None; each color is numpy's scalar ``integers`` draw,
+    read off the PCG64 raw stream, so a seed gives the colors it always gave.
     ``colors`` is a numpy snapshot of the current colors, built on each
     access; ``color_of`` reads one vertex without a copy.
     """
@@ -84,14 +120,15 @@ class Coloring:
         self.n = n
         self.delta = delta
         self.palette = delta + 1
-        self.rng = np.random.default_rng(seed)
+        gen = np.random.default_rng(seed)
 
-        r64 = self.rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        r64 = gen.integers(0, 2**64, size=n, dtype=np.uint64)
         rank = np.empty(n, dtype=np.int64)
         rank[np.argsort(r64, kind="stable")] = np.arange(n)  # stable: ties keep id order
         self.rank: list[int] = rank.tolist()
-        self._chi: list[int] = self.rng.integers(
+        self._chi: list[int] = gen.integers(
             1, self.palette + 1, size=n, dtype=np.int64).tolist()
+        self.rng = _Draws(gen)
         self.tau: list[int] = [0] * n  # update count at each vertex's last recolor
 
         self.L: list[dict[int, None]] = [{} for _ in range(n)]  # insertion-ordered sets
@@ -245,17 +282,14 @@ class Coloring:
         mu_v = self.mu[v]
         if 2 * (len_l + self.hdeg[v]) < self.delta:
             used = {chi[u] for u in Lv}
-            rng = self.rng
-            palette = self.palette
-            while True:
-                c = int(rng.integers(1, palette + 1))
-                if c not in used and c not in mu_v:
-                    break
-            blanks = palette - len(mu_v) - len(used.difference(mu_v))
-            if 2 * blanks < self.delta + 2:
+            blanks = self.palette - len(mu_v) - len(used.difference(mu_v))
+            if 2 * blanks < self.delta + 2:  # checked first: with no blank, the draws never end
                 raise InvariantError(
                     f"sample set of size {blanks} below delta/2+1 (delta={self.delta})")
-            return c, None, 0
+            while True:
+                c = int(self.rng.integers(1, self.palette + 1))
+                if c not in used and c not in mu_v:
+                    return c, None, 0
         vis = self._vis
         if not vis[v]:
             vis[v] = 1

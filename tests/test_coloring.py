@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dyngraph.coloring import Coloring, DeltaBoundError, InvariantError, RecolorStats
+from dyngraph.coloring import Coloring, DeltaBoundError, InvariantError, RecolorStats, _Draws
 from dyngraph.oracles import is_proper_coloring
 from dyngraph.streams import gen_conflict_heavy
 
@@ -372,6 +372,61 @@ def test_sample_size_checker_raises_on_violation():
         _probe_set_color(_with_blanks(c, 0, 1), 0)
     c._vis = [0] * c.n  # the raise left its marks behind
     assert _probe_set_color(_with_blanks(c, 0, 2), 0)[2] == 1
+
+
+class _CappedDraws:
+    """Stands in for the structure's rng: counts draws and fails past 1000 of them."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def integers(self, low, high):
+        self.calls += 1
+        assert self.calls <= 1000, "drawing without end"
+        return self.gen.integers(low, high)
+
+
+def test_low_degree_check_runs_before_any_draw():
+    # no blank colour at all: drawing until a blank is hit would never return
+    c = _with_blanks(Coloring(4, 8, seed=0), 0, 0)
+    c.rng = draws = _CappedDraws(c.rng)
+    with pytest.raises(InvariantError, match=r"size 0 below delta/2\+1 \(delta=8\)"):
+        _probe_set_color(c, 0)
+    assert draws.calls == 0
+
+
+# -- colour draws --------------------------------------------------------------
+
+
+# interleaved ranges: 2**31 + 1 rejects about half its draws, 2**32 - 1 and
+# 2**32 take the 32-bit path's ends, 1 and the last two go to the generator
+_RANGES = [1, 2, 3, 17, 2**16 + 1, 2**31 + 1, 2**32 - 1, 2**32, 2**33, 2**63]
+
+
+@pytest.mark.parametrize("seed, buffered", [(0, False), (5, False), (101, False),
+                                            (7919, False), (7919, True), (26, True)])
+def test_draws_are_numpys_scalar_draws(seed, buffered):
+    ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # one 32-bit draw leaves the high half of an output buffered
+        assert ref.integers(0, 7) == gen.integers(0, 7)
+        assert gen.bit_generator.state["has_uint32"] == 1
+    draws = _Draws(gen)
+    for _ in range(200):
+        for h in _RANGES:
+            assert draws.integers(0, h) == int(ref.integers(0, h))
+        assert draws.integers(1, 10) == int(ref.integers(1, 10))  # the palette's offset
+    want = ref.bit_generator.state
+    got = gen.bit_generator.state
+    assert got["state"] == want["state"]
+    assert draws._half == (want["uinteger"] if want["has_uint32"] else None)
+
+
+def test_seed_must_give_a_pcg64_stream():
+    with pytest.raises(TypeError, match="MT19937"):
+        Coloring(50, 6, seed=np.random.Generator(np.random.MT19937(1)))
+    for seed in (7, None, np.random.SeedSequence(7)):
+        assert Coloring(50, 6, seed=seed).n == 50
+    assert Coloring(50, 6, seed=np.random.SeedSequence(7))._chi == Coloring(50, 6, seed=7)._chi
 
 
 # -- recoloring paths ----------------------------------------------------------
