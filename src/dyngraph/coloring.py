@@ -13,7 +13,9 @@ is recolored with a color sampled from a restricted set of blank and
 singly-used-below colors, which may cascade along a path of strictly
 decreasing ranks until a blank color is drawn.  A drawn index names a unique
 color in the order of L_v and a blank color in palette order; neither order
-changes the draw's law.
+changes the draw's law.  A high-degree step builds the median split and the
+unique-color list only when its B blanks are at most ceil(|chosen|/2): with
+more, every index it can draw names a blank, so the law is unchanged.
 
 Ranks are dense: vertex v's rank is its position 0..n-1 in the order of
 (r_v, v), where r_v is a uniform 64-bit draw, so ties in r_v are broken by
@@ -94,7 +96,10 @@ class Coloring:
     whose order decides which vertex a color draw names; the lower end keeps
     only a count (``hdeg``) and the edge's color in its book ``mu``, the one
     color book there is.  A high-degree step names its j-th blank color (used
-    neither in ``mu[v]`` nor on L_v) by walking the palette 1..delta+1.
+    neither in ``mu[v]`` nor on L_v) by walking the palette 1..delta+1; it
+    sorts ranks for the median split and lists unique colors only when its
+    blanks B <= ceil(|chosen|/2), since otherwise the draw can only name a
+    blank (the law is unchanged).
     Expected amortized constant work per update assumes an oblivious
     adversary.  Every color draw checks that its sample set is large enough
     and raises ``InvariantError`` if not; ``strict`` accepts only True.
@@ -234,35 +239,37 @@ class Coloring:
         now = self.updates
         length = work = good = bad = 0
         v = v0
-        while True:
-            new, next_v, branch = self._set_color(v, marked)
-            Lv = L[v]
-            length += 1
-            work += 1 + len(Lv)
-            if branch == 1:
-                good += 1
-            elif branch == 2:
-                bad += 1
-            old = chi[v]
-            chi[v] = new
-            tau[v] = now
-            if new != old:
-                for w in Lv:  # v's colour moves from old to new in each C_H(w) book
-                    mu = mus[w]
-                    count = mu[old]
-                    if count == 1:
-                        del mu[old]
-                    else:
-                        mu[old] = count - 1
-                    mu[new] = mu.get(new, 0) + 1
-            if next_v is None:
-                break
-            if rank[next_v] >= rank[v]:
-                raise InvariantError("recoloring path must descend in rank")
-            v = next_v
-        vis = self._vis
-        for x in marked:
-            vis[x] = 0
+        try:  # a raised check must not leave marks behind for the next cascade
+            while True:
+                new, next_v, branch = self._set_color(v, marked)
+                Lv = L[v]
+                length += 1
+                work += 1 + len(Lv)
+                if branch == 1:
+                    good += 1
+                elif branch == 2:
+                    bad += 1
+                old = chi[v]
+                chi[v] = new
+                tau[v] = now
+                if new != old:
+                    for w in Lv:  # v's colour moves from old to new in each C_H(w) book
+                        mu = mus[w]
+                        count = mu[old]
+                        if count == 1:
+                            del mu[old]
+                        else:
+                            mu[old] = count - 1
+                        mu[new] = mu.get(new, 0) + 1
+                if next_v is None:
+                    break
+                if rank[next_v] >= rank[v]:
+                    raise InvariantError("recoloring path must descend in rank")
+                v = next_v
+        finally:
+            vis = self._vis
+            for x in marked:
+                vis[x] = 0
         self.recolor_events += 1
         self.total_recolor_work += work
         return RecolorStats(length, work, good, bad)
@@ -320,18 +327,18 @@ class Coloring:
             else:
                 chosen = l_old
                 branch = 2
-            if chosen:
-                rank = self.rank
-                ranks = sorted([rank[u] for u in chosen])
-                median = ranks[(len(ranks) - 1) // 2]
-                sub = [u for u in chosen if rank[u] <= median]
-            else:
-                sub = []
-            # unique colors: used by exactly one vertex of L_v, by no vertex
-            # of H_v, with that vertex inside sub
-            uniq = [u for u in sub if cnt[chi[u]] == 1 and chi[u] not in mu_v]
             blanks = self.palette - len(mu_v) - l_only
-            s = min(blanks + len(uniq), len(sub) + 1)
+            half = (len(chosen) + 1) // 2  # |sub|: ranks are distinct
+            # with blanks > half every j < s is a blank, so uniq is never read
+            s = min(blanks, half + 1)
+            if chosen and blanks <= half:
+                rank = self.rank
+                median = sorted([rank[u] for u in chosen])[half - 1]
+                # unique colors: used by exactly one vertex of L_v, by no vertex
+                # of H_v, with that vertex inside sub (chosen at or below the median)
+                uniq = [u for u in chosen
+                        if rank[u] <= median and cnt[chi[u]] == 1 and chi[u] not in mu_v]
+                s = min(blanks + len(uniq), half + 1)
             if 100 * (s - 1) < len_l:
                 raise InvariantError(f"sample set of size {s} below |L_v|/100+1 (|L_v|={len_l})")
             j = int(self.rng.integers(0, s))

@@ -224,12 +224,13 @@ def test_delete_never_recolors():
 
 
 def _probe_set_color(c, v):
-    """Call _set_color outside a recoloring path and clean up the marks."""
+    """Call _set_color outside a recoloring path and clean up the marks, raised or not."""
     marked = []
-    result = c._set_color(v, marked)
-    for x in marked:
-        c._vis[x] = 0
-    return result
+    try:
+        return c._set_color(v, marked)
+    finally:
+        for x in marked:
+            c._vis[x] = 0
 
 
 def test_low_degree_branch_returns_blank():
@@ -307,13 +308,16 @@ def _high_degree_probe():
 
 
 class _FixedDraw:
-    """Stands in for the structure's rng: every draw returns j, checked to be in range."""
+    """Stands in for the structure's rng: every draw returns j, checked to be in range,
+    and keeps the range's end in ``high``."""
 
     def __init__(self, j):
         self.j = j
+        self.high = None
 
     def integers(self, low, high):
         assert low <= self.j < high
+        self.high = high
         return self.j
 
 
@@ -324,6 +328,73 @@ def test_high_degree_scan_names_blanks_in_palette_order():
         # |L_0| = 8 fresh neighbors: 4 at or below the median rank, so the sample
         # set holds min(5 blanks + 0 unique, 4 + 1) = 5 colors, all blank
         assert _probe_set_color(c, 0) == (want, None, 1)
+
+
+def _reference_step(c, v):
+    """The high-degree step's rule in full, as written before the shortcut: the sorted
+    ranks, the lower median, sub and the unique colours are always built.  Returns
+    (branch, s, outcome of each j < s as (color, next, branch), B, |sub|, any unique)."""
+    Lv = list(c.L[v])
+    chi, mu_v, rank = c._chi, c.mu[v], c.rank
+    l_new = [u for u in Lv if not c._vis[u]]
+    l_old = [u for u in Lv if c._vis[u]]
+    chosen, branch = (l_new, 1) if 10 * len(l_new) >= len(Lv) else (l_old, 2)
+    if chosen:
+        median = sorted(rank[u] for u in chosen)[(len(chosen) - 1) // 2]
+        sub = [u for u in chosen if rank[u] <= median]
+    else:
+        sub = []
+    cnt = Counter(chi[u] for u in Lv)
+    uniq = [u for u in sub if cnt[chi[u]] == 1 and chi[u] not in mu_v]
+    blank = [col for col in range(1, c.palette + 1) if col not in cnt and col not in mu_v]
+    s = min(len(blank) + len(uniq), len(sub) + 1)
+    named = [(blank[j], None, branch) if j < len(blank)
+             else (chi[uniq[j - len(blank)]], uniq[j - len(blank)], branch) for j in range(s)]
+    return branch, s, named, len(blank), len(sub), bool(uniq)
+
+
+def test_high_degree_shortcut_matches_the_full_rule_fuzz():
+    """Every draw of a high-degree step against _reference_step, forced j by j."""
+    rng = np.random.default_rng(32)
+    cases = Counter()
+    for _ in range(1500):
+        delta = int(rng.integers(2, 13))
+        n = delta + 2
+        c = Coloring(n, delta, seed=int(rng.integers(1 << 30)))
+        order = [int(x) for x in rng.permutation(n)]
+        if rng.random() < 0.5:  # v on top: all of its neighbours are in L_v
+            order.remove(0)
+            order.append(0)
+        force_ranks(c, order)
+        # v = 0 gets degree delta/2..delta, so it takes the high-degree branch
+        nbrs = rng.choice(np.arange(1, n), size=int(rng.integers((delta + 1) // 2, delta + 1)),
+                          replace=False)
+        v_col = int(rng.integers(1, c.palette + 1))
+        spread = int(rng.integers(1, c.palette))  # few colours make repeats, many make few blanks
+        cols = [v_col] + [1 + (v_col + int(rng.integers(0, spread))) % c.palette
+                          for _ in range(1, n)]
+        force_colors(c, cols)  # no neighbour shares v's colour, so no insert recolours
+        for u in nbrs:
+            c.insert(0, int(u))
+        Lv = list(c.L[0])
+        if Lv and rng.random() < 0.5:  # a path prefix already saw some of L_v
+            for u in Lv[: int(rng.integers(1, len(Lv) + 1))]:
+                c._vis[u] = 1
+        branch, s, named, B, n_sub, has_uniq = _reference_step(c, 0)
+        cases["branch", branch] += 1
+        cases["empty chosen" if not n_sub else
+              "B > sub" if B > n_sub else
+              ("B == sub, unique" if has_uniq else "B == sub, no unique") if B == n_sub else
+              "B < sub"] += 1
+        seen = bytes(c._vis)  # each call marks v and L_v; the next one starts from seen
+        for j in range(s):
+            c._vis[:] = seen
+            c.rng = draw = _FixedDraw(j)
+            assert c._set_color(0, []) == named[j]
+            assert draw.high == s
+    for case in [("branch", 1), ("branch", 2), "B > sub", "B == sub, unique",
+                 "B == sub, no unique", "B < sub", "empty chosen"]:
+        assert cases[case] >= 5, (case, cases)
 
 
 def _chi2_sf_even_df(stat, df):
@@ -370,8 +441,21 @@ def test_sample_size_checker_raises_on_violation():
     force_colors(c, [101] + [1] * 101)  # one shared colour on L_0: no unique colours
     with pytest.raises(InvariantError, match=r"size 1 below \|L_v\|/100\+1 \(\|L_v\|=100\)"):
         _probe_set_color(_with_blanks(c, 0, 1), 0)
-    c._vis = [0] * c.n  # the raise left its marks behind
     assert _probe_set_color(_with_blanks(c, 0, 2), 0)[2] == 1
+
+
+def test_raised_sample_set_check_in_a_cascade_leaves_no_marks():
+    # vertex 101 is ranked highest, with 99 lower neighbours of colour 1; inserting
+    # (0, 101) with both ends coloured 2 recolours 101 (equal times: the larger id)
+    c = Coloring(102, 100, seed=0)
+    force_ranks(c, list(range(101)) + [101])
+    force_colors(c, [2] + [1] * 100 + [2])
+    for v in range(1, 100):
+        c.insert(101, v)
+    _with_blanks(c, 101, 1)  # one blank, no unique colour: s = 1 with |L_v| = 100
+    with pytest.raises(InvariantError, match=r"size 1 below \|L_v\|/100\+1 \(\|L_v\|=100\)"):
+        c.insert(0, 101)
+    assert not any(c._vis)
 
 
 class _CappedDraws:
