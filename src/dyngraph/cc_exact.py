@@ -47,8 +47,8 @@ class SmallCcCounter:
     """Exact count of components of size <= k of a DynamicGraph, or of one level of it.
 
     The counter owns the update path, so callers must not mutate the graph
-    separately.  Given ``lvl`` (one level per edge slot), it counts the edges
-    j with ``lvl[j] <= level``, the filter of its every BFS; the store's owner
+    separately.  Given ``keys`` (``DynamicGraph.bfs_limited``'s), it counts the
+    edges of first level <= ``level``, all that its every BFS reads; the store's owner
     then runs ``_join`` before it stores an edge and ``_split`` after it
     drops one, and passes ``labels`` (a component label below n per vertex)
     in place of the construction's labelling.  ``large`` holds one flag per
@@ -66,12 +66,12 @@ class SmallCcCounter:
     capped BFS run since construction.
     """
 
-    def __init__(self, graph: DynamicGraph, eps: float, lvl=None, level=0, labels=None):
+    def __init__(self, graph: DynamicGraph, eps: float, keys=None, level=0, labels=None):
         if not 0 < eps <= 1:
             raise ValueError("eps must be in (0, 1]")
         self.graph = graph
         self.k = k = math.ceil(1 / eps)
-        self._lvl, self._level = lvl, level  # the filter of every bfs_limited call
+        self._keys, self._level = keys, level  # the filter of every bfs_limited call
         if labels is None:
             labels = fast_component_labels(*graph.edge_view(), graph.n)
         sizes = np.bincount(labels, minlength=graph.n)
@@ -109,7 +109,7 @@ class SmallCcCounter:
             if large[u] and large[v]:
                 return  # two large components make one
             # closes on the small side
-            g.bfs_limited(v if large[u] else u, cap, self._lvl, self._level)
+            g.bfs_limited(v if large[u] else u, cap, self._keys, self._level)
             self.bfs_calls += 1
             self.c_bar -= 1  # which joins the large one
             for x in g.discovered:
@@ -118,13 +118,13 @@ class SmallCcCounter:
         if below is not None and below._connected:
             self._connected = True
             return  # connected below, so here too: the edge closes a cycle
-        s_u, _ = g.bfs_limited(u, cap, self._lvl, self._level)
+        s_u, _ = g.bfs_limited(u, cap, self._keys, self._level)
         if g.bfs_reached(v):
             self.bfs_calls += 1
             self._connected = True
             return  # one small component: the edge closes a cycle
         side_u = g.discovered
-        s_v, _ = g.bfs_limited(v, cap, self._lvl, self._level)
+        s_v, _ = g.bfs_limited(v, cap, self._keys, self._level)
         self.bfs_calls += 2
         if s_u + s_v <= self.k:
             self.c_bar -= 1  # two small components merge into a small one
@@ -143,7 +143,7 @@ class SmallCcCounter:
             return  # connected below, so here too: one component as before
         if not large[u]:
             # closes: the component has at most k vertices
-            g.bfs_limited(u, cap, self._lvl, self._level)
+            g.bfs_limited(u, cap, self._keys, self._level)
             self.bfs_calls += 1
             self._connected = g.bfs_reached(v)
             if not self._connected:
@@ -155,20 +155,20 @@ class SmallCcCounter:
             if lu and lv:
                 return  # both sides large below, so here too
             if lu or lv:
-                s, _ = g.bfs_limited(v if lu else u, cap, self._lvl, self._level)
+                s, _ = g.bfs_limited(v if lu else u, cap, self._keys, self._level)
                 self.bfs_calls += 1
                 if s <= self.k:
                     self.c_bar += 1  # a small side splits off the large one
                     for x in g.discovered:
                         large[x] = 0
                 return
-        s_u, _ = g.bfs_limited(u, cap, self._lvl, self._level)
+        s_u, _ = g.bfs_limited(u, cap, self._keys, self._level)
         if g.bfs_reached(v):
             self.bfs_calls += 1
             self._connected = True
             return  # still one large component
         side_u = g.discovered
-        s_v, _ = g.bfs_limited(v, cap, self._lvl, self._level)
+        s_v, _ = g.bfs_limited(v, cap, self._keys, self._level)
         self.bfs_calls += 2
         if s_u <= self.k:
             self.c_bar += 1

@@ -5,8 +5,10 @@ running counters (edge count, per-vertex degree, number of non-isolated
 vertices) exactly in sync with a flat edge store, read through zero-copy
 numpy views.  ``bfs_limited``, the primitive the component-count estimators
 are built on, explores a component of the graph, or of its edges at or
-below a level given one level per edge slot, from a start vertex but never
-discovers more than ``vertex_cap`` vertices; ``discovered`` lists them.
+below a level given per-vertex lists of (level, neighbour) keys, from a
+start vertex but never discovers more than ``vertex_cap`` vertices;
+``discovered`` lists them.  A filtered level reads only its own entries, in
+(level, id) order, so its cost does not grow with the degree above it.
 ``check_edge`` is the one pair rule each structure applies before any state change;
 ``parse_stream`` names a refused pair by it: ``self-loop (u, u) rejected`` or
 ``vertex out of range: (u, v) for n=N``.  ``check_vertex`` is its form for reads.
@@ -115,13 +117,28 @@ class DynamicGraph:
         self._ev[i] = v
         self.m = i + 1
 
+    def _load(self, eu: np.ndarray, ev: np.ndarray) -> None:
+        """Store checked, distinct pairs (eu[i], ev[i]), eu < ev, in order in this empty graph."""
+        adj = self.adj
+        for i, (u, v) in enumerate(zip(eu.tolist(), ev.tolist())):
+            adj[u][v] = adj[v][u] = i
+        self.m = len(eu)
+        self.nis = sum(map(bool, adj))
+        pad = bytes(8 * 16)  # room for the next _append
+        self._eu = array("q", eu.astype(np.int64).tobytes() + pad)
+        self._ev = array("q", ev.astype(np.int64).tobytes() + pad)
+
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete (u, v); returns False if the edge was absent."""
         check_edge(u, v, self.n)
+        return self._drop(u, v) is not None
+
+    def _drop(self, u: int, v: int) -> int | None:
+        """Delete the checked pair (u, v); the slot it held, now the last edge's, or None."""
         adj = self.adj
         au = adj[u]
         if v not in au:
-            return False
+            return None
         i = au.pop(v)
         av = adj[v]
         del av[u]
@@ -136,7 +153,7 @@ class DynamicGraph:
             lv = ev[i] = ev[last]
             adj[lu][lv] = adj[lv][lu] = i
         self.m = last
-        return True
+        return i
 
     def edge_view(self) -> tuple[np.ndarray, np.ndarray]:
         """Live, read-only int64 views of the current edge endpoints."""
@@ -149,7 +166,7 @@ class DynamicGraph:
         """Snapshot of the edge list as (u, v) pairs with u < v."""
         return list(zip(self._eu[: self.m], self._ev[: self.m]))
 
-    def bfs_limited(self, start: int, vertex_cap: int, lvl=None, level=0) -> tuple[int, bool]:
+    def bfs_limited(self, start: int, vertex_cap: int, keys=None, level=0) -> tuple[int, bool]:
         """Explore the component of ``start``, discovering at most ``vertex_cap`` vertices.
 
         Returns ``(reached, closed)`` where ``reached`` is
@@ -160,9 +177,10 @@ class DynamicGraph:
         which vertices a capped call marks, and with them the callers' BFS
         work counters, depend on it.  ``discovered`` then lists the marked
         vertices in that order, ``reached`` of them, until the next call.
-        Given ``lvl``, one int per edge slot, it skips the entries of slots j
-        with ``lvl[j] > level`` and keeps the order of the rest: it discovers
-        what a graph of the other edges, inserted in this graph's order, would.
+        Given ``keys``, per vertex x the sorted ints ``first_level * n + y``,
+        one per edge (x, y), it searches the edges of first level <= ``level``
+        only: it reads ``keys[x]`` while a key is below ``(level + 1) * n``,
+        so x's neighbours in (level, id) order, and no entry above its level.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:
@@ -173,7 +191,7 @@ class DynamicGraph:
         mark[start] = epoch
         queue = self.discovered = [start]
         discovered = 1
-        if lvl is None:
+        if keys is None:
             for x in queue:  # appending while iterating is defined for lists
                 for w in adj[x]:
                     if mark[w] != epoch:
@@ -183,9 +201,13 @@ class DynamicGraph:
                         queue.append(w)
                         discovered += 1
             return discovered, True
+        n, limit = self.n, (level + 1) * self.n
         for x in queue:
-            for w, j in adj[x].items():
-                if lvl[j] <= level and mark[w] != epoch:
+            for key in keys[x]:
+                if key >= limit:
+                    break
+                w = key % n
+                if mark[w] != epoch:
                     if discovered == vertex_cap:
                         return vertex_cap, False
                     mark[w] = epoch

@@ -11,15 +11,16 @@ each edge's first level: an update makes one store edit, and level i is
 the store's edges of first level <= i.
 
 The deterministic estimator keeps one exact small-component counter per
-level, whose capped BFS skips the edges above its level.  It walks the hit
-levels bottom-up and hands each level the counter below it, whose findings
-in G_i without (u, v) spare BFS calls in the levels G_j above (the four
-facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own flags, so
-only fact 1 (u and v connected in G_i) passes up; a delete in a large
-component of G_j reads them off G_i's updated flags.  Its error is derived:
-level i's counter misses only the L_i components of G_i with more than k
-vertices, each spanning k or more forest edges of weight >= 1, and G_i's
-forest is no larger than G's MSF, so L_i <= M/k.  The estimate
+level, whose capped BFS reads only its level's edges, in (level, id) order
+off sorted per-vertex keys: at most (k + 1)(k + 2) per BFS, at any degree.
+It walks the hit levels bottom-up and hands each level the counter below it,
+whose findings in G_i without (u, v) spare BFS calls in the levels G_j above
+(the four facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own
+flags, so only fact 1 (u and v connected in G_i) passes up; a delete in a
+large component of G_j reads them off G_i's updated flags.  Its error is
+derived: level i's counter misses only the L_i components of G_i with more
+than k vertices, each spanning k or more forest edges of weight >= 1, and
+G_i's forest is no larger than G's MSF, so L_i <= M/k.  The estimate
 X + top*L_r - sum(lambda_i*L_i) is then within [1 - (top - 1)/k,
 1 + eps/2 + top/k]*M, and k = ceil(2*top/eps) <= ceil(4W/eps) gives (1 +- eps).
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +97,20 @@ class _MsfEstimatorBase:
     An insert appends to both; ``_remove`` mirrors the graph's swap-delete.
     """
 
-    def __init__(self, n: int, eps: float, W: float, lvl, initial_edges):
+    def __init__(self, n: int, eps: float, W: float, initial_edges):
         self.config = MsfConfig.from_params(eps, W)
         self.n = n
         self.graph = DynamicGraph(n)
-        self._lvl = lvl
-        for u, v, w in initial_edges or ():
-            first = self._admits(u, v, w)
-            if first is not None:
-                self.graph._append(u, v)
-                lvl.append(first)
+        edges = list(initial_edges or ())
+        u, v, w = (np.array(c) for c in (zip(*edges, strict=True) if edges else ((), (), ())))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (u == v) | (lo < 0) | (hi >= n) | ~((1.0 <= w) & (w <= W))  # a NaN weight too
+        if bad.any():
+            self._admits(*edges[int(bad.argmax())])  # raises that edge's ValueError
+        first = np.sort(np.unique(lo * n + hi, return_index=True)[1])  # a pair's first weight
+        lo, hi, w = lo[first], hi[first], w[first]
+        self.graph._load(lo, hi)
+        self._lvl = array("q", np.searchsorted(self.config.thresholds, w).tobytes())
 
     def _admits(self, u: int, v: int, w: float) -> int | None:
         """Check (u, v, w); the first level admitting w, or None if (u, v) is present."""
@@ -117,10 +122,10 @@ class _MsfEstimatorBase:
         return bisect_left(self.config.thresholds, w)
 
     def _remove(self, u: int, v: int) -> int | None:
-        """Delete (u, v), which the graph checks; its first level, or None if it was absent."""
-        g = self.graph
-        i = g.adj[u].get(v) if 0 <= u < self.n else None  # delete_edge rejects a bad u
-        if not g.delete_edge(u, v):
+        """Delete (u, v), checking the pair once; its first level, or None if it was absent."""
+        check_edge(u, v, self.n)
+        i = self.graph._drop(u, v)
+        if i is None:
             return None
         lvl = self._lvl
         first, lvl[i] = lvl[i], lvl[-1]  # the graph moved its last edge into slot i
@@ -131,7 +136,8 @@ class _MsfEstimatorBase:
 class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
-    The store starts with ``initial_edges``, duplicates skipped.
+    The store starts with ``initial_edges``, duplicates skipped, and
+    ``_keys[x]`` lists first level * n + y for each edge (x, y), sorted.
     ``levels[i]``, labelled in one warm-started pass, counts level i at
     k = ceil(2*top/eps), the module docstring's bound.  An update runs each
     level's half of a ``SmallCcCounter`` update, from the first level that
@@ -142,16 +148,19 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
 
     def __init__(self, n: int, eps: float, W: float,
                  initial_edges: list[WeightedEdge] | None = None):
-        # a list: the filter reads it once per scanned adjacency entry
-        super().__init__(n, eps, W, [], initial_edges)
-        r, lvl = self.config.r, self._lvl
+        super().__init__(n, eps, W, initial_edges)
+        r, lvl = self.config.r, np.array(self._lvl)
+        eu, ev = self.graph.edge_view()
+        src, top = np.concatenate((eu, ev)), (r + 1) * n  # vertex * top + key: by vertex, key
+        flat = (np.sort(src * top + np.concatenate((lvl * n + ev, lvl * n + eu))) % top).tolist()
+        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+        self._keys = [flat[a:b] for a, b in zip([0] + ends, ends)]
         full = np.arange(n)
         self.levels = []
-        for i, (slot, nis_l, labels) in enumerate(_label_levels(
-                n, *self.graph.edge_view(), np.array(lvl, dtype=np.int64), r + 1)):
+        for i, (slot, nis_l, labels) in enumerate(_label_levels(n, eu, ev, lvl, r + 1)):
             full[:nis_l] = labels
             self.levels.append(SmallCcCounter(self.graph, eps / (2.0 * self.config.top_coeff),
-                                              lvl if i < r else None, i, full[slot]))
+                                              self._keys if i < r else None, i, full[slot]))
 
     def insert(self, u: int, v: int, w: float) -> bool:
         first = self._admits(u, v, w)
@@ -160,12 +169,18 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         self._walk(SmallCcCounter._join, first, u, v)
         self.graph._append(u, v)
         self._lvl.append(first)
+        key = first * self.n
+        insort(self._keys[u], key + v)
+        insort(self._keys[v], key + u)
         return True
 
     def delete(self, u: int, v: int) -> bool:
         first = self._remove(u, v)
         if first is None:
             return False
+        key, ku, kv = first * self.n, self._keys[u], self._keys[v]
+        del ku[bisect_left(ku, key + v)]
+        del kv[bisect_left(kv, key + u)]
         self._walk(SmallCcCounter._split, first, u, v)
         return True
 
@@ -202,9 +217,7 @@ class RandomizedMsfEstimator(_MsfEstimatorBase, _PhaseClock):
             raise ValueError("use_fast_sizes=False: the per-sample boundary route was removed")
         if not 0 < p_prime < 1:
             raise ValueError(f"p_prime must be in (0, 1), got {p_prime}")
-        # an array: each boundary reads it as a numpy copy, which is fast from
-        # an array, and no view pins its size
-        _MsfEstimatorBase.__init__(self, n, eps, W, array("q"), initial_edges)
+        _MsfEstimatorBase.__init__(self, n, eps, W, initial_edges)
         _PhaseClock.__init__(self, eps / (4.0 * W), p_prime, self.config.r + 1, seed)
 
     def _levels(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+from bisect import insort
 from collections import Counter, deque
 
 import numpy as np
@@ -213,39 +214,38 @@ def test_adjacency_keeps_insertion_order_across_deletes():
 
 @pytest.mark.parametrize("seed", [13, 14])
 def test_filtered_bfs_limited_matches_a_graph_of_the_levels_edges(seed):
-    # nested levels on one store: lvl[j] is the level of the edge in slot j,
-    # mirrored through swap-deletes.  After every update, a filtered search at
-    # each level must find what a fresh graph holding only that level's edges,
-    # inserted in the store's insertion order, finds: same counts, same order
+    # nested levels on one store: keys[x] holds level * n + y for each edge
+    # (x, y), sorted, through inserts, deletes and re-inserts.  After every
+    # update, a filtered search at each level must find what a fresh graph
+    # holding only that level's edges, inserted in (level, u, v) order, finds:
+    # same counts, same order, as that order lists each adjacency by (level, id)
     n, levels = 14, 3
     rng = np.random.default_rng(seed)
     g = DynamicGraph(n)
-    lvl: list[int] = []
-    live: dict[tuple[int, int], int] = {}  # edge -> level, in insertion order
+    keys: list[list[int]] = [[] for _ in range(n)]
+    live: dict[tuple[int, int], int] = {}  # edge -> level
     gone: set[tuple[int, int]] = set()
     for _ in range(300):
         u, v = (int(x) for x in rng.choice(n, 2, replace=False))
         key = (min(u, v), max(u, v))
         if key in live:
-            j = g.adj[u][v]
             assert g.delete_edge(v, u)
-            lvl[j] = lvl[-1]
-            del lvl[-1]
-            del live[key]
+            level = live.pop(key)
+            keys[u].remove(level * n + v)
+            keys[v].remove(level * n + u)
             gone.add(key)
         else:
             assert g.insert_edge(u, v)
-            live[key] = int(rng.integers(0, levels))
-            lvl.append(live[key])
-        assert [live[e] for e in g.edges()] == lvl
+            live[key] = level = int(rng.integers(0, levels))
+            insort(keys[u], level * n + v)
+            insort(keys[v], level * n + u)
         for level in range(levels):
             ref = DynamicGraph(n)
-            for (a, b), x in live.items():
-                if x <= level:
-                    ref.insert_edge(a, b)
+            for _, a, b in sorted((x, a, b) for (a, b), x in live.items() if x <= level):
+                ref.insert_edge(a, b)
             for start in range(n):
                 for cap in (1, 2, 3, 5, n):
-                    assert g.bfs_limited(start, cap, lvl, level) == ref.bfs_limited(start, cap)
+                    assert g.bfs_limited(start, cap, keys, level) == ref.bfs_limited(start, cap)
                     assert g.discovered == ref.discovered
     assert len(gone) >= 50 and len(gone & live.keys()) >= 10  # deletes and re-inserts
 

@@ -332,6 +332,74 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
     assert nested_total < ref_total
 
 
+def _reference_bfs(g, start, cap, keys=None, level=0):
+    """A capped BFS in ``bfs_limited``'s documented order: each ``adj[x]`` in
+    insertion order, or ``keys[x]`` while a key is below (level + 1) * n.
+    Returns the vertices it discovers and the entries it reads on the way."""
+    order, reads = [start], 0
+    for x in order:
+        for key in g.adj[x] if keys is None else keys[x]:
+            reads += 1
+            if keys is not None:
+                if key >= (level + 1) * g.n:
+                    break
+                key %= g.n
+            if key not in order:
+                if len(order) == cap:
+                    return order, reads
+                order.append(key)
+    return order, reads
+
+
+class _CountedKeys(list):
+    """A vertex's key list that counts the keys a search reads off it."""
+
+    read = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            _CountedKeys.read += 1
+            yield key
+
+
+def test_deterministic_update_reads_do_not_grow_with_hub_degree():
+    # the hub probe: vertex 0 has D heavy edges, of weight W and so only in
+    # the top level, and the updates insert and delete the light edge
+    # (0, D + 1).  A BFS below the top reads no key above its level, so an
+    # update reads at most two capped BFS worth, (k + 1)(k + 2) entries each,
+    # per level, and the same entries at every D.  A filtered BFS reads
+    # exactly the keys that the documented order reads
+    W, eps = 2.0, 0.8
+    reads_at = {}
+    for D in (50, 500):
+        est = DeterministicMsfEstimator(D + 2, eps, W,
+                                        initial_edges=[(0, y, W) for y in range(1, D + 1)])
+        r, k, g = est.config.r, est.levels[0].k, est.graph
+        est._keys[:] = [_CountedKeys(keys) for keys in est._keys]  # the levels share the list
+        bfs, reads = g.bfs_limited, []
+
+        def checked(start, cap, *keys_level):
+            expected, count = _reference_bfs(g, start, cap, *keys_level)
+            before = _CountedKeys.read
+            result = bfs(start, cap, *keys_level)
+            assert g.discovered == expected
+            if keys_level[0] is not None:  # a filtered level: all its reads are counted
+                assert _CountedKeys.read - before == count
+            reads.append(count)
+            return result
+
+        g.bfs_limited = checked
+        per_update = []
+        for _ in range(5):
+            for update in (lambda: est.insert(0, D + 1, 1.0), lambda: est.delete(0, D + 1)):
+                del reads[:]
+                assert update()
+                per_update.append(sum(reads))
+        assert 0 < max(per_update) <= 2 * (r + 1) * (k + 1) * (k + 2)
+        reads_at[D] = per_update
+    assert reads_at[50] == reads_at[500]
+
+
 def _nested_levels(edges):
     """eps 0.8, W 2: four levels with thresholds 1, 1.4, 1.4**2, 2, and
     k = ceil(2 * 1.4**3 / 0.8) = 7."""
@@ -427,11 +495,22 @@ def test_deterministic_levels_keep_exact_counts_and_flags_fuzz(seed):
         _check_counts(est)
 
 
+def _check_keys(est):
+    """Each vertex's sorted keys, first level * n + neighbour, against the store."""
+    n = est.n
+    keys = [[] for _ in range(n)]
+    for (u, v), first in zip(est.graph.edges(), est._lvl):
+        keys[u].append(first * n + v)
+        keys[v].append(first * n + u)
+    assert est._keys == [sorted(x) for x in keys]
+
+
 @pytest.mark.parametrize("seed", [8, 9])
 def test_deterministic_levels_are_views_of_one_store(seed):
     # one warm-started labelling at construction gives every level its exact
     # count and flags; after a churn every level still counts on the one
-    # graph, and each slot's level is the one its weight admits
+    # graph, each slot's level is the one its weight admits, and each
+    # vertex's (level, neighbour) keys follow the store
     n, W = 60, 3.0
     rng = np.random.default_rng(seed)
     init = random_weighted_graph(rng, n, 70, W, integer=False)
@@ -439,6 +518,7 @@ def test_deterministic_levels_are_views_of_one_store(seed):
     est = DeterministicMsfEstimator(n, 0.75, W, initial_edges=init)
     assert est.levels[0].k == 10 and len(est.levels) == 5
     assert 0 < sum(est.levels[-1].large) < n  # small and large components at the top
+    _check_keys(est)
     _check_counts(est)
     for _ in range(500):
         if edges and rng.random() < 0.45:
@@ -455,7 +535,8 @@ def test_deterministic_levels_are_views_of_one_store(seed):
     assert all(level.graph is est.graph for level in est.levels)
     assert len(est._lvl) == est.graph.m == len(edges)
     thresholds = est.config.thresholds
-    assert est._lvl == [bisect_left(thresholds, edges[e]) for e in est.graph.edges()]
+    assert list(est._lvl) == [bisect_left(thresholds, edges[e]) for e in est.graph.edges()]
+    _check_keys(est)
     _check_counts(est)
 
 
@@ -707,6 +788,34 @@ def test_invalid_vertices_rejected_before_any_state_change(make):
     assert est.graph.m == len(est._lvl) == 0
 
 
+@pytest.mark.parametrize("kind", ["det", "rand"])
+def test_initial_edges_load_as_inserts_would(kind):
+    # initial_edges are checked as arrays and stored in one pass: the store
+    # and its adjacency order are those of inserting them one by one, the
+    # first weight of a repeated pair wins, and a bad edge anywhere raises
+    # what inserting it raises
+    def build(edges):
+        if kind == "det":
+            return DeterministicMsfEstimator(6, 0.5, 4.0, initial_edges=edges)
+        return RandomizedMsfEstimator(6, 0.5, 4.0, 0.1, seed=1, initial_edges=edges)
+
+    good = [(0, 1, 1.0), (3, 2, 4.0), (1, 0, 2.0), (4, 5, 2.5), (2, 1, 1.7)]
+    est, one = build(good), build([])
+    for e in good:
+        one.insert(*e)
+    assert est.graph.edges() == one.graph.edges() and list(est._lvl) == list(one._lvl)
+    assert [list(a.items()) for a in est.graph.adj] == [list(a.items()) for a in one.graph.adj]
+    assert est.graph.nis == one.graph.nis == 6
+    if kind == "det":
+        _check_keys(est)
+        assert est.estimate() == one.estimate()
+    for bad in [(2, 2, 1.0), (0, 6, 1.0), (-1, 2, 1.0), (0, 1, 0.5), (1, 2, float("nan"))]:
+        with pytest.raises(ValueError) as raised:
+            build(good + [bad, (0, 6, 9.0)])
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            one.insert(*bad)
+
+
 def _window_from_initial_edges(make, record):
     """sha256 over ``record(est)`` after each update of a seeded sliding window.
 
@@ -736,7 +845,7 @@ def test_deterministic_from_initial_edges_pinned():
         "cb71084b35a0456194da5eb8239a8d6de72eb956dd6f7809c6a3f248b200261f"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "2010661059094c957580572abc1aba6f635dfe8b6f38c1bda0abcf1aaf322f03"
+        "33c2cbaaf48305078f6e13ec9d934db907efae11d5eb71d931453108138b458f"
 
 
 def test_randomized_from_initial_edges_pinned():
