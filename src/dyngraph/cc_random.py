@@ -11,8 +11,9 @@ class, so the draw has the distribution of the per-sample loop (the
 inverse-size estimator of Chazelle, Rubinfeld and Trevisan, SICOMP 2005).
 One routine, ``_estimate_levels``, does this for nested graphs at once: the
 phased estimator passes one level, the randomized MSF its r + 1 levels.  Its
-labelling pass, ``_label_levels``, also gives both their exact starting
-counts and labels the deterministic MSF's levels.
+labelling pass, ``_label_levels``, runs the ``oracles.hook_and_jump`` kernel
+once per level with edges, the bulk of a boundary's cost; it also gives both
+their exact starting counts and labels the deterministic MSF's levels.
 
 The dynamic estimators share one phase clock, ``_PhaseClock``: it
 re-estimates every level of an edge store at phase boundaries and keeps
@@ -125,9 +126,9 @@ def _label_levels(n: int, eu: np.ndarray, ev: np.ndarray, lvl: np.ndarray, nlev:
     Edge j lies in G_lvl[j] and every level above.  The vertices are
     numbered once, by the lowest level at which they have an edge, so the
     nis non-isolated vertices of each level are the numbers 0..nis-1.
-    Bottom up, each level starts ``hook_and_jump`` from the labels of the
-    level below, whose roots are component minima in every level above, and
-    adds only its own edges.  Yields ``(slot, nis, labels)`` per level, the
+    Bottom up, each level starts ``hook_and_jump`` from the flat labels of
+    the level below, whose roots are component minima in every level above,
+    and adds only its own edges.  Yields ``(slot, nis, labels)`` per level, the
     labels of the numbers 0..nis-1, valid until the next level overwrites
     them; vertex x has number ``slot[x]``.
     """

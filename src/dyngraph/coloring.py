@@ -177,7 +177,10 @@ class Coloring:
         """Insert edge (u, v), recoloring an endpoint if colors collide.
 
         Both endpoints must have degree < delta beforehand; a duplicate edge
-        is a no-op returning empty stats.
+        is a no-op returning empty stats.  If the cascade raises, as a failed
+        ``InvariantError`` check does, the edge, the colors and the books are
+        rolled back and ``updates`` uncounted before the error propagates;
+        only ``setcolor_calls`` and the generator's state keep what happened.
         """
         check_edge(u, v, self.n)
         lo, hi = (u, v) if self.rank[u] < self.rank[v] else (v, u)
@@ -198,7 +201,16 @@ class Coloring:
         if chi[u] != chi[v]:
             return _NO_RECOLOR
         tu, tv = self.tau[u], self.tau[v]
-        return self._recolor(u if tu > tv or (tu == tv and u > v) else v)
+        try:
+            return self._recolor(u if tu > tv or (tu == tv and u > v) else v)
+        except BaseException:  # _recolor restored the colors: drop the edge again
+            self.updates -= 1
+            del L[hi][lo]
+            hdeg[lo] -= 1
+            mu[c] -= 1
+            if not mu[c]:
+                del mu[c]
+            raise
 
     def delete(self, u: int, v: int) -> bool:
         """Delete edge (u, v); never recolors. An absent edge is a no-op returning False."""
@@ -233,13 +245,18 @@ class Coloring:
     # -- internals ----------------------------------------------------------
 
     def _recolor(self, v0: int) -> RecolorStats:
-        """Recoloring cascade starting at v0; ranks strictly decrease along it."""
+        """Recoloring cascade starting at v0; ranks strictly decrease along it.
+
+        A raise undoes every step (colors, times and the books of L_v), in
+        reverse, and leaves no marks behind for the next cascade.
+        """
         marked: list[int] = []
+        steps: list[tuple[int, int, int]] = []  # (v, old color, old tau) per recolored v
         chi, tau, rank, L, mus = self._chi, self.tau, self.rank, self.L, self.mu
         now = self.updates
         length = work = good = bad = 0
         v = v0
-        try:  # a raised check must not leave marks behind for the next cascade
+        try:
             while True:
                 new, next_v, branch = self._set_color(v, marked)
                 Lv = L[v]
@@ -250,6 +267,7 @@ class Coloring:
                 elif branch == 2:
                     bad += 1
                 old = chi[v]
+                steps.append((v, old, tau[v]))
                 chi[v] = new
                 tau[v] = now
                 if new != old:
@@ -266,6 +284,17 @@ class Coloring:
                 if rank[next_v] >= rank[v]:
                     raise InvariantError("recoloring path must descend in rank")
                 v = next_v
+        except BaseException:
+            for v, old, t in reversed(steps):
+                new, chi[v], tau[v] = chi[v], old, t
+                if new != old:
+                    for w in L[v]:
+                        mu = mus[w]
+                        mu[old] = mu.get(old, 0) + 1
+                        mu[new] -= 1
+                        if not mu[new]:
+                            del mu[new]
+            raise
         finally:
             vis = self._vis
             for x in marked:

@@ -178,9 +178,10 @@ class DynamicGraph:
         work counters, depend on it.  ``discovered`` then lists the marked
         vertices in that order, ``reached`` of them, until the next call.
         Given ``keys``, per vertex x the sorted ints ``first_level * n + y``,
-        one per edge (x, y), it searches the edges of first level <= ``level``
-        only: it reads ``keys[x]`` while a key is below ``(level + 1) * n``,
-        so x's neighbours in (level, id) order, and no entry above its level.
+        one per edge (x, y), those above ``level`` optional, it searches the
+        edges of first level <= ``level`` only: it reads ``keys[x]`` while a
+        key is below ``(level + 1) * n``, so x's neighbours in (level, id)
+        order, and no entry above its level.
         """
         check_vertex(start, self.n)
         if vertex_cap < 1:

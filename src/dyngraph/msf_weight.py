@@ -137,7 +137,8 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
     """Worst-case deterministic (1+eps)-approximation of the MSF weight.
 
     The store starts with ``initial_edges``, duplicates skipped, and
-    ``_keys[x]`` lists first level * n + y for each edge (x, y), sorted.
+    ``_keys[x]`` lists first level * n + y for each edge (x, y) below the
+    top level r, sorted: level r reads the plain adjacency.
     ``levels[i]``, labelled in one warm-started pass, counts level i at
     k = ceil(2*top/eps), the module docstring's bound.  An update runs each
     level's half of a ``SmallCcCounter`` update, from the first level that
@@ -151,8 +152,10 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         super().__init__(n, eps, W, initial_edges)
         r, lvl = self.config.r, np.array(self._lvl)
         eu, ev = self.graph.edge_view()
-        src, top = np.concatenate((eu, ev)), (r + 1) * n  # vertex * top + key: by vertex, key
-        flat = (np.sort(src * top + np.concatenate((lvl * n + ev, lvl * n + eu))) % top).tolist()
+        low = lvl < r  # level r reads the plain adjacency
+        a, b, key = eu[low], ev[low], lvl[low] * n
+        src, top = np.concatenate((a, b)), r * n  # vertex * top + key: by vertex, then key
+        flat = (np.sort(src * top + np.concatenate((key + b, key + a))) % top).tolist()
         ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
         self._keys = [flat[a:b] for a, b in zip([0] + ends, ends)]
         full = np.arange(n)
@@ -169,18 +172,20 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
         self._walk(SmallCcCounter._join, first, u, v)
         self.graph._append(u, v)
         self._lvl.append(first)
-        key = first * self.n
-        insort(self._keys[u], key + v)
-        insort(self._keys[v], key + u)
+        if first < self.config.r:
+            key = first * self.n
+            insort(self._keys[u], key + v)
+            insort(self._keys[v], key + u)
         return True
 
     def delete(self, u: int, v: int) -> bool:
         first = self._remove(u, v)
         if first is None:
             return False
-        key, ku, kv = first * self.n, self._keys[u], self._keys[v]
-        del ku[bisect_left(ku, key + v)]
-        del kv[bisect_left(kv, key + u)]
+        if first < self.config.r:
+            key, ku, kv = first * self.n, self._keys[u], self._keys[v]
+            del ku[bisect_left(ku, key + v)]
+            del kv[bisect_left(kv, key + u)]
         self._walk(SmallCcCounter._split, first, u, v)
         return True
 

@@ -13,9 +13,10 @@ time: ``SmallCcCounter``'s starting labels and the adaptive stream
 generator (the randomized estimators start from ``cc_random._label_levels``).
 Their labels come from a numpy kernel, ``hook_and_jump``, which
 ``cc_random._label_levels`` also runs on nested graphs, each level started
-from the labels of the one below.  ``fast_msf_weight`` is only the
-array form of ``exact_msf_weight``, kept because perfbench's msf workloads
-call it.
+from the flat labels of the one below; each of its rounds pointer-jumps
+only the roots it hooked, then flattens with one full gather.
+``fast_msf_weight`` is only the array form of ``exact_msf_weight``, kept
+because perfbench's msf workloads call it.
 Nothing here needs more than numpy.  All of them are asserted against the
 pure routes in the tests.
 """
@@ -308,31 +309,38 @@ def msf_weights(n: int, ops, steps) -> dict[int, float]:
 def hook_and_jump(parent: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """The labels of ``parent``'s graph plus the edges (eu, ev); ``parent`` may be overwritten.
 
-    Hook-and-jump (the Shiloach-Vishkin pattern).  ``parent`` points every
-    vertex at the smallest vertex of its component (``np.arange(n)`` for no
-    edges), and every round (1) keeps the edges whose endpoints have
-    different roots, (2) hooks the larger root of each onto the smaller one
-    and (3) pointer-jumps until every vertex points at its root.  A vertex
+    Hook-and-jump (the Shiloach-Vishkin pattern).  ``parent`` must be flat:
+    it points every vertex at the smallest vertex of its component
+    (``np.arange(n)`` for no edges).  Every round starts flat and (1) keeps
+    the edges whose endpoints have different roots, (2) hooks the larger
+    root of each onto the smaller one and (3) pointer-jumps the hooked roots
+    alone, at most one per live edge, until each points at its new root.
+    Only a hooked root can sit deeper than one step: any other vertex points
+    at a root or at a hooked root, so (4) one full gather makes the array
+    flat again, and the edges' roots follow through ``parent``.  A vertex
     only ever points at a smaller vertex of its component, so the smallest
-    one stays a root and ends as the label.  Each round removes at least one
-    root from every component that still has two, so the loop ends.  Observed
-    hooking rounds from ``np.arange(n)``: at most 11 on random-order paths up
-    to n = 10^5 (seeds 0-4), 2 on zigzag paths (0, n-1, 1, n-2, ...).  The
-    edge arrays are only read.
+    one stays a root and ends as the label.  Each round removes at least
+    one root from every component that still has two, so the loop ends.
+    Observed hooking rounds from ``np.arange(n)``: at most 11 on
+    random-order paths up to n = 10^5 (seeds 0-4), 2 on zigzag paths (0,
+    n-1, 1, n-2, ...).  The edge arrays are only read.
     """
     ra, rb = parent[eu], parent[ev]
     while True:
         live = ra != rb
         if not live.any():
             return parent
-        eu, ev, ra, rb = eu[live], ev[live], ra[live], rb[live]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        ra, rb = ra[live], rb[live]
+        hooked = np.maximum(ra, rb)
+        np.minimum.at(parent, hooked, np.minimum(ra, rb))
+        up = parent[hooked]
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
                 break
-            parent = jumped
-        ra, rb = parent[eu], parent[ev]
+            parent[hooked] = up = jumped
+        parent = parent[parent]
+        ra, rb = parent[ra], parent[rb]
 
 
 def fast_component_labels(eu: np.ndarray, ev: np.ndarray, n: int) -> np.ndarray:

@@ -458,6 +458,70 @@ def test_raised_sample_set_check_in_a_cascade_leaves_no_marks():
     assert not any(c._vis)
 
 
+def _snapshot(c: Coloring):
+    """Everything an insert may change, apart from setcolor_calls and the generator."""
+    return (list(c._chi), list(c.tau), [dict(m) for m in c.mu], list(c.hdeg),
+            [list(s) for s in c.L], c.updates, c.recolor_events, c.total_recolor_work)
+
+
+def test_raised_cascade_rolls_the_insert_back():
+    # the case above: the first cascade step raises, after the insert stored the edge
+    c = Coloring(102, 100, seed=0)
+    force_ranks(c, list(range(101)) + [101])
+    force_colors(c, [2] + [1] * 100 + [2])
+    for v in range(1, 100):
+        c.insert(101, v)
+    _with_blanks(c, 101, 1)
+    before = _snapshot(c)
+    with pytest.raises(InvariantError):
+        c.insert(0, 101)
+    assert not c.has_edge(0, 101)
+    assert _snapshot(c) == before
+    c.mu[101] = {}  # undo the corruption: 101 is ranked highest, so H_101 is empty
+    audit(c)
+    c.insert(0, 101)
+    c.delete(1, 101)
+    c.insert(0, 100)
+    c.insert(1, 100)
+    assert c.has_edge(0, 101) and not c.has_edge(1, 101)
+    audit(c)  # proper, with books that match a recount
+
+
+@pytest.mark.parametrize("struct_seed", [5, 101])
+def test_a_raise_deep_in_a_cascade_undoes_every_step(struct_seed):
+    s = gen_conflict_heavy(60, 6000, 170, 6, seed=3, struct_seed=struct_seed)
+    probe = Coloring(60, 6, seed=struct_seed)
+    for at, op in enumerate(s.ops):  # the first insert whose cascade recolours 3 vertices
+        if op.kind == "d":
+            probe.delete(op.u, op.v)
+        elif op.kind == "i" and probe.insert(op.u, op.v).path_length >= 3:
+            break
+    c = Coloring(60, 6, seed=struct_seed)
+    for op in s.ops[:at]:
+        (c.insert if op.kind == "i" else c.delete)(op.u, op.v)
+    before, calls = _snapshot(c), c.setcolor_calls
+    real = c._set_color
+
+    def fail_third(v, marked):  # the first two steps recolour, the third raises
+        if c.setcolor_calls == calls + 2:
+            raise InvariantError("injected")
+        return real(v, marked)
+
+    c._set_color = fail_third
+    with pytest.raises(InvariantError, match="injected"):
+        c.insert(s.ops[at].u, s.ops[at].v)
+    del c._set_color
+    assert _snapshot(c) == before
+    assert not c.has_edge(s.ops[at].u, s.ops[at].v)
+    audit(c)
+    for op in s.ops[at:]:  # the rest of the stream still colours properly
+        if op.kind == "i":
+            c.insert(op.u, op.v)
+        elif op.kind == "d":
+            c.delete(op.u, op.v)
+    audit(c)
+
+
 class _CappedDraws:
     """Stands in for the structure's rng: counts draws and fails past 1000 of them."""
 

@@ -335,20 +335,22 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
 def _reference_bfs(g, start, cap, keys=None, level=0):
     """A capped BFS in ``bfs_limited``'s documented order: each ``adj[x]`` in
     insertion order, or ``keys[x]`` while a key is below (level + 1) * n.
-    Returns the vertices it discovers and the entries it reads on the way."""
-    order, reads = [start], 0
+    Returns the vertices it discovers, the entries it reads on the way and
+    how many of those were keys above the level, each ending a list early."""
+    order, reads, stops = [start], 0, 0
     for x in order:
         for key in g.adj[x] if keys is None else keys[x]:
             reads += 1
             if keys is not None:
                 if key >= (level + 1) * g.n:
+                    stops += 1
                     break
                 key %= g.n
             if key not in order:
                 if len(order) == cap:
-                    return order, reads
+                    return order, reads, stops
                 order.append(key)
-    return order, reads
+    return order, reads, stops
 
 
 class _CountedKeys(list):
@@ -363,29 +365,32 @@ class _CountedKeys(list):
 
 
 def test_deterministic_update_reads_do_not_grow_with_hub_degree():
-    # the hub probe: vertex 0 has D heavy edges, of weight W and so only in
-    # the top level, and the updates insert and delete the light edge
-    # (0, D + 1).  A BFS below the top reads no key above its level, so an
-    # update reads at most two capped BFS worth, (k + 1)(k + 2) entries each,
-    # per level, and the same entries at every D.  A filtered BFS reads
-    # exactly the keys that the documented order reads
-    W, eps = 2.0, 0.8
+    # the hub probe: vertex 0 has D heavy edges, of weight 1.5 and so first
+    # in level 2, one below the top (thresholds 1, 1.4, 1.96, 2), and the
+    # updates insert and delete the light edge (0, D + 1).  A BFS at levels 0
+    # and 1 stops at the hub's first key above its level, so an update reads
+    # at most two capped BFS worth, (k + 1)(k + 2) entries each, per level,
+    # and the same entries at every D.  A filtered BFS reads exactly the keys
+    # that the documented order reads
+    W, eps, heavy = 2.0, 0.8, 1.5
     reads_at = {}
     for D in (50, 500):
         est = DeterministicMsfEstimator(D + 2, eps, W,
-                                        initial_edges=[(0, y, W) for y in range(1, D + 1)])
+                                        initial_edges=[(0, y, heavy) for y in range(1, D + 1)])
         r, k, g = est.config.r, est.levels[0].k, est.graph
+        assert set(est._lvl) == {r - 1}
         est._keys[:] = [_CountedKeys(keys) for keys in est._keys]  # the levels share the list
-        bfs, reads = g.bfs_limited, []
+        bfs, reads, stops = g.bfs_limited, [], []
 
         def checked(start, cap, *keys_level):
-            expected, count = _reference_bfs(g, start, cap, *keys_level)
+            expected, count, stopped = _reference_bfs(g, start, cap, *keys_level)
             before = _CountedKeys.read
             result = bfs(start, cap, *keys_level)
             assert g.discovered == expected
             if keys_level[0] is not None:  # a filtered level: all its reads are counted
                 assert _CountedKeys.read - before == count
             reads.append(count)
+            stops.append(stopped)
             return result
 
         g.bfs_limited = checked
@@ -396,6 +401,7 @@ def test_deterministic_update_reads_do_not_grow_with_hub_degree():
                 assert update()
                 per_update.append(sum(reads))
         assert 0 < max(per_update) <= 2 * (r + 1) * (k + 1) * (k + 2)
+        assert sum(stops) > 0  # some search met a key above its level and stopped
         reads_at[D] = per_update
     assert reads_at[50] == reads_at[500]
 
@@ -496,12 +502,14 @@ def test_deterministic_levels_keep_exact_counts_and_flags_fuzz(seed):
 
 
 def _check_keys(est):
-    """Each vertex's sorted keys, first level * n + neighbour, against the store."""
-    n = est.n
+    """Each vertex's sorted keys, first level * n + neighbour, against the store's
+    edges below the top level (the top level reads the plain adjacency)."""
+    n, r = est.n, est.config.r
     keys = [[] for _ in range(n)]
     for (u, v), first in zip(est.graph.edges(), est._lvl):
-        keys[u].append(first * n + v)
-        keys[v].append(first * n + u)
+        if first < r:
+            keys[u].append(first * n + v)
+            keys[v].append(first * n + u)
     assert est._keys == [sorted(x) for x in keys]
 
 

@@ -294,3 +294,52 @@ def test_component_labels_leave_live_edge_view_unchanged():
     oracles.fast_nscc(eu, ev, g.n, 3)
     assert np.array_equal(eu, before[0]) and np.array_equal(ev, before[1])
     assert [tuple(e) for e in zip(*g.edge_view())] == list(zip(*before))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_warm_started_from_a_subgraphs_labels(seed, dtype):
+    # as cc_random._label_levels runs it: start from the flat labels of a
+    # random subgraph and add only the edges that subgraph lacks
+    rng = np.random.default_rng(seed)
+    n = 300
+    edges = [tuple(e) for e in rng.integers(0, n, (360, 2)).tolist() if e[0] != e[1]]
+    split = len(edges) // 2
+    eu, ev = (np.array(side, dtype=dtype) for side in zip(*edges))
+    below = oracles.hook_and_jump(np.arange(n, dtype=dtype), eu[:split], ev[:split])
+    assert np.array_equal(below[below], below)  # flat: the precondition of the next call
+    warm = oracles.hook_and_jump(below.copy(), eu[split:], ev[split:])
+    assert warm.dtype == dtype
+    assert np.array_equal(warm, oracles.fast_component_labels(eu, ev, n))
+    for comp in bfs_components(edges, n):
+        assert {int(warm[x]) for x in comp} == {min(comp)}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_kernel_round_whose_hooked_roots_form_a_descending_chain(dtype):
+    # sixteen flat 10-vertex blocks with roots 0, 10, ..., 150; one edge
+    # between each two neighbouring blocks hooks each root onto the one
+    # below in a single round, a chain 15 roots deep, so the loop over the
+    # hooked roots must jump 4 times.  Each block's other vertices point at
+    # their root and must follow it down to 0
+    n = 160
+    parent = np.arange(n, dtype=dtype) // 10 * 10
+    roots = np.arange(0, n, 10, dtype=dtype)
+    hooked = parent.copy()
+    np.minimum.at(hooked, roots[1:], roots[:-1])  # the round's hook
+    assert _depth(hooked) == 16  # from 150's other vertices: one step, then 15 roots
+    for offset in (0, 3):  # the edges join the roots themselves, or other vertices
+        eu, ev = roots[1:] + offset, roots[:-1] + offset
+        labels = oracles.hook_and_jump(parent.copy(), eu, ev)
+        assert labels.dtype == dtype and not labels.any()
+
+
+def _depth(parent):
+    """The longest pointer path from a vertex up to its root."""
+    longest = 0
+    for x in range(len(parent)):
+        steps = 0
+        while parent[x] != x:
+            x, steps = parent[x], steps + 1
+        longest = max(longest, steps)
+    return longest
