@@ -1,20 +1,26 @@
 """Update-stream file format and stream generators.
 
-A stream is UTF-8 text: one header line, then one operation per line.
+A stream is UTF-8 text (``read_stream`` skips a leading byte-order mark): one
+header line, then one operation per line.
 
     # n=<int> delta=<int> W=<real> mode=<coloring|cc|msf>
     i <u> <v> [<w>]
     d <u> <v>
     q
 
-Weights appear only in msf mode; unweighted insertions carry weight 1.
+Weights appear only in msf mode; unweighted insertions carry weight 1.  Blank
+lines and lines whose first token starts with ``#`` are skipped, any
+whitespace may separate tokens, and lines may end in CRLF.
 ``StreamHeader`` checks the header (n >= 0, delta >= 0, a known mode,
-1 <= W < inf).  ``parse_stream`` makes one pass, splitting one line at a
-time.  Its first branch accepts a well-formed line (``i``/``d`` with a pair, a
-weighted ``i`` in msf mode, or ``q``), checking the pair (``check_edge``'s
-rule) and weight inline; only a refused line is diagnosed, and its first
-fault (kind, arity, a weight outside msf mode, pair, weight) is named in a
-``StreamFormatError`` at that line.
+1 <= W < inf).  ``parse_stream`` reads a body in ``render_stream``'s exact
+layout (the lines above with single spaces, ``"\\n"`` endings and plain
+decimal vertex ids, every pair and weight valid) in numpy blocks.  Any other
+body goes to one pass that splits one line at a time.  Its first branch
+accepts a well-formed line (``i``/``d`` with a pair, a weighted ``i`` in msf
+mode, or ``q``), checking the pair (``check_edge``'s rule) and weight inline;
+only a refused line is diagnosed, and its first fault (kind, arity, a weight
+outside msf mode, pair, weight) is named in a ``StreamFormatError`` at that
+line.  Both paths give equal ops.
 Generators are seeded and deterministic; the conflict-heavy and adaptive
 generators co-simulate the structure under test (with its declared seed),
 so the emitted file is an ordinary static stream that reproduces the
@@ -24,8 +30,10 @@ adversarial interaction byte for byte.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -85,23 +93,16 @@ def render_stream(stream: Stream) -> str:
 
 
 def parse_stream(text: str) -> Stream:
+    head, _, body = text.partition("\n")
+    if head.splitlines() == [head]:  # the header is the text up to its first "\n"
+        header = _parse_header(head)
+        ops = _parse_blocks(body, header)
+        if ops is not None:
+            return Stream(header, ops)
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise StreamFormatError(1, "missing header line")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].lstrip("# ").split() if "=" in part
-    )
-    try:
-        header = StreamHeader(
-            n=int(fields["n"]),
-            delta=int(fields.get("delta", 0)),
-            W=float(fields.get("W", 1.0)),
-            mode=fields.get("mode", "cc"),
-        )
-    except (KeyError, ValueError) as exc:
-        raise StreamFormatError(1, f"bad header: {exc}") from exc
+    header = _parse_header(lines[0] if lines else "")
     n, W, mode = header.n, header.W, header.mode
-    ops: list[UpdateOp] = []
+    ops = []
     append, query, new = ops.append, UpdateOp("q"), tuple.__new__  # no NamedTuple frame
     for line_no, parts in enumerate(map(str.split, lines[1:]), start=2):
         if not parts:
@@ -127,6 +128,110 @@ def parse_stream(text: str) -> Stream:
     return Stream(header, ops)
 
 
+def _parse_header(line: str) -> StreamHeader:
+    """The header that a stream's first line ``line`` declares; a fault names line 1."""
+    if not line.startswith("#"):
+        raise StreamFormatError(1, "missing header line")
+    fields = dict(part.split("=", 1) for part in line.lstrip("# ").split() if "=" in part)
+    try:
+        return StreamHeader(
+            n=int(fields["n"]),
+            delta=int(fields.get("delta", 0)),
+            W=float(fields.get("W", 1.0)),
+            mode=fields.get("mode", "cc"),
+        )
+    except (KeyError, ValueError) as exc:
+        raise StreamFormatError(1, f"bad header: {exc}") from exc
+
+
+_BLOCK = 1 << 16  # bytes of whole lines per block: bounds the block path's arrays
+_DIGIT, _SPACE, _NEWLINE, _KIND, _WEIGHT = 1, 2, 3, 4, 5  # byte classes; 0 declines
+_CLASSES = np.zeros(256, dtype=np.uint8)
+_CLASSES[list(b"0123456789 \nidq")] = [_DIGIT] * 10 + [_SPACE, _NEWLINE] + [_KIND] * 3
+_WEIGHT_CLASSES = _CLASSES.copy()
+_WEIGHT_CLASSES[list(b".e+")] = _WEIGHT  # with digits, every repr of a float >= 1
+_KINDS_TO_SPACES = bytes.maketrans(b"idq", b"   ")
+
+
+def _parse_blocks(body: str, header: StreamHeader) -> list[UpdateOp] | None:
+    """The ops of the lines after the header, or None unless they are in
+    ``render_stream``'s layout and ``parse_stream``'s loop accepts each one.
+
+    The layout: ``i u v``, ``d u v`` and ``q`` lines (``i u v w`` too in msf
+    mode), each ended by ``"\\n"``, with single spaces and plain decimal vertex
+    ids.  The body is read in blocks of about ``_BLOCK`` bytes of whole lines.
+    ``np.fromstring`` reads a block's numbers (as float64 in msf mode, else
+    int64) with the parse of ``float`` or ``int``, and refuses a token that it
+    cannot read whole, which declines the body.  With ``n <= 2**53`` a vertex
+    is exact or, too long to be, out of range: int64 saturates.
+    """
+    n, W = header.n, header.W
+    weighted = header.mode == "msf"
+    if n > 2**53 or not body.isascii():
+        return None
+    classes, dtype = (_WEIGHT_CLASSES, np.float64) if weighted else (_CLASSES, np.int64)
+    ops: list[UpdateOp] = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _BLOCK) + 1 or len(body)
+        raw = body[start:end].encode("ascii")
+        start = end
+        byte = np.frombuffer(raw, dtype=np.uint8)
+        c = classes[byte]
+        if c[-1] != _NEWLINE or not c.all():
+            return None
+        space, newline = c == _SPACE, c == _NEWLINE
+        ends = np.flatnonzero(newline)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        gap = space | newline
+        # a kind letter opens each line and stands nowhere else, a space or the
+        # line's end follows it, and no token is empty
+        if ((c[starts] != _KIND).any() or np.count_nonzero(c == _KIND) != len(ends)
+                or not gap[starts + 1].all() or (gap[1:] & gap[:-1]).any()):
+            return None
+        spaces = np.flatnonzero(space)
+        before = np.searchsorted(spaces, ends)  # spaces before each line's end
+        counts = np.diff(before, prepend=0)  # numbers on each line
+        kind = byte[starts]
+        query, four = kind == ord("q"), counts == 3
+        arity = np.where(query, counts == 0, (counts == 2) | (four & (kind == ord("i")) & weighted))
+        if not arity.all():
+            return None
+        if weighted:  # weight bytes stand only in a line's fourth token
+            at = np.flatnonzero(c == _WEIGHT)
+            line_start_spaces = np.concatenate(([0], before))[np.searchsorted(ends, at)]
+            if (np.searchsorted(spaces, at) - line_start_spaces != 3).any():
+                return None
+        values = np.zeros(0, dtype)
+        if len(spaces):  # blank text reads as one value
+            with warnings.catch_warnings():  # an older numpy only warns at an unread token
+                warnings.simplefilter("error", DeprecationWarning)
+                try:
+                    values = np.fromstring(raw.translate(_KINDS_TO_SPACES), dtype, sep=" ")
+                except (DeprecationWarning, ValueError):
+                    return None
+        if len(values) != len(spaces):
+            return None
+        first = before - counts  # each line's first number
+        pair = ~query
+        u, v = values[first[pair]], values[first[pair] + 1]
+        if not ((u != v) & (u < n) & (v < n)).all():
+            return None
+        us = np.full(len(ends), -1)
+        vs = us.copy()
+        us[pair], vs[pair] = u, v
+        weights = repeat(1.0)
+        if weighted:
+            w = np.ones(len(ends))
+            w[four] = values[first[four] + 2]
+            if not ((w >= 1.0) & (w <= W)).all():
+                return None
+            weights = w.tolist()
+        ops += map(tuple.__new__, repeat(UpdateOp), zip(
+            kind.tobytes().decode("ascii"), us.tolist(), vs.tolist(), weights))
+    return ops
+
+
 def _misshapen(kind: str, arity: int, mode: str) -> str:
     """Why ``parse_stream`` refused a line with this first token and token count."""
     if kind == "q":
@@ -144,7 +249,7 @@ def write_stream(stream: Stream, path: str) -> None:
 
 
 def read_stream(path: str) -> Stream:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return parse_stream(f.read())
 
 

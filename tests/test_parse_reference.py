@@ -1,13 +1,19 @@
 """``streams.parse_stream`` against a reference: the earlier parser, kept here.
 
 The reference strips each line and checks its kind, arity, pair and weight in
-that order, raising at the first fault.  The one-pass parser must accept the
-same texts with equal ops, each a plain ``UpdateOp``, and reject the same
-texts with an equal ``StreamFormatError`` (line number and message).
+that order, raising at the first fault.  ``parse_stream`` reads a text in
+``render_stream``'s layout in numpy blocks and any other text line by line.
+Either way it must accept the same texts with equal ops (each a plain
+``UpdateOp`` with int vertices and a float weight of the same repr), and
+reject the same texts with an equal ``StreamFormatError`` (line number and
+message).  One strategy mixes irregular layouts.  The other keeps
+``render_stream``'s layout and varies the tokens, so that the block path meets
+what numpy might read unlike ``int`` and ``float``.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,11 +100,44 @@ stream_text = st.builds(
 )
 
 
+# render_stream's layout: "\n" endings and single spaces, with tokens that int,
+# float and numpy may read differently
+odd_vertices = ["-1", str(N), "007", "+1", "1_0", "\u0661", "1" * 20, "0" * 19 + "1"]
+odd_weights = ["2", "1e0", "1.5.", "1e", "1e+", ".", "+.5", "2.", "nan", "inf", "0.5"]
+canonical_vertex = st.integers(0, 4 * N + len(odd_vertices) - 1).map(
+    lambda i: str(i % N) if i < 4 * N else odd_vertices[i - 4 * N])
+canonical_weight = st.one_of(st.floats(1.0, W).map(repr), st.sampled_from(odd_weights))
+canonical_line = st.one_of(
+    st.tuples(st.sampled_from("id"), canonical_vertex, canonical_vertex),
+    st.tuples(st.just("i"), canonical_vertex, canonical_vertex, canonical_weight),
+    st.just(("q",)),
+).map(" ".join)
+canonical_text = st.builds(
+    lambda mode, lines: "".join(f"{line}\n" for line in [f"# n={N} delta=2 W={W!r} mode={mode}",
+                                                            *lines]),
+    st.sampled_from(["cc", "coloring", "msf"]),
+    st.lists(canonical_line, max_size=10),
+)
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
     except StreamFormatError as exc:
         return exc
+
+
+def _assert_same_outcome(text):
+    want, got = _outcome(reference_parse_stream, text), _outcome(streams.parse_stream, text)
+    if isinstance(want, StreamFormatError):
+        assert isinstance(got, StreamFormatError)
+        assert (got.line_no, str(got)) == (want.line_no, str(want))
+    else:
+        assert not isinstance(got, StreamFormatError), str(got)
+        assert got.header == want.header and got.ops == want.ops
+        assert [repr(op.w) for op in got.ops] == [repr(op.w) for op in want.ops]
+        assert all(type(op) is UpdateOp and type(op.u) is int and type(op.v) is int
+                   and type(op.w) is float for op in got.ops)
 
 
 @settings(max_examples=400, deadline=None)
@@ -110,11 +149,25 @@ def _outcome(parse, text):
 @example(f"# n={N} delta=2 W={W!r} mode=msf\ni 0 1 nan\n")
 @example(f"# n={N} delta=2 W={W!r} mode=msf\ni 0 1 0.5\n")
 def test_parse_stream_matches_the_reference_parser(text):
-    want, got = _outcome(reference_parse_stream, text), _outcome(streams.parse_stream, text)
-    if isinstance(want, StreamFormatError):
-        assert isinstance(got, StreamFormatError)
-        assert (got.line_no, str(got)) == (want.line_no, str(want))
-    else:
-        assert not isinstance(got, StreamFormatError), str(got)
-        assert got.header == want.header and got.ops == want.ops
-        assert all(type(op) is UpdateOp for op in got.ops)
+    _assert_same_outcome(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_text)
+@example(f"# n={N} delta=2 W={W!r} mode=msf\ni 0 1 2.5\ni 1 2 1.5.\n")
+@example(f"# n={N} delta=2 W={W!r} mode=cc\ni 0 {'1' * 20}\n")
+@example(f"# n={N} delta=2 W={W!r} mode=msf\nd {'0' * 19 + '1'} 007\ni 0 1 2.\n")
+@example(f"# n={10**20} delta=2 W={W!r} mode=cc\ni 0 {10**20 - 1}\n")
+@example(f"# n={N} delta=2 W={W!r} mode=cc\nq\nq\n")
+def test_parse_stream_matches_the_reference_parser_in_render_streams_layout(text):
+    _assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("mode", ["cc", "msf"])
+@pytest.mark.parametrize("late_line", ["i 2 2", "i 0 1 9.5", "# a comment", ""])
+def test_an_irregular_line_in_a_later_block_gives_the_references_result(mode, late_line):
+    lines = [f"# n={N} delta=2 W={W!r} mode={mode}", *["i 0 1", "d 0 1"] * 7000, "q"]
+    lines.insert(len(lines) - 2, late_line)
+    text = "".join(f"{line}\n" for line in lines)
+    assert len(text) > 65536 + 10000  # past the first block of the block path
+    _assert_same_outcome(text)

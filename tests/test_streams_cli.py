@@ -28,6 +28,8 @@ def test_round_trip_all_generators(tmp_path):
         back = streams.parse_stream(text)
         assert back.header == stream.header
         assert back.ops == stream.ops
+        # rendered text takes parse_stream's block path, not its per-line loop
+        assert streams._parse_blocks(text.partition("\n")[2], stream.header) == stream.ops
         path = tmp_path / "s.txt"
         streams.write_stream(stream, str(path))
         assert streams.read_stream(str(path)).ops == stream.ops
@@ -163,6 +165,15 @@ def test_parse_errors_carry_line_numbers():
         streams.parse_stream("# n=5 delta=0 W=2.0 mode=msf\ni 0 1 5.0\n")
 
 
+def test_read_stream_skips_a_byte_order_mark(tmp_path):
+    stream = streams.gen_random_churn(20, 60, 15, mode="cc", seed=1)
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + streams.render_stream(stream).encode("utf-8"))
+    assert streams.read_stream(str(path)).ops == stream.ops
+    assert _run_cli(["run", "--algo", "cc-exact", "--stream", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_parse_skips_blank_and_comment_lines():
     s = streams.parse_stream("# n=3 delta=0 W=1.0 mode=cc\n\n# comment\ni 0 1\nq\n")
     assert s.ops == [UpdateOp("i", 0, 1), UpdateOp("q")]
@@ -170,6 +181,11 @@ def test_parse_skips_blank_and_comment_lines():
 
 def _run_cli(argv):
     return cli.main(argv)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 @pytest.mark.parametrize(
@@ -193,7 +209,8 @@ def test_cli_gen_and_run_all_algorithms(tmp_path, algo, mode, extra_gen, extra_r
                    "--check-every", "20", "--seed", "1", "--out", out_path]
                   + extra_run)
     assert rc == 0
-    header = open(out_path).readline().strip()
+    with open(out_path) as f:
+        header = f.readline().strip()
     assert header == "step,op,estimate,exact,abs_err,allowed_err,work,nanos"
 
 
@@ -354,7 +371,7 @@ def test_cli_bench_work_column_reproducible(tmp_path):
     rc = _run_cli(["bench", "--algo", "coloring", "--stream", stream_path,
                    "--repeats", "3", "--seed", "4", "--out", out_path])
     assert rc == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     assert len(rows) == 3  # one row per repeat
     works = {(row["mean_work"], row["p99_work"], row["max_work"]) for row in rows}
     assert len(works) == 1  # equal seed -> identical work columns
@@ -382,8 +399,8 @@ def test_cli_bench_max_work_is_runs_largest_work(tmp_path):
     assert _run_cli(["run", *argv, "--check-every", "1",
                      "--out", str(tmp_path / "run.csv")]) == 0
     assert _run_cli(["bench", *argv, "--out", str(tmp_path / "bench.csv")]) == 0
-    works = sorted(int(row["work"]) for row in csv.DictReader(open(tmp_path / "run.csv")))
-    (bench,) = csv.DictReader(open(tmp_path / "bench.csv"))
+    works = sorted(int(row["work"]) for row in _csv_rows(tmp_path / "run.csv"))
+    (bench,) = _csv_rows(tmp_path / "bench.csv")
     assert len(works) == int(bench["ops"]) == 300
     assert int(bench["max_work"]) == works[-1] > works[0]
     assert int(bench["p99_work"]) == works[-(-99 * len(works) // 100) - 1]  # nearest rank
@@ -439,7 +456,7 @@ def test_cli_cc_random_duplicate_insert_and_absent_delete_are_noops(tmp_path):
     rc = _run_cli(["run", "--algo", "cc-random", "--stream", str(stream_path),
                    "--check-every", "1", "--out", str(out_path)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     # every update is a boundary here; the applied delete that empties the graph draws none
     assert [row["work"] for row in rows] == ["2952", "2952", "0", "2952", "0", "0"]
     assert rows[2]["estimate"] == rows[1]["estimate"]
@@ -457,7 +474,7 @@ def test_cli_msf_duplicate_insert_and_absent_delete_are_noops(tmp_path, algo):
     rc = _run_cli(["run", "--algo", algo, "--stream", str(stream_path),
                    "--check-every", "1", "--out", str(out_path)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     # msf-rand's work is samples: the applied delete that empties the graph draws none
     works = [True, True, False, True, algo == "msf-det", False]
     assert [row["work"] != "0" for row in rows] == works
@@ -491,7 +508,7 @@ def test_cli_msf_rand_work_counts_sampled_vertices(tmp_path, monkeypatch):
                      "--n", "12", "--ops", "40", "--seed", "3", "--out", stream_path]) == 0
     assert _run_cli(["run", "--algo", "msf-rand", "--stream", stream_path, "--eps", "0.8",
                      "--p", "0.2", "--check-every", "1", "--out", out_path]) == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     assert len(rows) == 40 and drawn
     assert sum(int(row["work"]) for row in rows) == sum(drawn)
 
@@ -509,7 +526,7 @@ def test_cli_msf_rand_tiny_graph_draws_no_vertex_one_by_one(tmp_path, monkeypatc
     out_path = tmp_path / "out.csv"
     assert _run_cli(["run", "--algo", "msf-rand", "--stream", str(stream_path),
                      "--check-every", "1", "--out", str(out_path)]) == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     assert [row["work"] for row in rows] == ["2712321", "2712321", "301369", "1205476"]
     # one component per level: every draw lands in the same size class
     assert [row["estimate"] for row in rows] == ["1.000000", "3.143589", "2.143589",
@@ -556,7 +573,7 @@ def test_cli_msf_det_work_counts_only_levels_the_update_hit(tmp_path):
     rc = _run_cli(["run", "--algo", "msf-det", "--eps", "0.5", "--stream", str(stream_path),
                    "--check-every", "1", "--out", str(out_path)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     # eps 0.5, W 2: thresholds 1, 1.25, 1.5625, 1.953125, 2; weight 2 admits only the top
     assert [row["work"] for row in rows] == ["10", "2"]
 
@@ -776,7 +793,7 @@ def test_cli_run_outputs_pinned(tmp_path, algo, gen_argv, run_argv, outputs, wor
                      "--out", stream_path]) == 0
     assert _run_cli(["run", "--algo", algo, "--stream", stream_path, "--check-every", "1",
                      "--out", out_path, *run_argv]) == 0
-    rows = list(csv.DictReader(open(out_path)))
+    rows = _csv_rows(out_path)
     assert len(rows) == 400
     out_rows = [[row[c] for c in cli.CSV_COLUMNS if c not in ("nanos", "work")]
                 for row in rows]
