@@ -4,13 +4,14 @@ Everything here recomputes from scratch on plain edge lists and is kept
 independent of the maintained structures.  ``exact_ncc`` has two routes
 (union-find and BFS) so the oracles can cross-check each other.
 Two offline passes answer every checkpoint of a whole update stream at
-once: ``small_component_counts`` (a segment tree over the checkpoint steps
-and a union-find with rollback) gives ``dyngraph run`` its cc-exact and
-cc-random checkpoint values, and ``msf_weights`` (Eppstein's divide and
-conquer over the checkpoint steps) its msf-det and msf-rand ones.  The
-``fast_*`` helpers are vectorized equivalents that check one graph at a
-time: ``SmallCcCounter``'s starting labels and the adaptive stream
-generator (the randomized estimators start from ``cc_random._label_levels``).
+once, with one recursion that halves the checkpoint steps over ``_spans``,
+the stretches of each edge's life: ``small_component_counts`` (a
+union-find with rollback) gives ``dyngraph run`` its cc-exact and cc-random
+checkpoint values, and ``msf_weights`` (Eppstein's offline dynamic MSF) its
+msf-det and msf-rand ones.  The ``fast_*`` helpers are vectorized
+equivalents that check one graph at a time: ``SmallCcCounter``'s starting
+labels and the adaptive stream generator (the randomized estimators start
+from ``cc_random._label_levels``).
 Their labels come from a numpy kernel, ``hook_and_jump``, which
 ``cc_random._label_levels`` also runs on nested graphs, each level started
 from the flat labels of the one below; each of its rounds pointer-jumps
@@ -24,6 +25,7 @@ pure routes in the tests.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 
 import numpy as np
 
@@ -142,58 +144,66 @@ def is_proper_coloring(edges: list[Edge], colors, delta: int) -> bool:
     return all(colors[u] != colors[v] for u, v in edges)
 
 
-def small_component_counts(n: int, ops, k: int, steps) -> dict[int, int]:
-    """Number of components of size at most k after each of ``steps`` updates.
+def _spans(ops, leaves) -> list[tuple[int, int, float, int, int]]:
+    """One ``(u, v, w, a, b)`` per stretch of an edge's life, present at ``leaves[a:b]``.
 
-    Offline dynamic connectivity over the whole op list.  Step s is the graph
-    after the first s updates (``q`` ops are skipped); a duplicate insert and
-    an absent delete are no-ops, as in ``DynamicGraph``.  An edge lives over
-    the steps [insert, delete), and that range of the sorted distinct
-    ``steps`` is split over the O(log L) nodes of a segment tree on those L
-    leaves.  A depth-first walk applies a node's unions to a union-by-size
-    union-find without path compression, so each union is undone by
-    resetting one parent, and rolls them back on the way out; at a leaf the
-    running count is that step's answer.  O((m log L + L) log n) for m edge
-    lifetimes.  With k >= n the count is the component count.
+    ``leaves`` are sorted distinct steps; step s is the graph after the first
+    s updates.  The step rules of both offline passes, as in ``DynamicGraph``:
+    a ``q`` op is not an update, a duplicate insert is a no-op that keeps the
+    first weight, and an absent delete is a no-op.  A reinserted edge starts
+    another stretch, with its own weight.  A stretch that no leaf sees is
+    dropped, so 0 <= a < b <= len(leaves).
     """
-    leaves = sorted(set(steps))
-    lifetimes: list[tuple[Edge, int, int]] = []  # (edge, first step, first step without it)
-    born: dict[Edge, int] = {}
+    spans = []
+    born: dict[Edge, tuple[float, int]] = {}  # live edge -> (weight, first leaf that sees it)
     step = 0
     for op in ops:
         if op.kind == "q":
             continue
         step += 1
+        at = bisect_left(leaves, step)  # the first leaf that sees this update
         edge = (op.u, op.v) if op.u < op.v else (op.v, op.u)
         if op.kind == "i":
-            born.setdefault(edge, step)
+            born.setdefault(edge, (op.w, at))
         elif edge in born:
-            lifetimes.append((edge, born.pop(edge), step))
-    end = max([step, *leaves]) + 1
-    lifetimes += [(edge, first, end) for edge, first in born.items()]
+            w, a = born.pop(edge)
+            if a < at:
+                spans.append((*edge, w, a, at))
+    end = len(leaves)
+    spans += [(*edge, w, a, end) for edge, (w, a) in born.items() if a < end]
+    return spans
 
-    size = 1 << max(0, len(leaves) - 1).bit_length()
-    node_edges: list[list[Edge]] = [[] for _ in range(2 * size)]
-    for edge, first, stop in lifetimes:
-        lo = bisect_left(leaves, first) + size
-        hi = bisect_left(leaves, stop) + size
-        while lo < hi:
-            if lo & 1:
-                node_edges[lo].append(edge)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                node_edges[hi].append(edge)
-            lo >>= 1
-            hi >>= 1
 
+def small_component_counts(n: int, ops, k: int, steps) -> dict[int, int]:
+    """Number of components of size at most k after each of ``steps`` updates.
+
+    Offline dynamic connectivity over ``_spans``.  The recursion halves the
+    sorted distinct ``steps``; at each node a span that covers all of the
+    node's steps is unioned, and any other is handed on to the halves it
+    reaches into.  The union-find is by size without path compression, so
+    each union is undone by resetting one parent, and the node rolls its
+    unions back on the way out; at a leaf the running count is that step's
+    answer.  A span reaches at most four nodes of each level, so over L
+    leaves this is O((m log L + L) log n) for m spans.  With k >= n the count
+    is the component count.
+    """
+    leaves = sorted(set(steps))
     parent = list(range(n))
     comp_size = [1] * n
     out: dict[int, int] = {}
 
-    def walk(node: int, first_leaf: int, width: int, count: int) -> None:
+    def walk(lo: int, hi: int, spans, count: int) -> None:
+        mid = (lo + hi) >> 1
+        left, right = [], []
         absorbed = []  # roots this node hung below another, in union order
-        for u, v in node_edges[node]:
+        for span in spans:
+            u, v, _, a, b = span
+            if a > lo or b < hi:
+                if a < mid:
+                    left.append(span)
+                if b > mid:
+                    right.append(span)
+                continue
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
@@ -207,96 +217,75 @@ def small_component_counts(n: int, ops, k: int, steps) -> dict[int, int]:
             parent[v] = u
             comp_size[u] = su + sv
             absorbed.append(v)
-        if width == 1:
-            out[leaves[first_leaf]] = count
+        if hi - lo == 1:
+            out[leaves[lo]] = count
         else:
-            half = width >> 1
-            walk(2 * node, first_leaf, half, count)
-            if first_leaf + half < len(leaves):
-                walk(2 * node + 1, first_leaf + half, half, count)
+            walk(lo, mid, left, count)
+            walk(mid, hi, right, count)
         for v in reversed(absorbed):
             comp_size[parent[v]] -= comp_size[v]
             parent[v] = v
 
     if leaves:
-        walk(1, 0, size, n if k >= 1 else 0)
+        walk(0, len(leaves), _spans(ops, leaves), n if k >= 1 else 0)
     return out
 
 
 def msf_weights(n: int, ops, steps) -> dict[int, float]:
     """Minimum spanning forest weight after each of ``steps`` updates.
 
-    Offline dynamic MSF (D. Eppstein, J. Algorithms 17, 1994) with the step
-    rules of ``small_component_counts``; a duplicate insert keeps the first
-    weight.  Each edge key is one slot whose weight is +inf while the edge is
-    absent.  The recursion halves the sorted distinct ``steps``; a node's
-    dynamic edges change weight between two of its steps, its static ones
-    do not.  Kruskal with the dynamic edges taken first finds the static
-    edges that every MSF of the node uses: they are contracted into its base
-    weight.  Kruskal on the other static edges alone finds those that none
-    uses: they are dropped, as is every absent static edge.  Relabelling only
-    the vertices a remaining edge touches keeps a node's graph O(its dynamic
-    edges).  A leaf has no dynamic edge, so its base is the answer.
+    Offline dynamic MSF (D. Eppstein, J. Algorithms 17, 1994) over
+    ``_spans``, with the recursion of ``small_component_counts``: at each
+    node a span that covers all of the node's steps is static, and any
+    other is dynamic and handed on to the halves it reaches into.  Kruskal
+    with the dynamic spans taken first finds the static ones that every
+    MSF of the node uses: they are contracted into its base weight.
+    Kruskal on the other static spans alone finds those that none uses:
+    they are dropped, and the rest go on to both halves.  Relabelling only
+    the vertices a span touches keeps a node's graph O(its dynamic spans).
+    A leaf has no dynamic span, so its base is the answer.
     """
     leaves = sorted(set(steps))
-    inf = float("inf")
-    key_of: dict[Edge, int] = {}
-    changes: list[dict[int, float]] = [{} for _ in leaves]  # key -> weight, since the leaf before
-    live: dict[Edge, float] = {}
-    step = 0
-    for op in ops:
-        if op.kind == "q":
-            continue
-        step += 1
-        leaf = bisect_left(leaves, step)  # the first leaf that sees this update
-        if leaf == len(leaves):
-            break
-        edge = (op.u, op.v) if op.u < op.v else (op.v, op.u)
-        if op.kind == "i" and edge not in live:
-            live[edge] = op.w
-        elif op.kind == "d" and edge in live:
-            del live[edge]
-        else:
-            continue  # a duplicate insert or an absent delete
-        changes[leaf][key_of.setdefault(edge, len(key_of))] = live.get(edge, inf)
-    weight = [inf] * len(key_of)  # each key's weight at the leaf the walk is at
     out: dict[int, float] = {}
 
-    def solve(lo: int, hi: int, edges: list[tuple[int, int, int]], base: float) -> None:
-        for key, w in changes[lo].items():  # a no-op on a left child
-            weight[key] = w
+    def solve(lo: int, hi: int, spans, base: float) -> None:
         ids: dict[int, int] = {}
-        edges = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)), key)
-                 for a, b, key in edges]
-        dynamic = set().union(*changes[lo + 1:hi])
-        static = sorted((e for e in edges if e[2] not in dynamic and weight[e[2]] < inf),
-                        key=lambda e: weight[e[2]])
+        spans = [(ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), w, a, b)
+                 for u, v, w, a, b in spans]
         joined, contracted = _UnionFind(len(ids)), _UnionFind(len(ids))
-        for a, b, key in edges:
-            if key in dynamic:
-                joined.union(a, b)
-        rest = []
-        for a, b, key in static:
-            if joined.union(a, b):
-                contracted.union(a, b)
-                base += weight[key]
+        static, dynamic = [], []
+        for span in spans:
+            if span[3] > lo or span[4] < hi:
+                dynamic.append(span)
+                joined.union(span[0], span[1])
             else:
-                rest.append((a, b, key))
+                static.append(span)
+        rest = []
+        for span in sorted(static, key=itemgetter(2)):
+            if joined.union(span[0], span[1]):
+                contracted.union(span[0], span[1])
+                base += span[2]
+            else:
+                rest.append(span)
         if hi - lo == 1:
             out[leaves[lo]] = base
             return
         label = [contracted.find(x) for x in range(len(ids))]
-        kept = [(label[a], label[b], key) for a, b, key in edges if key in dynamic]
         forest = _UnionFind(len(ids))
-        for a, b, key in rest:
-            if forest.union(label[a], label[b]):
-                kept.append((label[a], label[b], key))
-        mid = (lo + hi) // 2
-        solve(lo, mid, kept, base)
-        solve(mid, hi, kept, base)
+        kept = dynamic + [s for s in rest if forest.union(label[s[0]], label[s[1]])]
+        mid = (lo + hi) >> 1
+        left, right = [], []
+        for u, v, w, a, b in kept:
+            span = (label[u], label[v], w, a, b)
+            if a < mid:
+                left.append(span)
+            if b > mid:
+                right.append(span)
+        solve(lo, mid, left, base)
+        solve(mid, hi, right, base)
 
     if leaves:
-        solve(0, len(leaves), [(u, v, key) for (u, v), key in key_of.items()], 0.0)
+        solve(0, len(leaves), _spans(ops, leaves), 0.0)
     return out
 
 

@@ -145,6 +145,17 @@ def test_delta_bound_violation_rejected():
     assert not c.has_edge(0, 3)
 
 
+def test_delta_bound_names_the_second_endpoint_and_changes_nothing():
+    c = Coloring(5, 2, seed=1)
+    c.insert(0, 1)
+    c.insert(0, 2)
+    before = _snapshot(c), c.setcolor_calls
+    with pytest.raises(DeltaBoundError, match=r"^degree of 0 would exceed delta=2$"):
+        c.insert(3, 0)  # only the second endpoint is at delta
+    assert (_snapshot(c), c.setcolor_calls) == before
+    assert not c.has_edge(3, 0)
+
+
 def test_self_loop_rejected():
     c = Coloring(3, 2, seed=0)
     with pytest.raises(ValueError):

@@ -144,12 +144,13 @@ def test_small_component_counts_match_exact_after_every_step(case):
         edge = (min(op.u, op.v), max(op.u, op.v))
         (live.add if op.kind == "i" else live.discard)(edge)
         graphs.append(sorted(live))
-    steps = range(len(graphs))
+    steps = range(len(graphs) + 2)  # the last two steps are past the end
+    at = [graphs[min(s, len(graphs) - 1)] for s in steps]
     for k in (1, 2, n):
         assert oracles.small_component_counts(n, ops, k, steps) == {
-            s: oracles.exact_nscc(edges, n, k) for s, edges in enumerate(graphs)}
+            s: oracles.exact_nscc(edges, n, k) for s, edges in enumerate(at)}
     assert oracles.small_component_counts(n, ops, n, steps) == {
-        s: oracles.exact_ncc(edges, n) for s, edges in enumerate(graphs)}
+        s: oracles.exact_ncc(edges, n) for s, edges in enumerate(at)}
 
 
 def test_small_component_counts_cases():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from dyngraph import cc_random, cli, streams
+from dyngraph.coloring import InvariantError
 from dyngraph.graph_core import UpdateOp
 from dyngraph.nonzero_sampler import NonZeroSampler
 
@@ -231,6 +232,37 @@ def test_cli_exit_code_one_on_guarantee_violation(tmp_path, monkeypatch, capsys)
                    "--eps", "0.5", "--check-every", "10"])
     assert rc == 1
     assert "guarantee violation at step 10: " in capsys.readouterr().err
+
+
+def test_cli_coloring_run_on_a_cc_stream_exits_two_naming_the_rule(tmp_path, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\ni 0 1\n")
+    assert _run_cli(["run", "--algo", "coloring", "--stream", str(stream_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: coloring run needs a coloring-mode stream with delta>=1\n")
+
+
+def test_cli_run_exits_one_on_an_invariant_error(tmp_path, monkeypatch, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=1.0 mode=cc\ni 0 1\ni 1 2\n")
+
+    def broken(self, u, v):
+        raise InvariantError(f"books out of step at ({u}, {v})")
+
+    monkeypatch.setattr(cli.SmallCcCounter, "on_insert", broken)
+    assert _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path)]) == 1
+    assert capsys.readouterr().err == "invariant violation: books out of step at (0, 1)\n"
+
+
+def test_cli_msf_det_estimate_outside_one_plus_minus_eps_exits_one(tmp_path, monkeypatch, capsys):
+    stream_path = tmp_path / "s.txt"
+    stream_path.write_text("# n=3 delta=0 W=2.0 mode=msf\ni 0 1 2.0\ni 1 2 1.0\n")
+    # 3.0 against an exact 2.0: outside (1 +- 0.2) * 2.0
+    monkeypatch.setattr(cli.DeterministicMsfEstimator, "estimate", lambda self: 3.0)
+    assert _run_cli(["run", "--algo", "msf-det", "--stream", str(stream_path),
+                     "--eps", "0.2", "--check-every", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "guarantee violation at step 1: estimate 3.0 outside (1+-eps) of 2.0\n")
 
 
 def _force_colors_after_each_insert(monkeypatch, forced: dict[int, int]):
