@@ -147,6 +147,8 @@ class _Replay:
             update(*args)
         except ValueError as exc:
             raise ValueError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
+        except InvariantError as exc:
+            raise InvariantError(f"step {step} ({op.kind} {op.u} {op.v}): {exc}") from exc
         nanos = clock() - t0
         return work() - before, nanos
 

@@ -12,9 +12,10 @@ Weights appear only in msf mode; unweighted insertions carry weight 1.  Blank
 lines and lines whose first token starts with ``#`` are skipped, any
 whitespace may separate tokens, and lines may end in CRLF.
 ``StreamHeader`` checks the header (n >= 0, delta >= 0, a known mode,
-1 <= W < inf).  ``parse_stream`` reads a body in ``render_stream``'s exact
-layout (the lines above with single spaces, ``"\\n"`` endings and plain
-decimal vertex ids, every pair and weight valid) in numpy blocks.  Any other
+1 <= W < inf).  ``parse_stream`` reads a body in exactly ``render_stream``'s
+layout, as one regular expression per mode states it (the lines above with
+single spaces, ``"\\n"`` endings and plain decimal numbers, every msf insert
+with its weight, every pair and weight valid), in numpy blocks.  Any other
 body goes to one pass that splits one line at a time.  Its first branch
 accepts a well-formed line (``i``/``d`` with a pair, a weighted ``i`` in msf
 mode, or ``q``), checking the pair (``check_edge``'s rule) and weight inline;
@@ -30,7 +31,7 @@ adversarial interaction byte for byte.
 from __future__ import annotations
 
 import math
-import warnings
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -145,11 +146,9 @@ def _parse_header(line: str) -> StreamHeader:
 
 
 _BLOCK = 1 << 16  # bytes of whole lines per block: bounds the block path's arrays
-_DIGIT, _SPACE, _NEWLINE, _KIND, _WEIGHT = 1, 2, 3, 4, 5  # byte classes; 0 declines
-_CLASSES = np.zeros(256, dtype=np.uint8)
-_CLASSES[list(b"0123456789 \nidq")] = [_DIGIT] * 10 + [_SPACE, _NEWLINE] + [_KIND] * 3
-_WEIGHT_CLASSES = _CLASSES.copy()
-_WEIGHT_CLASSES[list(b".e+")] = _WEIGHT  # with digits, every repr of a float >= 1
+_LAYOUT = re.compile(rb"(?:[id] [0-9]++ [0-9]++\n|q\n)*+")  # render_stream's lines
+_WEIGHTED_LAYOUT = re.compile(  # each insert with its weight: a finite float's repr
+    rb"(?:i [0-9]++ [0-9]++ [0-9]++(?:\.[0-9]++)?+(?:e\+[0-9]++)?+\n|d [0-9]++ [0-9]++\n|q\n)*+")
 _KINDS_TO_SPACES = bytes.maketrans(b"idq", b"   ")
 
 
@@ -157,72 +156,44 @@ def _parse_blocks(body: str, header: StreamHeader) -> list[UpdateOp] | None:
     """The ops of the lines after the header, or None unless they are in
     ``render_stream``'s layout and ``parse_stream``'s loop accepts each one.
 
-    The layout: ``i u v``, ``d u v`` and ``q`` lines (``i u v w`` too in msf
-    mode), each ended by ``"\\n"``, with single spaces and plain decimal vertex
-    ids.  The body is read in blocks of about ``_BLOCK`` bytes of whole lines.
-    ``np.fromstring`` reads a block's numbers (as float64 in msf mode, else
-    int64) with the parse of ``float`` or ``int``, and refuses a token that it
-    cannot read whole, which declines the body.  With ``n <= 2**53`` a vertex
-    is exact or, too long to be, out of range: int64 saturates.
+    The layout is what ``_LAYOUT`` states: ``i u v``, ``d u v`` and ``q``
+    lines, each ended by ``"\\n"``, with single spaces and plain decimal
+    vertex ids; in msf mode (``_WEIGHTED_LAYOUT``) every ``i`` line carries its
+    weight.  The body is read in blocks of about ``_BLOCK`` bytes of whole
+    lines.  ``np.fromstring`` reads a block's numbers (as float64 in msf mode,
+    else int64) with the parse of ``float`` or ``int``.  With ``n <= 2**53`` a
+    vertex is exact or, too long to be, out of range: int64 saturates.
     """
     n, W = header.n, header.W
     weighted = header.mode == "msf"
     if n > 2**53 or not body.isascii():
         return None
-    classes, dtype = (_WEIGHT_CLASSES, np.float64) if weighted else (_CLASSES, np.int64)
+    layout, dtype = (_WEIGHTED_LAYOUT, np.float64) if weighted else (_LAYOUT, np.int64)
     ops: list[UpdateOp] = []
     start = 0
     while start < len(body):
         end = body.find("\n", start + _BLOCK) + 1 or len(body)
         raw = body[start:end].encode("ascii")
         start = end
+        if not layout.fullmatch(raw):
+            return None
         byte = np.frombuffer(raw, dtype=np.uint8)
-        c = classes[byte]
-        if c[-1] != _NEWLINE or not c.all():
-            return None
-        space, newline = c == _SPACE, c == _NEWLINE
-        ends = np.flatnonzero(newline)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        gap = space | newline
-        # a kind letter opens each line and stands nowhere else, a space or the
-        # line's end follows it, and no token is empty
-        if ((c[starts] != _KIND).any() or np.count_nonzero(c == _KIND) != len(ends)
-                or not gap[starts + 1].all() or (gap[1:] & gap[:-1]).any()):
-            return None
-        spaces = np.flatnonzero(space)
-        before = np.searchsorted(spaces, ends)  # spaces before each line's end
-        counts = np.diff(before, prepend=0)  # numbers on each line
-        kind = byte[starts]
-        query, four = kind == ord("q"), counts == 3
-        arity = np.where(query, counts == 0, (counts == 2) | (four & (kind == ord("i")) & weighted))
-        if not arity.all():
-            return None
-        if weighted:  # weight bytes stand only in a line's fourth token
-            at = np.flatnonzero(c == _WEIGHT)
-            line_start_spaces = np.concatenate(([0], before))[np.searchsorted(ends, at)]
-            if (np.searchsorted(spaces, at) - line_start_spaces != 3).any():
-                return None
-        values = np.zeros(0, dtype)
-        if len(spaces):  # blank text reads as one value
-            with warnings.catch_warnings():  # an older numpy only warns at an unread token
-                warnings.simplefilter("error", DeprecationWarning)
-                try:
-                    values = np.fromstring(raw.translate(_KINDS_TO_SPACES), dtype, sep=" ")
-                except (DeprecationWarning, ValueError):
-                    return None
-        if len(values) != len(spaces):
-            return None
-        first = before - counts  # each line's first number
-        pair = ~query
+        ends = np.flatnonzero(byte == ord("\n"))
+        kind = byte[np.concatenate(([0], ends[:-1] + 1))]  # each line's first byte
+        pair = kind != ord("q")
+        four = (kind == ord("i")) & weighted
+        counts = 2 * pair + four  # numbers on each line
+        first = np.cumsum(counts) - counts  # each line's first number
+        values = np.fromstring(raw.translate(_KINDS_TO_SPACES), dtype, sep=" ")
         u, v = values[first[pair]], values[first[pair] + 1]
         if not ((u != v) & (u < n) & (v < n)).all():
             return None
-        us = np.full(len(ends), -1)
+        us = np.full(len(kind), -1)
         vs = us.copy()
         us[pair], vs[pair] = u, v
         weights = repeat(1.0)
         if weighted:
-            w = np.ones(len(ends))
+            w = np.ones(len(kind))
             w[four] = values[first[four] + 2]
             if not ((w >= 1.0) & (w <= W)).all():
                 return None

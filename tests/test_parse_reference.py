@@ -159,8 +159,19 @@ def test_parse_stream_matches_the_reference_parser(text):
 @example(f"# n={N} delta=2 W={W!r} mode=msf\nd {'0' * 19 + '1'} 007\ni 0 1 2.\n")
 @example(f"# n={10**20} delta=2 W={W!r} mode=cc\ni 0 {10**20 - 1}\n")
 @example(f"# n={N} delta=2 W={W!r} mode=cc\nq\nq\n")
+@example(f"# n={N} delta=2 W={W!r} mode=msf\ni 0 1 2.5\ni 1 2\nq\n")  # an insert without weight
 def test_parse_stream_matches_the_reference_parser_in_render_streams_layout(text):
     _assert_same_outcome(text)
+
+
+def test_weights_with_an_exponent_take_the_block_path():
+    header = StreamHeader(n=N, delta=2, W=1e300, mode="msf")
+    weights = [1e16, 1.5e200, 12345678901234567.0]
+    text = streams.render_stream(Stream(header, [UpdateOp("i", 0, i + 1, w)
+                                                 for i, w in enumerate(weights)]))
+    assert "e+" in text
+    ops = streams._parse_blocks(text.partition("\n")[2], header)
+    assert ops is not None and ops == reference_parse_stream(text).ops
 
 
 @pytest.mark.parametrize("mode", ["cc", "msf"])

@@ -251,7 +251,8 @@ def test_cli_run_exits_one_on_an_invariant_error(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli.SmallCcCounter, "on_insert", broken)
     assert _run_cli(["run", "--algo", "cc-exact", "--stream", str(stream_path)]) == 1
-    assert capsys.readouterr().err == "invariant violation: books out of step at (0, 1)\n"
+    assert capsys.readouterr().err == (
+        "invariant violation: step 1 (i 0 1): books out of step at (0, 1)\n")
 
 
 def test_cli_msf_det_estimate_outside_one_plus_minus_eps_exits_one(tmp_path, monkeypatch, capsys):
