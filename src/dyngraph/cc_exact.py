@@ -9,11 +9,12 @@ Beside the count, the counter keeps one flag per vertex, set iff the
 vertex's component has more than k vertices, so that only a delete in a
 large component runs a BFS that can hit the cap (``SmallCcCounter``).
 
-Counters of nested graphs G_i ⊆ G_j with one k (the MSF threshold levels)
-can share what G_i's counter found: the counter of G_j takes the counter of
-G_i, which has just applied the same update (u, v), as ``below``.  Every
-graph here is taken without (u, v), and a component of G_i lies inside a
-component of G_j, so for i < j:
+Counters of nested graphs G_i ⊆ G_j with one k (the MSF threshold levels) can
+share what G_i's counter found: the counter of G_j takes the counter of G_i,
+which has just applied the same update (u, v), as ``below``, or at a delete's
+first level the level under it, which never held (u, v), with its stale
+``_connected`` cleared.  Every graph here is taken without (u, v), and a
+component of G_i lies inside a component of G_j, so for i < j:
 
 1. u and v connected in G_i => connected in G_j: the update changes no
    count or flag of G_j, with no BFS.
@@ -27,10 +28,10 @@ component of G_j, so for i < j:
 
 The flags answer facts 2-3 at every level: an insert reads G_j's own flags,
 which still describe G_j without (u, v), and a delete reads ``below``'s,
-which it has just brought up to date for G_i without (u, v).  Only facts 1
-and 4 still pass up: ``below`` says whether it found u and v connected, and
-a delete in a large component of G_j runs fact 4's one BFS when ``below``
-flags exactly one endpoint large.
+which it has just brought up to date for G_i without (u, v), or which the
+update never touched.  Only facts 1 and 4 still pass up: ``below`` says
+whether it found u and v connected, and a delete in a large component of G_j
+runs fact 4's one BFS when ``below`` flags exactly one endpoint large.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ class SmallCcCounter:
     vertices.  A delete in a small component runs one closed BFS from u; in
     a large one, a capped BFS from u and, unless it reaches v, one from v,
     and each side that closes at <= k vertices is flagged small.  Given
-    ``below`` (a counter with the same k on a subgraph, that has just
-    applied the same update), ``_join`` and ``_split`` start from what it
-    found (the module docstring's facts 1-4).  ``bfs_calls`` counts every
-    capped BFS run since construction.
+    ``below`` (a counter with the same k on a subgraph without the edge,
+    that has just applied the same update or has ``_connected`` False),
+    ``_join`` and ``_split`` start from what it found (the module
+    docstring's facts 1-4).  ``bfs_calls`` counts every capped BFS run since
+    construction.
     """
 
     def __init__(self, graph: DynamicGraph, eps: float, keys=None, level=0, labels=None):
@@ -119,7 +121,7 @@ class SmallCcCounter:
             self._connected = True
             return  # connected below, so here too: the edge closes a cycle
         s_u, _ = g.bfs_limited(u, cap, self._keys, self._level)
-        if g.bfs_reached(v):
+        if g._mark[v] == g._epoch:
             self.bfs_calls += 1
             self._connected = True
             return  # one small component: the edge closes a cycle
@@ -145,7 +147,7 @@ class SmallCcCounter:
             # closes: the component has at most k vertices
             g.bfs_limited(u, cap, self._keys, self._level)
             self.bfs_calls += 1
-            self._connected = g.bfs_reached(v)
+            self._connected = g._mark[v] == g._epoch
             if not self._connected:
                 self.c_bar += 1  # one small component splits into two
             return
@@ -163,7 +165,7 @@ class SmallCcCounter:
                         large[x] = 0
                 return
         s_u, _ = g.bfs_limited(u, cap, self._keys, self._level)
-        if g.bfs_reached(v):
+        if g._mark[v] == g._epoch:
             self.bfs_calls += 1
             self._connected = True
             return  # still one large component

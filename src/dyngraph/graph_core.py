@@ -82,7 +82,8 @@ class DynamicGraph:
 
     def bfs_reached(self, x: int) -> bool:
         """Whether the last ``bfs_limited`` call discovered ``x``."""
-        check_vertex(x, self.n)
+        if not 0 <= x < self.n:
+            raise ValueError(f"vertex out of range: {x} for n={self.n}")
         return self._mark[x] == self._epoch
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -183,7 +184,8 @@ class DynamicGraph:
         key is below ``(level + 1) * n``, so x's neighbours in (level, id)
         order, and no entry above its level.
         """
-        check_vertex(start, self.n)
+        if not 0 <= start < self.n:  # check_vertex's rule, inline: a call per BFS saved
+            raise ValueError(f"vertex out of range: {start} for n={self.n}")
         if vertex_cap < 1:
             raise ValueError("vertex_cap must be >= 1")
         epoch = self._epoch = self._epoch + 1

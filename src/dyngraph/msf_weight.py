@@ -17,8 +17,10 @@ It walks the hit levels bottom-up and hands each level the counter below it,
 whose findings in G_i without (u, v) spare BFS calls in the levels G_j above
 (the four facts of ``cc_exact``): an insert reads facts 2-4 off G_j's own
 flags, so only fact 1 (u and v connected in G_i) passes up; a delete in a
-large component of G_j reads them off G_i's updated flags.  Its error is
-derived: level i's counter misses only the L_i components of G_i with more
+large component of G_j reads them off G_i's updated flags.  A delete's first
+level f > 0 reads level f - 1's flags too, as G_{f-1} never holds (u, v), but
+not its stale ``_connected``, which the walk clears.  The error is derived:
+level i's counter misses only the L_i components of G_i with more
 than k vertices, each spanning k or more forest edges of weight >= 1, and
 G_i's forest is no larger than G's MSF, so L_i <= M/k.  The estimate
 X + top*L_r - sum(lambda_i*L_i) is then within [1 - (top - 1)/k,
@@ -143,8 +145,10 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
     k = ceil(2*top/eps), the module docstring's bound.  An update runs each
     level's half of a ``SmallCcCounter`` update, from the first level that
     admits (insert) or holds (delete) the edge up, before the store takes the
-    edge or after it drops it: at most two BFS per level, and none once u
-    and v are connected in a level below.
+    edge or after it drops it: at most two BFS per level, none once u and v
+    are connected in a level below, and at a delete's first level none if the
+    level below, which never holds the edge, flags both endpoints large, one
+    if it flags one.
     """
 
     def __init__(self, n: int, eps: float, W: float,
@@ -191,7 +195,9 @@ class DeterministicMsfEstimator(_MsfEstimatorBase):
 
     def _walk(self, update, first: int, u: int, v: int) -> None:
         """Apply ``update`` to each level from ``first`` up, handing it the level below."""
-        below = None
+        below = self.levels[first - 1] if first else None  # lacks (u, v) too
+        if below is not None:
+            below._connected = False  # of an older update
         for level in self.levels[first:]:
             update(level, u, v, below)
             below = level

@@ -279,10 +279,12 @@ def _bfs_per_level(levels, update):
     (30, 0.8, 2.0, 1), (40, 0.5, 3.0, 2), (25, 0.9, 4.0, 3), (60, 0.6, 1.5, 4),
 ])
 def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
-    # every level's count against the oracle after every update, and the BFS
-    # calls against the same levels run one by one with the lone-counter rule,
-    # each lone counter on a graph of its own.  The store's BFS work per update
-    # stays within the worst case: at most two capped BFS of k + 1 vertices per level
+    # every level's count and large flags against the oracle after every update
+    # (a delete's first level reads the flags of the level below, which the
+    # update never touched), and the BFS calls against the same levels run one
+    # by one with the lone-counter rule, each lone counter on a graph of its
+    # own.  The store's BFS work per update stays within the worst case: at
+    # most two capped BFS of k + 1 vertices per level
     est = DeterministicMsfEstimator(n, eps, W)
     k = est.levels[0].k
     ref = [SmallCcCounter(DynamicGraph(n), 1 / k) for _ in est.levels]
@@ -327,7 +329,10 @@ def test_deterministic_nested_walk_fuzz(n, eps, W, seed):
         nested_total += sum(calls)
         ref_total += sum(ref_calls)
         for i, (level, other) in enumerate(zip(est.levels, ref)):
-            assert level.estimate() == other.estimate() == fast_nscc(*_level_view(est, i), n, k)
+            eu, ev = _level_view(est, i)
+            assert level.estimate() == other.estimate() == fast_nscc(eu, ev, n, k)
+            assert list(level.large) == list(other.large) == \
+                (fast_component_sizes(eu, ev, n) > k).tolist()
         assert est.estimate() == combine(est.config, [other.estimate() for other in ref], n)
     assert nested_total < ref_total
 
@@ -459,6 +464,29 @@ def test_deterministic_one_large_endpoint_takes_one_bfs_per_level():
     _check_counts(est)
     assert _bfs_per_level(est.levels, lambda: est.delete(0, 20)) == [2, 1, 1, 0]
     assert [level.estimate() for level in est.levels] == before
+    _check_counts(est)
+
+
+def test_deterministic_delete_both_large_below_its_first_level_takes_no_bfs():
+    # (5, 12) first enters level 1 and joins two 8-vertex paths of level 0.  Level
+    # 0 never holds it, so its flags, both endpoints large, already say that both
+    # sides stay large at every level
+    est = _nested_levels(_path(0, 8, 1.0) + _path(8, 8, 1.0) + [(5, 12, 1.4)])
+    before = [level.estimate() for level in est.levels]
+    assert _bfs_per_level(est.levels, lambda: est.delete(5, 12)) == [0, 0, 0, 0]
+    assert [level.estimate() for level in est.levels] == before
+    _check_counts(est)
+
+
+def test_deterministic_delete_one_large_below_its_first_level_takes_one_bfs():
+    # (0, 20) first enters level 1 and joins u = 0's 8-vertex path to v = 20's
+    # 3-vertex path of weight 1.4.  Level 0 flags u large and v small, so level 1
+    # runs one closed BFS from v, and so does each level above
+    est = _nested_levels(_path(0, 8, 1.0) + _path(20, 3, 1.4) + [(0, 20, 1.4)])
+    before = [level.estimate() for level in est.levels]
+    assert _bfs_per_level(est.levels, lambda: est.delete(0, 20)) == [0, 1, 1, 1]
+    # v's side splits off as a small component from level 1 up
+    assert [level.estimate() - b for b, level in zip(before, est.levels)] == [0, 1, 1, 1]
     _check_counts(est)
 
 
@@ -853,7 +881,7 @@ def test_deterministic_from_initial_edges_pinned():
         "cb71084b35a0456194da5eb8239a8d6de72eb956dd6f7809c6a3f248b200261f"
     assert _window_from_initial_edges(
         make, lambda est: sum(level.bfs_calls for level in est.levels)) == \
-        "33c2cbaaf48305078f6e13ec9d934db907efae11d5eb71d931453108138b458f"
+        "6b81c88b3eb6e978b09006689a2f523dec56a494f6f2473bd9bff6473324334f"
 
 
 def test_randomized_from_initial_edges_pinned():

@@ -810,7 +810,7 @@ def test_msf_runs_leave_scipy_unimported(tmp_path):
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "4", "--int-weights"],
      ["--eps", "0.5"],
      "d6bb94e3d87e5fd23720fbddbccaec8e68690903fb1b18fd8c2b83c8b98b3e4e",
-     "16f0638b79e84fc22ecde242acf7cfea52b851a750cb711c18f1325ec6557349"),
+     "2e8ddb5df40ff7877be25f43f1357e1a7df3a48701b6df767a983bebe11eed2a"),
     ("msf-rand",
      ["sliding-window", "--window", "50", "--mode", "msf", "--W", "2"],
      ["--eps", "0.8", "--p", "0.2", "--seed", "5"],
